@@ -504,10 +504,24 @@ def terraced_prefill_chunked(
 # --------------------------------------------------------------------------
 
 
+def _window_start(n_seen: int, w: int, mode: str) -> int:
+    """First token of the exact-softmax window after n_seen tokens (see HybridDecodeState)."""
+    if mode == "standard":
+        return max(0, n_seen - w)
+    return max(0, (n_seen - 1) // w * w)
+
+
 class HybridDecodeState:
-    """Recurrent state for one hybrid layer: kv-state (s, z) over evicted tokens
-    plus a ring buffer of up to w post-RoPE (k, v) pairs. Allocation is fixed at
-    construction, so byte size is constant for the whole generation."""
+    """Recurrent state for one hybrid layer: a kv-state (s = sum phi(k) v^T,
+    z = sum phi(k)) over evicted tokens plus a cache of up to w post-RoPE (k, v)
+    pairs for the exact-softmax window.
+
+    After n tokens the window holds tokens [start, n) and the kv-state all
+    earlier ones: start = max(0, n - w) in standard mode (the last w tokens),
+    floor((n - 1) / w) * w in terraced mode (the current w-aligned chunk).
+    _window_start computes it; _window_masks is the independent prefill oracle.
+    Allocation is fixed at construction, so byte size is constant for the whole
+    generation."""
 
     def __init__(self, batch: int, heads: int, cfg: HybridAttnConfig, head_dim: int, dtype=np.float32):
         f = cfg.phi_k.output_dim
@@ -531,19 +545,33 @@ class HybridDecodeState:
     def cache_bytes(self) -> int:
         return self.k_cache.nbytes + self.v_cache.nbytes
 
+    def _absorb(self, phi_k: FeatureMapParams, k: np.ndarray, v: np.ndarray) -> None:
+        """Add the (k, v) pairs [b, h, n, d] to the kv-state."""
+        fk = _phi_np(phi_k, k)
+        self.s += np.einsum("bhnf,bhnd->bhfd", fk, v)
+        self.z += fk.sum(axis=2)
+
     def _fold(self, phi_k: FeatureMapParams, upto: int) -> None:
         """Move the first `upto` cached pairs into the kv-state."""
         if upto == 0:
             return
-        ks = self.k_cache[:, :, :upto]
-        vs = self.v_cache[:, :, :upto]
-        fk = _phi_np(phi_k, ks)
-        self.s += np.einsum("bhnf,bhnd->bhfd", fk, vs)
-        self.z += fk.sum(axis=2)
+        self._absorb(phi_k, self.k_cache[:, :, :upto], self.v_cache[:, :, :upto])
         keep = self.filled - upto
         self.k_cache[:, :, :keep] = self.k_cache[:, :, upto:self.filled]
         self.v_cache[:, :, :keep] = self.v_cache[:, :, upto:self.filled]
         self.filled = keep
+
+    def load(self, cfg: HybridAttnConfig, k: np.ndarray, v: np.ndarray) -> None:
+        """Replace the state by the one after the post-RoPE prompt k, v [b, h, n, d]."""
+        n = k.shape[2]
+        start = _window_start(n, cfg.window_size, cfg.window_mode)
+        self.s[...] = 0
+        self.z[...] = 0
+        self._absorb(cfg.phi_k, k[:, :, :start], v[:, :, :start])
+        self.filled = n - start
+        self.k_cache[:, :, : self.filled] = k[:, :, start:]
+        self.v_cache[:, :, : self.filled] = v[:, :, start:]
+        self.position = n
 
 
 def hybrid_decode_step(
@@ -559,14 +587,8 @@ def hybrid_decode_step(
         raise StateDimMismatch(f"token shape {q_n.shape} vs state {state.s.shape}")
     if position is not None and position != state.position:
         raise OutOfOrderToken(f"expected position {state.position}, got {position}")
-    w = cfg.window_size
-
-    if cfg.window_mode == "standard":
-        if state.filled == w:
-            state._fold(cfg.phi_k, 1)
-    else:  # terraced: crossing a w-boundary retires the whole previous chunk
-        if state.position > 0 and state.position % w == 0:
-            state._fold(cfg.phi_k, state.filled)
+    p, w, mode = state.position, cfg.window_size, cfg.window_mode
+    state._fold(cfg.phi_k, _window_start(p + 1, w, mode) - _window_start(p, w, mode))
 
     state.k_cache[:, :, state.filled] = k_n
     state.v_cache[:, :, state.filled] = v_n

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import attention
 from . import tensor as T
 from .attention import (
     HybridAttnConfig,
@@ -169,9 +170,9 @@ class RMSNorm:
 
 class AttentionLayer:
     """Multi-head attention over the residual stream. Starts as causal softmax
-    attention; convert_model attaches a HybridAttnConfig that reroutes forward
-    through the hybrid path while keeping the frozen softmax path available for
-    teacher forcing."""
+    attention; convert_model attaches a HybridAttnConfig that routes the model's
+    forward paths through the hybrid heads while keeping the frozen softmax heads
+    available for teacher forcing."""
 
     def __init__(self, wq, wk, wv, wo, n_heads: int, head_dim: int, rope_base: float):
         self.wq, self.wk, self.wv, self.wo = wq, wk, wv, wo
@@ -211,14 +212,6 @@ class AttentionLayer:
             return terraced_prefill_chunked(q, k, v, cfg)
         return hybrid_attention_prefill(q, k, v, cfg)
 
-    def forward(self, x_normed: Tensor, start_pos: int = 0) -> Tensor:
-        q, k, v = self.project_qkv(x_normed, start_pos)
-        if self.hybrid_cfg is None:
-            y, _ = self.heads_softmax(q, k, v)
-        else:
-            y = self.heads_hybrid(q, k, v)
-        return self.wo.forward(self.merge_heads(y))
-
 
 class Mlp:
     """Gated (SwiGLU-style) MLP: down(silu(gate(x)) * up(x))."""
@@ -234,10 +227,6 @@ class Mlp:
 class Block:
     def __init__(self, norm1: RMSNorm, attn: AttentionLayer, norm2: RMSNorm, mlp: Mlp):
         self.norm1, self.attn, self.norm2, self.mlp = norm1, attn, norm2, mlp
-
-    def forward(self, x: Tensor, start_pos: int = 0) -> Tensor:
-        x = x + self.attn.forward(self.norm1.forward(x), start_pos)
-        return x + self.mlp.forward(self.norm2.forward(x))
 
 
 # --------------------------------------------------------------------------
@@ -313,13 +302,30 @@ class Model:
             raise UnknownId(f"token ids outside [0, {self.config.vocab_size})")
         return T.embedding(self.embed, ids)
 
-    def forward(self, ids: np.ndarray, start_pos: int = 0) -> Tensor:
+    def run_blocks(self, ids: np.ndarray, attend, start_pos: int = 0) -> Tensor:
+        """The residual stack of every forward path, to logits [b, l, vocab].
+        Per block i, attend(i, x, q, k, v) gets the block input x and the heads
+        [b, h, l, d] of norm1(x), rotated from start_pos, and returns the heads
+        output that wo adds back to x; the MLP residual follows."""
+        x = self.embed_tokens(ids)
+        for i, blk in enumerate(self.blocks):
+            q, k, v = blk.attn.project_qkv(blk.norm1.forward(x), start_pos)
+            y = attend(i, x, q, k, v)
+            x = x + blk.attn.wo.forward(blk.attn.merge_heads(y))
+            x = x + blk.mlp.forward(blk.norm2.forward(x))
+        return T.matmul(self.final_norm.forward(x), self.head)
+
+    def forward(self, ids: np.ndarray) -> Tensor:
         """Full forward to logits [b, l, vocab]; hybrid layers use their
         production prefill paths once converted."""
-        x = self.embed_tokens(ids)
-        for blk in self.blocks:
-            x = blk.forward(x, start_pos)
-        return T.matmul(self.final_norm.forward(x), self.head)
+
+        def attend(i, x, q, k, v):
+            attn = self.blocks[i].attn
+            if attn.hybrid_cfg is None:
+                return attn.heads_softmax(q, k, v)[0]
+            return attn.heads_hybrid(q, k, v)
+
+        return self.run_blocks(ids, attend)
 
     def forward_teacher_forced(self, ids: np.ndarray, return_weights: bool = False):
         """Per-layer records for attention transfer: both attentions computed on
@@ -333,23 +339,19 @@ class Model:
         if not self.converted:
             raise NotConverted("attention transfer needs a converted model")
         records = []
-        x = self.embed_tokens(ids)
-        for blk in self.blocks:
-            rec = {"x": x}
-            normed = blk.norm1.forward(x)
-            q, k, v = blk.attn.project_qkv(normed)
+
+        def attend(i, x, q, k, v):
+            attn = self.blocks[i].attn
             with T.no_grad():
-                y, a = blk.attn.heads_softmax(q.detach(), k.detach(), v.detach(), return_weights)
-            y_hat = blk.attn.heads_hybrid(q, k, v)
-            rec["y"] = y
-            rec["y_hat"] = y_hat
+                y, a = attn.heads_softmax(q.detach(), k.detach(), v.detach(), return_weights)
+            rec = {"x": x, "y": y, "y_hat": attn.heads_hybrid(q, k, v)}
             if return_weights:
                 rec["a"] = a
-                rec["a_hat"] = hybrid_attention_weights(q, k, v, blk.attn.hybrid_cfg)
+                rec["a_hat"] = hybrid_attention_weights(q, k, v, attn.hybrid_cfg)
             records.append(rec)
-            x = x + blk.attn.wo.forward(blk.attn.merge_heads(y))
-            x = x + blk.mlp.forward(blk.norm2.forward(x))
-        logits = T.matmul(self.final_norm.forward(x), self.head)
+            return y
+
+        logits = self.run_blocks(ids, attend)
         return records, logits
 
 
@@ -536,59 +538,30 @@ class HybridSession:
     def prefill(self, ids: np.ndarray) -> np.ndarray:
         """Run the (chunked, for terraced) prefill path, bulk-load the decode
         states, and return the final-position logits [b, vocab]."""
-        model = self.model
-        n = ids.shape[1]
+
+        def attend(i, x, q, k, v):
+            attn = self.model.blocks[i].attn
+            y = attn.heads_hybrid(q, k, v)
+            self.states[i].load(attn.hybrid_cfg, k.data, v.data)
+            return y
+
         with T.no_grad():
-            x = model.embed_tokens(ids)
-            for blk, state in zip(model.blocks, self.states):
-                normed = blk.norm1.forward(x)
-                q, k, v = blk.attn.project_qkv(normed)
-                y = blk.attn.heads_hybrid(q, k, v)
-                self._load_state(state, blk.attn.hybrid_cfg, k.data, v.data)
-                x = x + blk.attn.wo.forward(blk.attn.merge_heads(y))
-                x = x + blk.mlp.forward(blk.norm2.forward(x))
-            logits = T.matmul(model.final_norm.forward(x), model.head)
-        self.position = n
+            logits = self.model.run_blocks(ids, attend)
+        self.position = ids.shape[1]
         return logits.data[:, -1]
-
-    @staticmethod
-    def _load_state(state: HybridDecodeState, cfg, k: np.ndarray, v: np.ndarray) -> None:
-        from .attention import _phi_np  # same math as the streaming fold
-
-        n = k.shape[2]
-        w = cfg.window_size
-        if cfg.window_mode == "standard":
-            cache_lo = max(0, n - w)
-        else:
-            cache_lo = ((n - 1) // w) * w
-        if cache_lo > 0:
-            fk = _phi_np(cfg.phi_k, k[:, :, :cache_lo])
-            state.s += np.einsum("bhnf,bhnd->bhfd", fk, v[:, :, :cache_lo])
-            state.z += fk.sum(axis=2)
-        width = n - cache_lo
-        state.k_cache[:, :, :width] = k[:, :, cache_lo:]
-        state.v_cache[:, :, :width] = v[:, :, cache_lo:]
-        state.filled = width
-        state.position = n
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Advance one token; token_ids [b] -> logits [b, vocab]."""
-        from .attention import hybrid_decode_step
 
-        model = self.model
+        def attend(i, x, q, k, v):
+            y = attention.hybrid_decode_step(
+                self.states[i], q.data[:, :, 0], k.data[:, :, 0], v.data[:, :, 0],
+                self.model.blocks[i].attn.hybrid_cfg, position=self.position,
+            )
+            return Tensor(y[:, :, None, :].astype(np.float32))
+
         with T.no_grad():
-            x = model.embed_tokens(token_ids[:, None])  # [b, 1, D]
-            for blk, state in zip(model.blocks, self.states):
-                normed = blk.norm1.forward(x)
-                q, k, v = blk.attn.project_qkv(normed, start_pos=self.position)
-                y = hybrid_decode_step(
-                    state, q.data[:, :, 0], k.data[:, :, 0], v.data[:, :, 0],
-                    blk.attn.hybrid_cfg, position=self.position,
-                )
-                y_t = Tensor(y[:, :, None, :].astype(np.float32))
-                x = x + blk.attn.wo.forward(blk.attn.merge_heads(y_t))
-                x = x + blk.mlp.forward(blk.norm2.forward(x))
-            logits = T.matmul(model.final_norm.forward(x), model.head)
+            logits = self.model.run_blocks(token_ids[:, None], attend, start_pos=self.position)
         self.position += 1
         return logits.data[:, 0]
 
@@ -607,39 +580,30 @@ class SoftmaxSession:
         return sum(k.nbytes + v.nbytes for k, v in zip(self.k_cache, self.v_cache) if k is not None)
 
     def prefill(self, ids: np.ndarray) -> np.ndarray:
-        model = self.model
+        def attend(i, x, q, k, v):
+            self.k_cache[i] = k.data.copy()
+            self.v_cache[i] = v.data.copy()
+            return self.model.blocks[i].attn.heads_softmax(q, k, v)[0]
+
         with T.no_grad():
-            x = model.embed_tokens(ids)
-            for i, blk in enumerate(model.blocks):
-                normed = blk.norm1.forward(x)
-                q, k, v = blk.attn.project_qkv(normed)
-                self.k_cache[i] = k.data.copy()
-                self.v_cache[i] = v.data.copy()
-                y, _ = blk.attn.heads_softmax(q, k, v)
-                x = x + blk.attn.wo.forward(blk.attn.merge_heads(y))
-                x = x + blk.mlp.forward(blk.norm2.forward(x))
-            logits = T.matmul(model.final_norm.forward(x), model.head)
+            logits = self.model.run_blocks(ids, attend)
         self.position = ids.shape[1]
         return logits.data[:, -1]
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
-        model = self.model
-        d = model.config.head_dim
+        d = self.model.config.head_dim
+
+        def attend(i, x, q, k, v):
+            self.k_cache[i] = np.concatenate([self.k_cache[i], k.data], axis=2)
+            self.v_cache[i] = np.concatenate([self.v_cache[i], v.data], axis=2)
+            logits_attn = np.einsum("bhd,bhnd->bhn", q.data[:, :, 0], self.k_cache[i]) / np.sqrt(d)
+            w = np.exp(logits_attn - logits_attn.max(-1, keepdims=True))
+            w /= w.sum(-1, keepdims=True)
+            y = np.einsum("bhn,bhnd->bhd", w, self.v_cache[i])
+            return Tensor(y[:, :, None, :].astype(np.float32))
+
         with T.no_grad():
-            x = model.embed_tokens(token_ids[:, None])
-            for i, blk in enumerate(model.blocks):
-                normed = blk.norm1.forward(x)
-                q, k, v = blk.attn.project_qkv(normed, start_pos=self.position)
-                self.k_cache[i] = np.concatenate([self.k_cache[i], k.data], axis=2)
-                self.v_cache[i] = np.concatenate([self.v_cache[i], v.data], axis=2)
-                logits_attn = np.einsum("bhd,bhnd->bhn", q.data[:, :, 0], self.k_cache[i]) / np.sqrt(d)
-                w = np.exp(logits_attn - logits_attn.max(-1, keepdims=True))
-                w /= w.sum(-1, keepdims=True)
-                y = np.einsum("bhn,bhnd->bhd", w, self.v_cache[i])
-                y_t = Tensor(y[:, :, None, :].astype(np.float32))
-                x = x + blk.attn.wo.forward(blk.attn.merge_heads(y_t))
-                x = x + blk.mlp.forward(blk.norm2.forward(x))
-            logits = T.matmul(model.final_norm.forward(x), model.head)
+            logits = self.model.run_blocks(token_ids[:, None], attend, start_pos=self.position)
         self.position += 1
         return logits.data[:, 0]
 

@@ -15,7 +15,7 @@ product as a matmul.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -770,10 +770,3 @@ def finite_difference_check(
     rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
     return float(rel.max())
 
-
-def grad_norm(tensors: Iterable[Tensor]) -> float:
-    total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float((t.grad.astype(np.float64) ** 2).sum())
-    return float(np.sqrt(total))

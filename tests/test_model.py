@@ -22,8 +22,10 @@ from linswap.errors import (
     UnknownId,
 )
 from linswap.model import (
+    HybridSession,
     HybridSpec,
     ModelConfig,
+    SoftmaxSession,
     build_model,
     convert_model,
     detokenize,
@@ -345,3 +347,41 @@ def test_decode_matches_reprefill_at_window_boundaries(mode):
     for p in (w - 1, w, w + 1, 2 * w):
         logits = model.forward(out[:, :p])
         assert logits.data[0, -1].argmax() == out[0, p], f"position {p}"
+
+
+@pytest.mark.parametrize("kind", ["hedgehog", "t2r"])
+@pytest.mark.parametrize("mode", ["standard", "terraced"])
+def test_session_bulk_load_then_step_matches_prefill(mode, kind):
+    # the prefill bulk load must leave the same state that streaming would,
+    # at every prompt length on both sides of each eviction boundary
+    w = 4
+    model = convert_model(small_model(), HybridSpec(window_size=w, window_mode=mode, feature_kind=kind))
+    ids = np.random.default_rng(0).integers(0, 258, size=(2, 3 * w + 2))
+    for n in range(1, 3 * w + 2):
+        session = HybridSession(model, 2)
+        session.prefill(ids[:, :n])
+        stepped = session.step(ids[:, n])
+        fresh = HybridSession(model, 2).prefill(ids[:, : n + 1])
+        assert np.abs(stepped - fresh).max() <= 1e-5, f"prompt length {n}"
+
+
+def test_session_prefill_replaces_state():
+    # a second prefill on the same session must not keep the first prompt's kv-state
+    model = convert_model(small_model(), HybridSpec(window_size=4, window_mode="terraced", feature_kind="hedgehog"))
+    ids = np.random.default_rng(2).integers(0, 258, size=(1, 11))
+    reused = HybridSession(model, 1)
+    reused.prefill(ids)
+    reused.prefill(ids)
+    fresh = HybridSession(model, 1)
+    fresh.prefill(ids)
+    np.testing.assert_array_equal(reused.step(ids[:, 0]), fresh.step(ids[:, 0]))
+
+
+def test_softmax_session_matches_forward():
+    model = small_model()
+    ids = np.random.default_rng(1).integers(0, 258, size=(2, 10))
+    ref = model.forward(ids).data
+    session = SoftmaxSession(model, 2)
+    assert np.abs(session.prefill(ids[:, :4]) - ref[:, 3]).max() <= 1e-5
+    for t in range(4, ids.shape[1]):
+        assert np.abs(session.step(ids[:, t]) - ref[:, t]).max() <= 1e-5, f"position {t}"
