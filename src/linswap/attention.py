@@ -1,8 +1,9 @@
 """Attention mathematics: causal softmax attention, linear attention (parallel,
 state-form, and recurrent), learnable feature maps, rotary embeddings, the
-hybrid linear + sliding-window layer with its terraced variant and chunked
-prefill, constant-memory decoding, and the entropy / effective-sequence-length
-diagnostics.
+hybrid linear + sliding-window layer in standard and terraced window modes
+with one chunked prefill kernel for both (scratch grows with the window, not
+the sequence; the masked O(l^2) form is kept as the oracle), constant-memory
+decoding, and the entropy / effective-sequence-length diagnostics.
 
 All batched operations take [batch, heads, seq, dim] arrays. Training paths are
 built from tape-recorded Tensor ops; decode paths are plain numpy (inference
@@ -11,7 +12,7 @@ only) and are pinned to the prefill paths by consistency tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,16 +292,12 @@ class HybridAttnConfig:
     gamma_raw: Tensor  # [heads]
     phi_q: FeatureMapParams
     phi_k: FeatureMapParams
-    rope_base: float = 10000.0
-    linear_factor: float = field(default=1.0)
 
     def __post_init__(self):
         if self.window_size < 1:
             raise WindowTooSmall(f"window_size {self.window_size} < 1")
         if self.window_mode not in WINDOW_MODES:
             raise ShapeMismatch(f"window_mode must be one of {WINDOW_MODES}")
-        if self.linear_factor != 1.0:
-            raise ShapeMismatch("linear_factor is fixed at 1.0")
         if self.gamma_raw.ndim != 1 or self.gamma_raw.shape[0] != self.phi_q.heads:
             raise ShapeMismatch(f"gamma_raw must be [heads], got {self.gamma_raw.shape}")
 
@@ -325,7 +322,6 @@ def make_hybrid_config(
     n_heads: int,
     head_dim: int,
     feature_dim: int | None = None,
-    rope_base: float = 10000.0,
     rng: np.random.Generator | None = None,
     gamma_init: float = 1.0,
     dtype=np.float32,
@@ -334,7 +330,7 @@ def make_hybrid_config(
     phi_q = init_feature_map(feature_kind, n_heads, head_dim, feature_dim, rng, dtype)
     phi_k = init_feature_map(feature_kind, n_heads, head_dim, feature_dim, rng, dtype)
     gamma = Tensor(np.full(n_heads, gamma_init, dtype=dtype), requires_grad=True)
-    return HybridAttnConfig(window_size, window_mode, gamma, phi_q, phi_k, rope_base)
+    return HybridAttnConfig(window_size, window_mode, gamma, phi_q, phi_k)
 
 
 def _window_masks(l: int, w: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -356,56 +352,78 @@ def hybrid_attention_prefill(
     v: Tensor,
     cfg: HybridAttnConfig,
     window_factor_override: float | None = None,
-) -> Tensor:
-    """Hybrid attention over a full prompt. RoPE must already be applied to q, k.
+    with_stats: bool = False,
+):
+    """Hybrid attention over a full prompt, both window modes. RoPE must already
+    be applied to q, k.
 
-    Standard mode runs the banded O(l * w * d) path; terraced mode runs the
-    direct masked-score reference (terraced_prefill_chunked is the single-pass
-    production variant and must agree with it).
+    One pass over w-sized chunks with a running kv-state. Chunks start at
+    multiples of w, so every chunk sees the same window pattern: its queries
+    attend to keys [start - lag, stop), lag = w in standard mode and 0 in
+    terraced mode, with the window and linear masks of the last w rows of
+    _window_masks(lag + w, w, mode). Tokens before start - lag are folded into
+    the kv-state, which the linear term reads; in standard mode the linear term
+    also scores the previous chunk's tokens that fell out of the window. Peak
+    per-chunk scratch grows with w, not with the sequence length.
+    _hybrid_naive is the masked O(l^2) oracle it must agree with.
     """
     _check_qkv(q, k, v)
-    if cfg.window_mode == "standard":
-        return _hybrid_standard_banded(q, k, v, cfg, window_factor_override)
-    y, _ = _hybrid_naive(q, k, v, cfg, window_factor_override)
-    return y
-
-
-def _hybrid_standard_banded(q, k, v, cfg, override=None) -> Tensor:
     b, h, l, d = q.shape
     w = cfg.window_size
-    w_eff = min(w, l)
+    lag = w if cfg.window_mode == "standard" else 0
     scale = 1.0 / np.sqrt(d)
-    gamma = cfg.window_factor(override)
+    gamma = cfg.window_factor(window_factor_override)
+    win_mask, lin_mask = (m[lag:] for m in _window_masks(lag + w, w, cfg.window_mode))
 
-    # window logits by diagonal offset o: logit[., n, o] = q_n . k_{n-o} / sqrt(d)
-    logit_cols = []
-    v_cols = []
-    for o in range(w_eff):
-        k_sh = T.pad_axis(k, 2, o, 0)[:, :, :l] if o else k
-        v_sh = T.pad_axis(v, 2, o, 0)[:, :, :l] if o else v
-        logit_cols.append((q * k_sh).sum(-1) * scale)
-        v_cols.append(v_sh)
-    logits = T.stack(logit_cols, axis=-1)  # [b, h, l, w_eff]
-    invalid = np.arange(w_eff)[None, :] > np.arange(l)[:, None]  # offset beyond t=0
-    logits = T.masked_fill(logits, invalid, MASK_VALUE)
-
-    c = logits.max(-1, keepdims=True)
-    ew = gamma * T.exp(logits - c)  # [b, h, l, w_eff]
-    win_den = ew.sum(-1, keepdims=True)
-    v_band = T.stack(v_cols, axis=3)  # [b, h, l, w_eff, d]
-    win_num = T.matmul(ew.reshape(b, h, l, 1, w_eff), v_band).reshape(b, h, l, d)
-
-    # linear term over tokens older than the window: shift features by w
     fq = feature_map_apply(cfg.phi_q, q)
     fk = feature_map_apply(cfg.phi_k, k)
     f = fq.shape[-1]
-    fk_sh = T.pad_axis(fk, 2, w, 0)[:, :, :l]
-    v_old = T.pad_axis(v, 2, w, 0)[:, :, :l]
-    outer = T.matmul(fk_sh.reshape(b, h, l, f, 1), v_old.reshape(b, h, l, 1, d))
-    lin_num = T.matmul(fq.reshape(b, h, l, 1, f), T.cumsum(outer, 2)).reshape(b, h, l, d)
-    lin_den = (fq * T.cumsum(fk_sh, 2)).sum(-1, keepdims=True)
 
-    return (win_num + lin_num) / _floor_den(win_den + lin_den)
+    s_state = Tensor(np.zeros((b, h, f, d), dtype=q.dtype))
+    z_state = Tensor(np.zeros((b, h, f, 1), dtype=q.dtype))
+    folded = 0
+    outs = []
+    peak_chunk_bytes = 0
+    for start in range(0, l, w):
+        stop = min(start + w, l)
+        lo = max(0, start - lag)
+        if lo > folded:
+            fk_old = T.swapaxes(fk[:, :, folded:lo], -1, -2)
+            s_state = s_state + T.matmul(fk_old, v[:, :, folded:lo])
+            z_state = z_state + fk_old.sum(-1, keepdims=True)
+            folded = lo
+        rows, cols = slice(0, stop - start), slice(lag + lo - start, lag + stop - start)
+        qc, fqc = q[:, :, start:stop], fq[:, :, start:stop]
+        kc, vc = k[:, :, lo:stop], v[:, :, lo:stop]
+
+        scores = T.matmul(qc, T.swapaxes(kc, -1, -2)) * scale
+        scores = T.masked_fill(scores, ~win_mask[rows, cols], MASK_VALUE)
+        c = scores.max(-1, keepdims=True)
+        weights = gamma * T.exp(scores - c)
+        scratch = [scores, weights]
+        lin = lin_mask[rows, cols]
+        if lin.any():
+            lin_scores = T.matmul(fqc, T.swapaxes(fk[:, :, lo:stop], -1, -2))
+            weights = weights + T.masked_fill(lin_scores, ~lin, 0.0)
+            scratch += [lin_scores, weights]
+        span_num = T.matmul(weights, vc)
+        span_den = weights.sum(-1, keepdims=True)
+        state_num = T.matmul(fqc, s_state)
+        state_den = T.matmul(fqc, z_state)
+
+        outs.append((span_num + state_num) / _floor_den(span_den + state_den))
+        scratch += [span_num, state_num, outs[-1]]
+        peak_chunk_bytes = max(peak_chunk_bytes, sum(t.data.nbytes for t in scratch))
+
+    y = T.concat(outs, axis=2) if len(outs) > 1 else outs[0]
+    if with_stats:
+        stats = {
+            "peak_chunk_bytes": peak_chunk_bytes,
+            "state_bytes": s_state.data.nbytes + z_state.data.nbytes,
+            "chunks": (l + w - 1) // w,
+        }
+        return y, stats
+    return y
 
 
 def _hybrid_naive(q, k, v, cfg, override=None):
@@ -444,59 +462,10 @@ def terraced_prefill_chunked(
     window_factor_override: float | None = None,
     with_stats: bool = False,
 ):
-    """Single pass over w-sized chunks with a running kv-state: softmax attention
-    inside each chunk, linear attention against the state accumulated from all
-    earlier chunks. Peak per-chunk scratch is proportional to w, not seq."""
-    _check_qkv(q, k, v)
+    """hybrid_attention_prefill for a terraced-mode layer; rejects standard mode."""
     if cfg.window_mode != "terraced":
         raise ShapeMismatch("terraced_prefill_chunked requires window_mode='terraced'")
-    b, h, l, d = q.shape
-    w = cfg.window_size
-    scale = 1.0 / np.sqrt(d)
-    gamma = cfg.window_factor(window_factor_override)
-
-    fq = feature_map_apply(cfg.phi_q, q)
-    fk = feature_map_apply(cfg.phi_k, k)
-    f = fq.shape[-1]
-
-    s_state = Tensor(np.zeros((b, h, f, d), dtype=q.dtype))
-    z_state = Tensor(np.zeros((b, h, f, 1), dtype=q.dtype))
-    outs = []
-    peak_chunk_bytes = 0
-    for start in range(0, l, w):
-        stop = min(start + w, l)
-        cw = stop - start
-        qc, kc, vc = q[:, :, start:stop], k[:, :, start:stop], v[:, :, start:stop]
-        fqc = fq[:, :, start:stop]
-
-        scores = T.matmul(qc, T.swapaxes(kc, -1, -2)) * scale
-        scores = T.masked_fill(scores, causal_mask(cw), MASK_VALUE)
-        c = scores.max(-1, keepdims=True)
-        ew = gamma * T.exp(scores - c)
-        win_num = T.matmul(ew, vc)
-        win_den = ew.sum(-1, keepdims=True)
-
-        lin_num = T.matmul(fqc, s_state)
-        lin_den = T.matmul(fqc, z_state)
-
-        outs.append((win_num + lin_num) / _floor_den(win_den + lin_den))
-
-        fkc = fk[:, :, start:stop]
-        s_state = s_state + T.matmul(T.swapaxes(fkc, -1, -2), vc)
-        z_state = z_state + T.swapaxes(fkc, -1, -2).sum(-1, keepdims=True)
-
-        chunk_bytes = sum(t.data.nbytes for t in (scores, ew, win_num, lin_num, outs[-1]))
-        peak_chunk_bytes = max(peak_chunk_bytes, chunk_bytes)
-
-    y = T.concat(outs, axis=2) if len(outs) > 1 else outs[0]
-    if with_stats:
-        stats = {
-            "peak_chunk_bytes": peak_chunk_bytes,
-            "state_bytes": s_state.data.nbytes + z_state.data.nbytes,
-            "chunks": (l + w - 1) // w,
-        }
-        return y, stats
-    return y
+    return hybrid_attention_prefill(q, k, v, cfg, window_factor_override, with_stats)
 
 
 # --------------------------------------------------------------------------

@@ -99,8 +99,14 @@ def load_checkpoint(path: str) -> Model:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptPayload(f"{path}: bad header: {exc}") from exc
-    payload = blob[16 + header_len : -4]
+    try:
+        return _restore(header, blob[16 + header_len : -4], path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptPayload(f"{path}: malformed header: {exc!r}") from exc
 
+
+def _restore(header: dict, payload: bytes, path: str) -> Model:
+    """Build the model a decoded header describes and fill it from the payload."""
     model = build_model(ModelConfig(**header["config"]))
     if header["hybrid"] is not None:
         convert_model(model, HybridSpec(**header["hybrid"]))

@@ -26,7 +26,6 @@ from .attention import (
     hybrid_attention_weights,
     make_hybrid_config,
     softmax_attention,
-    terraced_prefill_chunked,
 )
 from .errors import (
     AdaptersMissing,
@@ -207,10 +206,7 @@ class AttentionLayer:
         return softmax_attention(q, k, v, return_weights=return_weights)
 
     def heads_hybrid(self, q, k, v) -> Tensor:
-        cfg = self.hybrid_cfg
-        if cfg.window_mode == "terraced":
-            return terraced_prefill_chunked(q, k, v, cfg)
-        return hybrid_attention_prefill(q, k, v, cfg)
+        return hybrid_attention_prefill(q, k, v, self.hybrid_cfg)
 
 
 class Mlp:
@@ -303,21 +299,26 @@ class Model:
         return T.embedding(self.embed, ids)
 
     def run_blocks(self, ids: np.ndarray, attend, start_pos: int = 0) -> Tensor:
-        """The residual stack of every forward path, to logits [b, l, vocab].
-        Per block i, attend(i, x, q, k, v) gets the block input x and the heads
-        [b, h, l, d] of norm1(x), rotated from start_pos, and returns the heads
-        output that wo adds back to x; the MLP residual follows."""
+        """The residual stack of every forward path, to the final residual
+        stream [b, l, D]. Per block i, attend(i, x, q, k, v) gets the block
+        input x and the heads [b, h, l, d] of norm1(x), rotated from start_pos,
+        and returns the heads output that wo adds back to x; the MLP residual
+        follows."""
         x = self.embed_tokens(ids)
         for i, blk in enumerate(self.blocks):
             q, k, v = blk.attn.project_qkv(blk.norm1.forward(x), start_pos)
             y = attend(i, x, q, k, v)
             x = x + blk.attn.wo.forward(blk.attn.merge_heads(y))
             x = x + blk.mlp.forward(blk.norm2.forward(x))
+        return x
+
+    def logits(self, x: Tensor) -> Tensor:
+        """Final norm and vocab head: residual stream [b, l, D] -> [b, l, vocab]."""
         return T.matmul(self.final_norm.forward(x), self.head)
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        """Full forward to logits [b, l, vocab]; hybrid layers use their
-        production prefill paths once converted."""
+        """Full forward to logits [b, l, vocab]; hybrid layers use the chunked
+        prefill once converted."""
 
         def attend(i, x, q, k, v):
             attn = self.blocks[i].attn
@@ -325,7 +326,7 @@ class Model:
                 return attn.heads_softmax(q, k, v)[0]
             return attn.heads_hybrid(q, k, v)
 
-        return self.run_blocks(ids, attend)
+        return self.logits(self.run_blocks(ids, attend))
 
     def forward_teacher_forced(self, ids: np.ndarray, return_weights: bool = False):
         """Per-layer records for attention transfer: both attentions computed on
@@ -351,7 +352,7 @@ class Model:
             records.append(rec)
             return y
 
-        logits = self.run_blocks(ids, attend)
+        logits = self.logits(self.run_blocks(ids, attend))
         return records, logits
 
 
@@ -427,7 +428,6 @@ def convert_model(model: Model, spec: HybridSpec, seed: int | None = None) -> Mo
             model.config.n_heads,
             model.config.head_dim,
             spec.feature_dim,
-            rope_base=model.config.rope_base,
             rng=np.random.default_rng((base_seed, i)),
             gamma_init=spec.gamma_init,
         )
@@ -536,8 +536,8 @@ class HybridSession:
         return sum(s.cache_bytes for s in self.states)
 
     def prefill(self, ids: np.ndarray) -> np.ndarray:
-        """Run the (chunked, for terraced) prefill path, bulk-load the decode
-        states, and return the final-position logits [b, vocab]."""
+        """Run the chunked prefill, bulk-load the decode states, and return the
+        final-position logits [b, vocab]."""
 
         def attend(i, x, q, k, v):
             attn = self.model.blocks[i].attn
@@ -546,9 +546,10 @@ class HybridSession:
             return y
 
         with T.no_grad():
-            logits = self.model.run_blocks(ids, attend)
+            x = self.model.run_blocks(ids, attend)
+            logits = self.model.logits(x[:, -1:])
         self.position = ids.shape[1]
-        return logits.data[:, -1]
+        return logits.data[:, 0]
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Advance one token; token_ids [b] -> logits [b, vocab]."""
@@ -561,7 +562,8 @@ class HybridSession:
             return Tensor(y[:, :, None, :].astype(np.float32))
 
         with T.no_grad():
-            logits = self.model.run_blocks(token_ids[:, None], attend, start_pos=self.position)
+            x = self.model.run_blocks(token_ids[:, None], attend, start_pos=self.position)
+            logits = self.model.logits(x)
         self.position += 1
         return logits.data[:, 0]
 
@@ -586,9 +588,10 @@ class SoftmaxSession:
             return self.model.blocks[i].attn.heads_softmax(q, k, v)[0]
 
         with T.no_grad():
-            logits = self.model.run_blocks(ids, attend)
+            x = self.model.run_blocks(ids, attend)
+            logits = self.model.logits(x[:, -1:])
         self.position = ids.shape[1]
-        return logits.data[:, -1]
+        return logits.data[:, 0]
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         d = self.model.config.head_dim
@@ -603,13 +606,14 @@ class SoftmaxSession:
             return Tensor(y[:, :, None, :].astype(np.float32))
 
         with T.no_grad():
-            logits = self.model.run_blocks(token_ids[:, None], attend, start_pos=self.position)
+            x = self.model.run_blocks(token_ids[:, None], attend, start_pos=self.position)
+            logits = self.model.logits(x)
         self.position += 1
         return logits.data[:, 0]
 
 
 def generate_greedy(model: Model, prompt_ids: np.ndarray, n_new: int, max_len: int | None = None) -> np.ndarray:
-    """Greedy decoding: chunked/standard prefill, then recurrent hybrid steps."""
+    """Greedy decoding: chunked prefill, then recurrent hybrid steps."""
     prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
     if prompt_ids.ndim == 1:
         prompt_ids = prompt_ids[None, :]

@@ -234,7 +234,7 @@ def sample_batch(corpus: np.ndarray, batch_size: int, seq_len: int, rng: np.rand
     """Random crops of seq_len + 1 tokens -> (inputs [b, l], targets [b, l])."""
     if corpus.size < seq_len + 1:
         raise BadConfig(f"corpus of {corpus.size} tokens cannot yield seq_len {seq_len}")
-    starts = rng.integers(0, corpus.size - seq_len - 1, size=batch_size)
+    starts = rng.integers(0, corpus.size - seq_len, size=batch_size)
     ids = np.stack([corpus[s : s + seq_len + 1] for s in starts]).astype(np.int64)
     return ids[:, :-1], ids[:, 1:]
 

@@ -1,6 +1,6 @@
 """Hybrid linear + sliding-window attention: brute-force oracle agreement,
-softmax-collapse and pure-linear limits, chunked terraced prefill equality,
-and recurrent decode consistency."""
+softmax-collapse and pure-linear limits, chunked prefill against the masked
+oracle, and recurrent decode consistency."""
 
 import numpy as np
 import pytest
@@ -113,17 +113,19 @@ def test_window_too_small_rejected():
         make_cfg(0, "standard")
 
 
-# --- chunked terraced prefill ---------------------------------------------------
+# --- chunked prefill ---------------------------------------------------------
 
 @pytest.mark.parametrize("w", [4, 8])
 @pytest.mark.parametrize("rel", ["one", "w", "w+1", "4w", "4w+3"])
 def test_chunked_equals_naive_terraced(w, rel):
+    # the chunked kernel against the masked O(l^2) oracle, in both window modes
     seq = {"one": 1, "w": w, "w+1": w + 1, "4w": 4 * w, "4w+3": 4 * w + 3}[rel]
-    cfg = make_cfg(w, "terraced", seed=13 + w)
-    q, k, v = rand_qkv(2, 2, seq, 8, 14 + seq)
-    ref = A.hybrid_attention_prefill(q, k, v, cfg)
-    out = A.terraced_prefill_chunked(q, k, v, cfg)
-    np.testing.assert_allclose(out.data, ref.data, atol=1e-6)
+    for mode in A.WINDOW_MODES:
+        cfg = make_cfg(w, mode, seed=13 + w)
+        q, k, v = rand_qkv(2, 2, seq, 8, 14 + seq)
+        ref = A._hybrid_naive(q, k, v, cfg)[0]
+        out = A.hybrid_attention_prefill(q, k, v, cfg)
+        np.testing.assert_allclose(out.data, ref.data, atol=1e-6, err_msg=mode)
 
 
 def test_chunked_single_chunk_is_softmax():
@@ -137,16 +139,17 @@ def test_chunked_single_chunk_is_softmax():
 
 def test_chunked_scratch_scales_with_window_not_seq():
     w = 8
-    cfg = make_cfg(w, "terraced", seed=17)
     q4, k4, v4 = rand_qkv(1, 2, 4 * w, 8, 18)
     q16, k16, v16 = rand_qkv(1, 2, 16 * w, 8, 19)
-    _, stats4 = A.terraced_prefill_chunked(q4, k4, v4, cfg, with_stats=True)
-    _, stats16 = A.terraced_prefill_chunked(q16, k16, v16, cfg, with_stats=True)
-    # per-chunk scratch is fixed by w; quadrupling seq must not change it
-    assert stats16["peak_chunk_bytes"] == stats4["peak_chunk_bytes"]
-    assert stats16["state_bytes"] == stats4["state_bytes"]
     full_scores_bytes = (16 * w) ** 2 * 2 * 2 * 8  # what an O(seq^2) path would allocate
-    assert stats16["peak_chunk_bytes"] < full_scores_bytes / 16
+    for mode in A.WINDOW_MODES:
+        cfg = make_cfg(w, mode, seed=17)
+        _, stats4 = A.hybrid_attention_prefill(q4, k4, v4, cfg, with_stats=True)
+        _, stats16 = A.hybrid_attention_prefill(q16, k16, v16, cfg, with_stats=True)
+        # per-chunk scratch is fixed by w; quadrupling seq must not change it
+        assert stats16["peak_chunk_bytes"] == stats4["peak_chunk_bytes"], mode
+        assert stats16["state_bytes"] == stats4["state_bytes"], mode
+        assert stats16["peak_chunk_bytes"] < full_scores_bytes / 16, mode
 
 
 def test_chunked_requires_terraced_mode():

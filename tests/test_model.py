@@ -261,6 +261,37 @@ def test_checkpoint_corruption_detected(tmp_path):
         load_checkpoint(path)
 
 
+def _rewrite_header(path, edit):
+    """Apply edit(header dict) to a saved checkpoint and re-seal its CRC."""
+    import json
+    import zlib
+
+    blob = open(path, "rb").read()
+    n = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+    header = json.loads(blob[16 : 16 + n])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    body = blob[:8] + np.uint64(len(raw)).tobytes() + raw + blob[16 + n : -4]
+    open(path, "wb").write(body + np.uint32(zlib.crc32(body) & 0xFFFFFFFF).tobytes())
+
+
+MALFORMED_HEADERS = {
+    "missing_config": lambda h: h.pop("config"),
+    "unknown_dtype_tag": lambda h: h["tensors"][0].update(dtype="f16"),
+    "mistyped_config_field": lambda h: h["config"].update(n_layers="2"),
+    "unknown_config_key": lambda h: h["config"].update(n_experts=4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_checkpoint_malformed_header_is_corrupt_payload(tmp_path, case):
+    path = str(tmp_path / "model.lolc")
+    save_checkpoint(small_model(), path)
+    _rewrite_header(path, MALFORMED_HEADERS[case])
+    with pytest.raises(CorruptPayload):
+        load_checkpoint(path)
+
+
 def test_checkpoint_header_names_match_parameters(tmp_path):
     model = convert_model(small_model(), SPEC)
     path = str(tmp_path / "model.lolc")

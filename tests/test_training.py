@@ -149,6 +149,14 @@ def test_combined_loss_is_exact_weighted_sum():
 
 # --- optimizer ----------------------------------------------------------------
 
+def test_sample_batch_reaches_the_last_crop():
+    # a corpus of exactly seq_len + 1 tokens holds one crop, and it must be drawn
+    corpus = np.arange(17)
+    inputs, targets = sample_batch(corpus, 3, 16, rng(5))
+    np.testing.assert_array_equal(inputs, np.tile(corpus[:-1], (3, 1)))
+    np.testing.assert_array_equal(targets, np.tile(corpus[1:], (3, 1)))
+
+
 def test_adamw_deterministic_bitwise():
     def run():
         g = rng(11)
