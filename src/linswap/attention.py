@@ -56,22 +56,10 @@ def rope_angles(seq_len: int, head_dim: int, start_pos: int = 0, base: float = 1
     return np.cos(ang), np.sin(ang)
 
 
-def apply_rope(x, start_pos: int = 0, base: float = 10000.0):
-    """Rotate each (2i, 2i+1) pair of the last axis by angle pos * base^(-2i/d).
-
-    Accepts a Tensor (differentiable) or a numpy array; seq is axis -2.
-    """
-    is_np = not isinstance(x, Tensor)
+def apply_rope(x: Tensor, start_pos: int = 0, base: float = 10000.0) -> Tensor:
+    """Rotate each (2i, 2i+1) pair of the last axis by angle pos * base^(-2i/d); seq is axis -2."""
     shape = x.shape
     cos, sin = rope_angles(shape[-2], shape[-1], start_pos, base)
-    if is_np:
-        cos = cos.astype(x.dtype)
-        sin = sin.astype(x.dtype)
-        xe, xo = x[..., 0::2], x[..., 1::2]
-        out = np.empty_like(x)
-        out[..., 0::2] = xe * cos - xo * sin
-        out[..., 1::2] = xe * sin + xo * cos
-        return out
     cos = Tensor(cos, dtype=x.dtype)
     sin = Tensor(sin, dtype=x.dtype)
     xe, xo = x[..., 0::2], x[..., 1::2]
@@ -305,10 +293,8 @@ class HybridAttnConfig:
     def heads(self) -> int:
         return self.phi_q.heads
 
-    def window_factor(self, override: float | None = None):
-        """sigmoid(gamma_raw) as [1, h, 1, 1], or a test-hook constant."""
-        if override is not None:
-            return float(override)
+    def window_factor(self) -> Tensor:
+        """sigmoid(gamma_raw) as [1, h, 1, 1]."""
         return T.sigmoid(self.gamma_raw).reshape(1, self.heads, 1, 1)
 
     def parameters(self) -> list[Tensor]:
@@ -351,7 +337,6 @@ def hybrid_attention_prefill(
     k: Tensor,
     v: Tensor,
     cfg: HybridAttnConfig,
-    window_factor_override: float | None = None,
     with_stats: bool = False,
 ):
     """Hybrid attention over a full prompt, both window modes. RoPE must already
@@ -372,7 +357,7 @@ def hybrid_attention_prefill(
     w = cfg.window_size
     lag = w if cfg.window_mode == "standard" else 0
     scale = 1.0 / np.sqrt(d)
-    gamma = cfg.window_factor(window_factor_override)
+    gamma = cfg.window_factor()
     win_mask, lin_mask = (m[lag:] for m in _window_masks(lag + w, w, cfg.window_mode))
 
     fq = feature_map_apply(cfg.phi_q, q)
@@ -426,11 +411,11 @@ def hybrid_attention_prefill(
     return y
 
 
-def _hybrid_naive(q, k, v, cfg, override=None):
+def _hybrid_naive(q, k, v, cfg):
     """Reference path: full masked score matrices, both modes; returns (y, weights)."""
     b, h, l, d = q.shape
     scale = 1.0 / np.sqrt(d)
-    gamma = cfg.window_factor(override)
+    gamma = cfg.window_factor()
     win_mask, lin_mask = _window_masks(l, cfg.window_size, cfg.window_mode)
 
     scores = T.matmul(q, T.swapaxes(k, -1, -2)) * scale
@@ -448,9 +433,9 @@ def _hybrid_naive(q, k, v, cfg, override=None):
     return y, weights
 
 
-def hybrid_attention_weights(q, k, v, cfg, window_factor_override: float | None = None) -> Tensor:
+def hybrid_attention_weights(q, k, v, cfg) -> Tensor:
     """Materialized row-stochastic hybrid weights [b, h, l, l] (memory-heavy; opt-in)."""
-    _, weights = _hybrid_naive(q, k, v, cfg, window_factor_override)
+    _, weights = _hybrid_naive(q, k, v, cfg)
     return weights
 
 
@@ -459,13 +444,12 @@ def terraced_prefill_chunked(
     k: Tensor,
     v: Tensor,
     cfg: HybridAttnConfig,
-    window_factor_override: float | None = None,
     with_stats: bool = False,
 ):
     """hybrid_attention_prefill for a terraced-mode layer; rejects standard mode."""
     if cfg.window_mode != "terraced":
         raise ShapeMismatch("terraced_prefill_chunked requires window_mode='terraced'")
-    return hybrid_attention_prefill(q, k, v, cfg, window_factor_override, with_stats)
+    return hybrid_attention_prefill(q, k, v, cfg, with_stats)
 
 
 # --------------------------------------------------------------------------

@@ -15,13 +15,23 @@ Round trips are bit-exact. Corpus files are raw little-endian uint32 ids.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import zlib
 
 import numpy as np
 
 from .errors import CorruptPayload, FormatVersionMismatch, IoFailure
-from .model import Model, ModelConfig, HybridSpec, build_model, convert_model, lora_attach
+from .model import (
+    HybridSpec,
+    Model,
+    ModelConfig,
+    build_model,
+    convert_model,
+    expected_parameter_count,
+    lora_attach,
+)
 
 MAGIC = b"LOLC"
 FORMAT_VERSION = 1
@@ -73,10 +83,16 @@ def save_checkpoint(model: Model, path: str) -> None:
     for c in chunks:
         blob += c
     blob += np.uint32(zlib.crc32(bytes(blob)) & 0xFFFFFFFF).tobytes()
+    # write beside the target and rename over it, so a failed write never
+    # clobbers the checkpoint already at path
+    tmp = f"{path}.tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(bytes(blob))
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
 
 
@@ -101,13 +117,18 @@ def load_checkpoint(path: str) -> Model:
         raise CorruptPayload(f"{path}: bad header: {exc}") from exc
     try:
         return _restore(header, blob[16 + header_len : -4], path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptPayload(f"{path}: malformed header: {exc!r}") from exc
 
 
 def _restore(header: dict, payload: bytes, path: str) -> Model:
     """Build the model a decoded header describes and fill it from the payload."""
-    model = build_model(ModelConfig(**header["config"]))
+    cfg = ModelConfig(**header["config"])
+    # every base parameter takes at least 4 bytes: a config the payload cannot
+    # hold is rejected before anything is allocated for it
+    if expected_parameter_count(cfg) * 4 > len(payload):
+        raise CorruptPayload(f"{path}: config needs more parameters than a {len(payload)}-byte payload holds")
+    model = build_model(cfg)
     if header["hybrid"] is not None:
         convert_model(model, HybridSpec(**header["hybrid"]))
     if header["lora"] is not None:
@@ -119,15 +140,16 @@ def _restore(header: dict, payload: bytes, path: str) -> Model:
         name = entry["name"]
         if name not in params:
             raise CorruptPayload(f"{path}: unknown tensor {name}")
+        t = params[name]
+        if tuple(entry["shape"]) != t.shape:
+            raise CorruptPayload(f"{path}: {name} has shape {entry['shape']}, the model expects {list(t.shape)}")
         dtype = _DTYPE_TAGS[entry["dtype"]]
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize if shape else np.dtype(dtype).itemsize
+        nbytes = t.size * np.dtype(dtype).itemsize
         start = entry["offset"]
         raw = payload[start : start + nbytes]
         if len(raw) != nbytes:
             raise CorruptPayload(f"{path}: truncated payload for {name}")
-        t = params[name]
-        t.data = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).astype(dtype).reshape(shape).copy()
+        t.data = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).astype(dtype).reshape(t.shape).copy()
         t.requires_grad = bool(entry.get("trainable", False))
         t.grad = np.zeros_like(t.data) if t.requires_grad else None
         seen.add(name)
@@ -135,20 +157,6 @@ def _restore(header: dict, payload: bytes, path: str) -> Model:
     if missing:
         raise CorruptPayload(f"{path}: checkpoint missing tensors {sorted(missing)[:4]}...")
     return model
-
-
-def checkpoint_tensor_names(path: str) -> list[str]:
-    """Names/shapes from the header without materializing a model."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    if blob[:4] != MAGIC:
-        raise CorruptPayload(f"{path}: missing LOLC magic")
-    header_len = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
-    header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-    return [e["name"] for e in header["tensors"]]
 
 
 # --- token corpus ----------------------------------------------------------

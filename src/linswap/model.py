@@ -180,10 +180,6 @@ class AttentionLayer:
         self.rope_base = rope_base
         self.hybrid_cfg: HybridAttnConfig | None = None
 
-    @property
-    def kind(self) -> str:
-        return "softmax" if self.hybrid_cfg is None else "hybrid"
-
     def project_qkv(self, x: Tensor, start_pos: int = 0):
         """x [b, l, D] -> rotary q, k and plain v as [b, h, l, d]."""
         b, l, _ = x.shape

@@ -101,19 +101,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False, dtype=self.dtype)
 
-    def astype(self, dtype) -> "Tensor":
-        out = Tensor(self.data.astype(dtype), requires_grad=False)
-        if _grad_enabled and self.requires_grad:
-            out.requires_grad = True
-            out._parents = (self,)
-            src_dtype = self.dtype
-
-            def _bw(g):
-                _accum(self, g.astype(src_dtype))
-
-            out._backward = _bw
-        return out
-
     def zero_grad(self) -> None:
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
@@ -122,9 +109,6 @@ class Tensor:
         if self.data.size != 1:
             raise NotScalar(f"item() on shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
@@ -588,22 +572,6 @@ def narrow(a, key) -> Tensor:
     return _make(data.copy(), (a,), _bw, "slice")
 
 
-def pad_axis(a, axis: int, before: int, after: int, value: float = 0.0) -> Tensor:
-    """Constant-pad one axis."""
-    a = as_tensor(a)
-    ax = axis % a.ndim
-    widths = [(0, 0)] * a.ndim
-    widths[ax] = (before, after)
-    data = np.pad(a.data, widths, constant_values=value)
-
-    def _bw(g):
-        sl = [slice(None)] * a.ndim
-        sl[ax] = slice(before, before + a.shape[ax])
-        _accum(a, g[tuple(sl)])
-
-    return _make(data, (a,), _bw, "pad")
-
-
 def masked_fill(a, mask: np.ndarray, value: float) -> Tensor:
     """Replace entries where mask is True with a constant (mask not differentiable)."""
     a = as_tensor(a)
@@ -645,52 +613,6 @@ def take_along_last(a, idx: np.ndarray) -> Tensor:
         _accum(a, buf)
 
     return _make(data, (a,), _bw, "take_along_last")
-
-
-# -- generic dispatch ---------------------------------------------------------------
-
-OPS: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "matmul": matmul,
-    "exp": exp,
-    "log": log,
-    "power": power,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "softmax": softmax,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "max": reduce_max,
-    "cumsum": cumsum,
-    "reshape": reshape,
-    "transpose": transpose,
-    "swapaxes": swapaxes,
-    "concat": concat,
-    "stack": stack,
-    "slice": narrow,
-    "pad": pad_axis,
-    "masked_fill": masked_fill,
-    "embedding": embedding,
-    "take_along_last": take_along_last,
-}
-
-
-def evaluate(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
-    """Generic op dispatch: evaluate("softmax", [x], {"axis": -1}).
-
-    concat/stack take their operand list as one argument; everything else is
-    applied positionally.
-    """
-    if op_kind not in OPS:
-        raise ShapeMismatch(f"unknown op {op_kind!r}; known: {sorted(OPS)}")
-    fn = OPS[op_kind]
-    attrs = attrs or {}
-    if op_kind in ("concat", "stack"):
-        return fn(list(inputs), **attrs)
-    return fn(*inputs, **attrs)
 
 
 # -- tape / backward --------------------------------------------------------------

@@ -216,6 +216,7 @@ def synthetic_corpus(n_tokens: int, seed: int = 0, n_motifs: int = 8) -> np.ndar
     the uniform baseline."""
     from .model import tokenize
 
+    check_positive("n_tokens", n_tokens)
     rng = np.random.default_rng(seed)
     motifs = [bytes(rng.integers(65, 91, size=rng.integers(3, 8)).tolist()) for _ in range(n_motifs)]
     pieces = []

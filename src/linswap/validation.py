@@ -30,9 +30,9 @@ def check_converted(model: Model) -> Model:
     return model
 
 
-def check_positive(name: str, value, strict: bool = True):
-    if value is None or (value <= 0 if strict else value < 0):
-        raise BadConfig(f"{name} must be {'positive' if strict else 'non-negative'}, got {value}")
+def check_positive(name: str, value):
+    if value is None or value <= 0:
+        raise BadConfig(f"{name} must be positive, got {value}")
     return value
 
 

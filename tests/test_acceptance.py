@@ -172,7 +172,7 @@ def _fd_cases():
         ("max", lambda t: (t.max(-1) * t.max(-1)).sum(), np.sort(g.normal(size=(3, 4)), -1) + np.arange(4) * 0.3),
         ("cumsum", lambda t: (T.cumsum(t, 0) * T.cumsum(t, 0)).sum(), g.normal(size=(5, 2))),
         ("concat/stack", lambda t: (T.concat([t, t * 2.0], -1) * T.stack([t, t], -1).reshape(3, 4)).sum(), g.normal(size=(3, 2))),
-        ("slice/pad", lambda t: (t[1:, ::2] * T.pad_axis(t, 0, 1, 0)[2:, ::2]).sum(), g.normal(size=(4, 4))),
+        ("slice", lambda t: (t[1:, ::2] * t[:-1, ::2]).sum(), g.normal(size=(4, 4))),
         ("masked_fill", lambda t: (T.masked_fill(t, np.eye(3, dtype=bool), 0.25) * t).sum(), g.normal(size=(3, 3))),
         ("transpose/reshape", lambda t: (t.transpose() * t.transpose()).reshape(6).sum(), g.normal(size=(2, 3))),
         ("embedding", lambda t: (T.embedding(t, np.array([0, 2, 2, 1])) * T.embedding(t, np.array([2, 0, 1, 1]))).sum(), g.normal(size=(3, 3))),

@@ -107,6 +107,12 @@ def test_exit_codes(workdir, capsys, tmp_path):
     assert main(["transfer", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert "BadConfig:" in capsys.readouterr().err
 
+    # an empty synthetic corpus is a BadConfig too, not a raw numpy error
+    empty = tmp_path / "empty.ini"
+    empty.write_text(TINY_CONFIG.replace("synthetic_tokens = 4000", "synthetic_tokens = 0"))
+    assert main(["transfer", "--config", str(empty), "--out", str(tmp_path)]) == 2
+    assert "BadConfig:" in capsys.readouterr().err
+
     # MissingCheckpoint -> 3
     assert main(["adjust", "--config", str(workdir / "tiny.ini"), "--checkpoint", "/nonexistent.lolc", "--out", str(tmp_path)]) == 3
     assert "MissingCheckpoint:" in capsys.readouterr().err

@@ -83,12 +83,13 @@ def test_collapse_to_softmax_when_window_covers_sequence(mode, gamma_raw):
 
 
 def test_pure_linear_limit_via_window_factor_hook():
-    # with the window factor forced to exactly 0, positions past the window
-    # reduce to linear attention restricted to tokens <= n - w
+    # gamma_raw = -inf drives the window factor sigmoid(gamma_raw) to exactly 0:
+    # positions past the window reduce to linear attention over tokens <= n - w
     w = 3
     cfg = make_cfg(w, "standard", seed=9)
+    cfg.gamma_raw.data[:] = -np.inf
     q, k, v = rand_qkv(1, 2, 10, 8, 10)
-    y = A.hybrid_attention_prefill(q, k, v, cfg, window_factor_override=0.0)
+    y = A.hybrid_attention_prefill(q, k, v, cfg)
     fq, fk = ref_features(cfg, q.data, k.data)
     for n in range(w, 10):
         scores = np.einsum("hf,hif->hi", fq[0, :, n], fk[0, :, : n - w + 1])

@@ -1,12 +1,16 @@
 """Model construction, conversion, teacher forcing, LoRA, tokenizer, and
 checkpoint round trips."""
 
+import builtins
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from linswap import checkpoint
 from linswap import tensor as T
 from linswap.checkpoint import (
-    checkpoint_tensor_names,
     load_checkpoint,
     load_corpus,
     save_checkpoint,
@@ -17,6 +21,7 @@ from linswap.errors import (
     CorruptPayload,
     DuplicateAdapter,
     InvalidConfig,
+    IoFailure,
     NotConverted,
     PromptTooLong,
     UnknownId,
@@ -280,6 +285,10 @@ MALFORMED_HEADERS = {
     "unknown_dtype_tag": lambda h: h["tensors"][0].update(dtype="f16"),
     "mistyped_config_field": lambda h: h["config"].update(n_layers="2"),
     "unknown_config_key": lambda h: h["config"].update(n_experts=4),
+    "reversed_tensor_shape": lambda h: [e.update(shape=e["shape"][::-1]) for e in h["tensors"] if e["name"] == "head.weight"],
+    # ~1e8 parameters declared in a file of a few KB
+    "config_larger_than_payload": lambda h: h["config"].update(vocab_size=10**5, n_layers=8, n_heads=8, head_dim=64),
+    "infinite_mlp_mult": lambda h: h["config"].update(mlp_hidden_mult=float("inf")),
 }
 
 
@@ -288,15 +297,45 @@ def test_checkpoint_malformed_header_is_corrupt_payload(tmp_path, case):
     path = str(tmp_path / "model.lolc")
     save_checkpoint(small_model(), path)
     _rewrite_header(path, MALFORMED_HEADERS[case])
-    with pytest.raises(CorruptPayload):
-        load_checkpoint(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptPayload):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"loader peaked at {peak} bytes"
 
 
-def test_checkpoint_header_names_match_parameters(tmp_path):
-    model = convert_model(small_model(), SPEC)
+def test_checkpoint_failed_save_keeps_previous(tmp_path, monkeypatch):
     path = str(tmp_path / "model.lolc")
-    save_checkpoint(model, path)
-    assert checkpoint_tensor_names(path) == list(model.parameters())
+    save_checkpoint(small_model(), path)
+    before = open(path, "rb").read()
+
+    class HalfWrite:
+        """A file whose first write stores half its bytes, then fails."""
+
+        def __init__(self, name, mode):
+            self.fh = builtins.open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    # save_checkpoint opens its output through the module-global name open
+    monkeypatch.setattr(checkpoint, "open", HalfWrite, raising=False)
+    with pytest.raises(IoFailure):
+        save_checkpoint(convert_model(small_model(), SPEC), path)
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert not load_checkpoint(path).converted
+    assert os.listdir(tmp_path) == ["model.lolc"]
 
 
 def test_corpus_roundtrip(tmp_path):
@@ -357,8 +396,6 @@ def test_checkpoint_version_mismatch(tmp_path):
 
 
 def test_checkpoint_io_failure():
-    from linswap.errors import IoFailure
-
     with pytest.raises(IoFailure):
         save_checkpoint(small_model(), "/nonexistent-dir/x.lolc")
     with pytest.raises(IoFailure):

@@ -1,5 +1,5 @@
 """Cross-module example contracts: the bundled-config pipeline budget, the
-stage-2 training-run example, throughput direction, and the chunked-vs-naive
+stage-2 training-run example, throughput direction, and the chunked-vs-masked
 generation oracle."""
 
 import os
@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+from linswap import attention as A
 from linswap.bench import bench_generation
 from linswap.cli import main
 from linswap.model import (
@@ -16,7 +17,6 @@ from linswap.model import (
     build_model,
     convert_model,
     generate_greedy,
-    hybrid_attention_prefill,
     lora_attach,
 )
 from linswap.training import (
@@ -86,25 +86,27 @@ def test_hybrid_throughput_beats_softmax_when_seq_dominated():
 
 
 def test_generation_identical_with_naive_prefill():
-    model = convert_model(
-        build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_seq_len=256, seed=51)),
-        HybridSpec(window_size=4, window_mode="terraced", feature_kind="hedgehog"),
-        seed=51,
-    )
+    # the prompt goes through the masked O(l^2) oracle instead of the chunked
+    # kernel; greedy decoding from either prefill must pick the same tokens
     prompt = np.concatenate([[256], (np.arange(13) % 26) + 65])
-    fast = generate_greedy(model, prompt, 10)
-
-    naive = AttentionLayer.heads_hybrid
 
     def naive_heads(self, q, k, v):
-        return hybrid_attention_prefill(q, k, v, self.hybrid_cfg)
+        return A._hybrid_naive(q, k, v, self.hybrid_cfg)[0]
 
-    AttentionLayer.heads_hybrid = naive_heads
-    try:
-        slow = generate_greedy(model, prompt, 10)
-    finally:
-        AttentionLayer.heads_hybrid = naive
-    np.testing.assert_array_equal(fast, slow)
+    for mode in A.WINDOW_MODES:
+        model = convert_model(
+            build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_seq_len=256, seed=51)),
+            HybridSpec(window_size=4, window_mode=mode, feature_kind="hedgehog"),
+            seed=51,
+        )
+        fast = generate_greedy(model, prompt, 10)
+        chunked = AttentionLayer.heads_hybrid
+        AttentionLayer.heads_hybrid = naive_heads
+        try:
+            slow = generate_greedy(model, prompt, 10)
+        finally:
+            AttentionLayer.heads_hybrid = chunked
+        np.testing.assert_array_equal(fast, slow, err_msg=mode)
 
 
 def test_trainable_fractions_at_wide_desk_config():
