@@ -121,18 +121,31 @@ def load_checkpoint(path: str) -> Model:
         raise CorruptPayload(f"{path}: malformed header: {exc!r}") from exc
 
 
+def _declared_parameter_count(cfg: ModelConfig, hybrid: HybridSpec | None, lora: dict | None) -> int:
+    """A lower bound on the parameters a header declares: the base model, the
+    q and k feature-map weights of every hybrid layer and the LoRA A/B pairs.
+    A negative size adds nothing; the layer that takes it rejects it."""
+    count = expected_parameter_count(cfg)
+    if hybrid is not None and hybrid.feature_dim is not None:
+        count += 2 * cfg.n_layers * cfg.n_heads * cfg.head_dim * max(0, int(hybrid.feature_dim))
+    if lora is not None:
+        count += 2 * cfg.n_layers * len(lora["targets"]) * max(0, int(lora["rank"])) * cfg.model_dim
+    return count
+
+
 def _restore(header: dict, payload: bytes, path: str) -> Model:
     """Build the model a decoded header describes and fill it from the payload."""
     cfg = ModelConfig(**header["config"])
-    # every base parameter takes at least 4 bytes: a config the payload cannot
-    # hold is rejected before anything is allocated for it
-    if expected_parameter_count(cfg) * 4 > len(payload):
-        raise CorruptPayload(f"{path}: config needs more parameters than a {len(payload)}-byte payload holds")
+    hybrid = None if header["hybrid"] is None else HybridSpec(**header["hybrid"])
+    lora = header["lora"]
+    # every parameter takes at least 4 bytes: a header the payload cannot hold
+    # is rejected before anything is allocated for it
+    if _declared_parameter_count(cfg, hybrid, lora) * 4 > len(payload):
+        raise CorruptPayload(f"{path}: header declares more parameters than a {len(payload)}-byte payload holds")
     model = build_model(cfg)
-    if header["hybrid"] is not None:
-        convert_model(model, HybridSpec(**header["hybrid"]))
-    if header["lora"] is not None:
-        lora = header["lora"]
+    if hybrid is not None:
+        convert_model(model, hybrid)
+    if lora is not None:
         lora_attach(model, rank=lora["rank"], alpha=lora["alpha"], targets=tuple(lora["targets"]))
     params = model.parameters()
     seen = set()

@@ -2,6 +2,13 @@
 layers to mimic the frozen softmax attentions; low-rank adjusting (stage 2)
 finetunes LoRA adapters with next-token cross-entropy on the fully swapped
 model. Both stages are estimator-shaped (fit / get_params / set_params).
+
+Both fits and the toy base pretraining run the one loop `_fit_loop` (seeded
+`sample_batch` crops, one stage step each, every `eval_every`-th loss fed to
+the plateau schedule) and the one guarded update `_update` (a non-finite loss
+or op becomes `DivergedLoss`). The optimizer constants are fixed: AdamW with
+betas 0.9/0.999, eps 1e-8 and no weight decay; the plateau schedule halves
+the learning rate after 10 stale evals.
 """
 
 from __future__ import annotations
@@ -94,27 +101,17 @@ def hedgehog_weight_xent_loss(a, a_hat) -> Tensor:
     return row_xent.mean()
 
 
-def next_token_loss(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+def next_token_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean next-token cross-entropy with log-softmax stabilization.
 
-    logits [b, l, vocab]; targets [b, l] already shifted by one. An optional
-    boolean mask (True = scored) drops positions, e.g. padding after EOS.
+    logits [b, l, vocab]; targets [b, l] already shifted by one.
     """
     targets = np.asarray(targets)
     if logits.ndim != 3 or targets.shape != logits.shape[:-1]:
         raise ShapeMismatch(f"logits {logits.shape} vs targets {targets.shape}")
     shifted = logits - logits.max(-1, keepdims=True)
     logp = shifted - T.log(T.exp(shifted).sum(-1, keepdims=True))
-    picked = T.take_along_last(logp, targets.astype(np.int64))
-    if mask is None:
-        return -picked.mean()
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != targets.shape:
-        raise ShapeMismatch(f"mask {mask.shape} vs targets {targets.shape}")
-    count = int(mask.sum())
-    if count == 0:
-        raise BadConfig("next_token_loss mask scores zero positions")
-    return -(picked * Tensor(mask.astype(logits.data.dtype.type))).sum() * (1.0 / count)
+    return -T.take_along_last(logp, targets.astype(np.int64)).mean()
 
 
 # --------------------------------------------------------------------------
@@ -123,23 +120,13 @@ def next_token_loss(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None
 
 
 class AdamW:
-    """AdamW with global-norm gradient clipping; parameter order is fixed by
-    the insertion order of the name -> tensor dict, so runs are bit-reproducible."""
+    """AdamW (betas 0.9/0.999, eps 1e-8, no weight decay) with global-norm
+    gradient clipping; parameter order is fixed by the insertion order of the
+    name -> tensor dict, so runs are bit-reproducible."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        clip_norm: float | None = 1.0,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float, clip_norm: float | None = 1.0):
         self.params = dict(params)
         self.lr = float(lr)
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.t = 0
         self._m = {n: np.zeros_like(t.data) for n, t in self.params.items()}
@@ -165,7 +152,7 @@ class AdamW:
     def step(self) -> float:
         grad_norm = self._clip()
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for name, t in self.params.items():
@@ -176,32 +163,28 @@ class AdamW:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * t.data
+            update = (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
             t.data = t.data - self.lr * update.astype(t.data.dtype)
         return grad_norm
 
 
 class ReduceLROnPlateau:
-    """Halve the learning rate when the eval metric stops improving."""
+    """Halve the learning rate once the eval metric has not improved by 1e-4
+    (relative) for more than 10 evals in a row."""
 
-    def __init__(self, optimizer: AdamW, factor: float = 0.5, patience: int = 10, rel_threshold: float = 1e-4):
+    def __init__(self, optimizer: AdamW):
         self.optimizer = optimizer
-        self.factor = factor
-        self.patience = patience
-        self.rel_threshold = rel_threshold
         self.best = np.inf
         self.stale = 0
 
     def on_eval(self, metric: float) -> None:
-        if metric < self.best * (1.0 - self.rel_threshold):
+        if metric < self.best * (1.0 - 1e-4):
             self.best = metric
             self.stale = 0
         else:
             self.stale += 1
-            if self.stale > self.patience:
-                self.optimizer.lr *= self.factor
+            if self.stale > 10:
+                self.optimizer.lr *= 0.5
                 self.stale = 0
 
 
@@ -210,7 +193,7 @@ class ReduceLROnPlateau:
 # --------------------------------------------------------------------------
 
 
-def synthetic_corpus(n_tokens: int, seed: int = 0, n_motifs: int = 8) -> np.ndarray:
+def synthetic_corpus(n_tokens: int, seed: int = 0) -> np.ndarray:
     """A tiny byte language: documents repeat one of a few short motifs with a
     newline separator, so a competent model drives next-token loss well below
     the uniform baseline."""
@@ -218,11 +201,11 @@ def synthetic_corpus(n_tokens: int, seed: int = 0, n_motifs: int = 8) -> np.ndar
 
     check_positive("n_tokens", n_tokens)
     rng = np.random.default_rng(seed)
-    motifs = [bytes(rng.integers(65, 91, size=rng.integers(3, 8)).tolist()) for _ in range(n_motifs)]
+    motifs = [bytes(rng.integers(65, 91, size=rng.integers(3, 8)).tolist()) for _ in range(8)]
     pieces = []
     total = 0
     while total < n_tokens:
-        motif = motifs[int(rng.integers(0, n_motifs))]
+        motif = motifs[int(rng.integers(0, len(motifs)))]
         reps = int(rng.integers(3, 9))
         doc = (motif + b"\n") * reps
         ids = tokenize(doc)
@@ -240,11 +223,12 @@ def sample_batch(corpus: np.ndarray, batch_size: int, seq_len: int, rng: np.rand
     return ids[:, :-1], ids[:, 1:]
 
 
-def eval_next_token_loss(model: Model, corpus: np.ndarray, batch_size: int = 8, seq_len: int = 64, seed: int = 1234, n_batches: int = 4) -> float:
+def eval_next_token_loss(model: Model, corpus: np.ndarray, batch_size: int = 8, seq_len: int = 64, seed: int = 1234) -> float:
+    """Mean next-token loss over four seeded crops, without a tape."""
     rng = np.random.default_rng(seed)
     losses = []
     with T.no_grad():
-        for _ in range(n_batches):
+        for _ in range(4):
             inputs, targets = sample_batch(corpus, batch_size, seq_len, rng)
             logits = model.forward(inputs)
             losses.append(next_token_loss(logits, targets).item())
@@ -304,6 +288,47 @@ def feature_map_parameters(model: Model) -> dict[str, Tensor]:
 
 
 # --------------------------------------------------------------------------
+# the one update step and the one training loop of every stage
+# --------------------------------------------------------------------------
+
+
+def _update(optimizer: AdamW, loss_fn, what: str) -> float:
+    """One guarded update: zero_grad, loss, finite check, backward, AdamW step.
+    A non-finite loss, or a non-finite result of any op on the way, raises
+    DivergedLoss before the parameters move. Returns the loss value."""
+    optimizer.zero_grad()
+    try:
+        loss = loss_fn()
+        value = loss.item()
+        if not np.isfinite(value):
+            raise DivergedLoss(f"{what} loss {value}")
+        T.backpropagate(loss)
+    except NonFiniteResult as exc:
+        raise DivergedLoss(str(exc)) from exc
+    optimizer.step()
+    return value
+
+
+def _fit_loop(step, optimizer: AdamW, corpus: np.ndarray, steps: int, batch_size: int, seq_len: int, seed: int, eval_every: int = 0) -> list[float]:
+    """The training loop of every stage: `steps` crops drawn by sample_batch
+    from an rng seeded with `seed`, each passed to step(inputs, targets),
+    which returns the loss. Every eval_every-th loss (0 = none) drives the
+    plateau schedule of `optimizer`. Returns the losses."""
+    check_positive("steps", steps)
+    check_positive("batch_size", batch_size)
+    check_positive("seq_len", seq_len)
+    rng = np.random.default_rng(seed)
+    plateau = ReduceLROnPlateau(optimizer)
+    losses = []
+    for step_idx in range(steps):
+        inputs, targets = sample_batch(corpus, batch_size, seq_len, rng)
+        losses.append(step(inputs, targets))
+        if eval_every and (step_idx + 1) % eval_every == 0:
+            plateau.on_eval(losses[-1])
+    return losses
+
+
+# --------------------------------------------------------------------------
 # stage 1: attention transfer
 # --------------------------------------------------------------------------
 
@@ -328,8 +353,6 @@ class AttentionTransfer(ParamsMixin):
         w_mse: float = 1000.0,
         w_xent: float = 1.0,
         clip_norm: float = 1.0,
-        plateau_factor: float = 0.5,
-        plateau_patience: int = 10,
         eval_every: int = 50,
         seed: int = 0,
     ):
@@ -342,8 +365,6 @@ class AttentionTransfer(ParamsMixin):
         self.w_mse = w_mse
         self.w_xent = w_xent
         self.clip_norm = clip_norm
-        self.plateau_factor = plateau_factor
-        self.plateau_patience = plateau_patience
         self.eval_every = eval_every
         self.seed = seed
 
@@ -386,39 +407,20 @@ class AttentionTransfer(ParamsMixin):
 
     def step(self, model: Model, inputs: np.ndarray, optimizer: AdamW) -> float:
         """One teacher-forced forward/backward/update; returns the loss value."""
-        optimizer.zero_grad()
-        try:
-            loss, _ = self.transfer_loss(model, inputs)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise DivergedLoss(f"transfer loss {value}")
-            T.backpropagate(loss)
-        except NonFiniteResult as exc:
-            raise DivergedLoss(str(exc)) from exc
-        optimizer.step()
-        return value
+        return _update(optimizer, lambda: self.transfer_loss(model, inputs)[0], "transfer")
 
     def fit(self, model: Model, corpus) -> "AttentionTransfer":
         check_converted(model)
         corpus = check_token_array(corpus, model.config.vocab_size)
-        check_positive("steps", self.steps)
         self._resolve_block_size(model)
-        rng = np.random.default_rng(self.seed)
-        params = feature_map_parameters(model)
-        optimizer = AdamW(params, lr=self.lr, clip_norm=self.clip_norm)
-        plateau = ReduceLROnPlateau(optimizer, self.plateau_factor, self.plateau_patience)
-        report = TransferReport()
+        optimizer = AdamW(feature_map_parameters(model), lr=self.lr, clip_norm=self.clip_norm)
         start = time.perf_counter()
-        for step_idx in range(self.steps):
-            inputs, _ = sample_batch(corpus, self.batch_size, self.seq_len, rng)
-            value = self.step(model, inputs, optimizer)
-            report.train_losses.append(value)
-            if self.eval_every and (step_idx + 1) % self.eval_every == 0:
-                plateau.on_eval(value)
-        diag = layerwise_diagnostics(model, corpus, min(self.batch_size, 4), self.seq_len, seed=self.seed + 1)
-        report.layer_mse = diag.layer_mse
-        report.layer_entropy = diag.layer_entropy
-        report.mean_esl = diag.mean_esl
+        losses = _fit_loop(
+            lambda inputs, _: self.step(model, inputs, optimizer),
+            optimizer, corpus, self.steps, self.batch_size, self.seq_len, self.seed, self.eval_every,
+        )
+        report = layerwise_diagnostics(model, corpus, min(self.batch_size, 4), self.seq_len, seed=self.seed + 1)
+        report.train_losses = losses
         report.wall_time = time.perf_counter() - start
         self.report_ = report
         self.optimizer_ = optimizer
@@ -446,8 +448,6 @@ class LoraAdjust(ParamsMixin):
         alpha: float = 16.0,
         targets: tuple[str, ...] = ("wq", "wk", "wv", "wo"),
         clip_norm: float = 1.0,
-        plateau_factor: float = 0.5,
-        plateau_patience: int = 10,
         eval_every: int = 50,
         seed: int = 0,
     ):
@@ -459,25 +459,12 @@ class LoraAdjust(ParamsMixin):
         self.alpha = alpha
         self.targets = targets
         self.clip_norm = clip_norm
-        self.plateau_factor = plateau_factor
-        self.plateau_patience = plateau_patience
         self.eval_every = eval_every
         self.seed = seed
 
     def step(self, model: Model, inputs: np.ndarray, targets: np.ndarray, optimizer: AdamW) -> float:
         adapter_parameters(model)  # AdaptersMissing when none attached
-        optimizer.zero_grad()
-        try:
-            logits = model.forward(inputs)
-            loss = next_token_loss(logits, targets)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise DivergedLoss(f"adjust loss {value}")
-            T.backpropagate(loss)
-        except NonFiniteResult as exc:
-            raise DivergedLoss(str(exc)) from exc
-        optimizer.step()
-        return value
+        return _update(optimizer, lambda: next_token_loss(model.forward(inputs), targets), "adjust")
 
     def fit(self, model: Model, corpus) -> "LoraAdjust":
         check_converted(model)
@@ -488,17 +475,12 @@ class LoraAdjust(ParamsMixin):
         except AdaptersMissing:
             lora_attach(model, rank=self.rank, alpha=self.alpha, targets=tuple(self.targets), seed=self.seed)
             params = adapter_parameters(model)
-        rng = np.random.default_rng(self.seed)
         optimizer = AdamW(params, lr=self.lr, clip_norm=self.clip_norm)
-        plateau = ReduceLROnPlateau(optimizer, self.plateau_factor, self.plateau_patience)
-        self.train_losses_ = []
         start = time.perf_counter()
-        for step_idx in range(self.steps):
-            inputs, targets = sample_batch(corpus, self.batch_size, self.seq_len, rng)
-            value = self.step(model, inputs, targets, optimizer)
-            self.train_losses_.append(value)
-            if self.eval_every and (step_idx + 1) % self.eval_every == 0:
-                plateau.on_eval(value)
+        self.train_losses_ = _fit_loop(
+            lambda inputs, targets: self.step(model, inputs, targets, optimizer),
+            optimizer, corpus, self.steps, self.batch_size, self.seq_len, self.seed, self.eval_every,
+        )
         self.wall_time_ = time.perf_counter() - start
         self.optimizer_ = optimizer
         return self
@@ -525,13 +507,7 @@ def pretrain_base(
     corpus = check_token_array(corpus, model.config.vocab_size)
     model.set_all_trainable(True)
     optimizer = AdamW(model.parameters(), lr=lr, clip_norm=clip_norm)
-    rng = np.random.default_rng(seed)
-    losses = []
-    for _ in range(steps):
-        inputs, targets = sample_batch(corpus, batch_size, seq_len, rng)
-        optimizer.zero_grad()
-        loss = next_token_loss(model.forward(inputs), targets)
-        T.backpropagate(loss)
-        optimizer.step()
-        losses.append(loss.item())
-    return losses
+    return _fit_loop(
+        lambda inputs, targets: _update(optimizer, lambda: next_token_loss(model.forward(inputs), targets), "pretraining"),
+        optimizer, corpus, steps, batch_size, seq_len, seed,
+    )

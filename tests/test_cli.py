@@ -5,7 +5,8 @@ import os
 import pytest
 
 from linswap.cli import main
-from linswap.checkpoint import load_checkpoint, save_corpus
+from linswap.checkpoint import load_checkpoint, save_checkpoint, save_corpus
+from linswap.model import HybridSpec, ModelConfig, build_model, convert_model
 
 TINY_CONFIG = """\
 [model]
@@ -112,6 +113,26 @@ def test_exit_codes(workdir, capsys, tmp_path):
     empty.write_text(TINY_CONFIG.replace("synthetic_tokens = 4000", "synthetic_tokens = 0"))
     assert main(["transfer", "--config", str(empty), "--out", str(tmp_path)]) == 2
     assert "BadConfig:" in capsys.readouterr().err
+
+    # so are zero-sized training runs, before the first step: no raw numpy
+    # error from an empty batch, no empty reduction over seq_len 0
+    no_pretrain = TINY_CONFIG.replace("pretrain_steps = 30", "pretrain_steps = 0")
+    for name, text in (
+        ("batch0.ini", no_pretrain.replace("batch_size = 4", "batch_size = 0", 1)),  # [transfer]
+        ("seq0.ini", no_pretrain.replace("seq_len = 32", "seq_len = 0", 1)),  # [transfer]
+    ):
+        (tmp_path / name).write_text(text)
+        assert main(["transfer", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
+        assert "BadConfig:" in capsys.readouterr().err
+    converted = str(tmp_path / "converted.lolc")
+    base = build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_seq_len=256, seed=5))
+    save_checkpoint(convert_model(base, HybridSpec(4, "terraced", "t2r")), converted)
+    steps0 = tmp_path / "steps0.ini"
+    steps0.write_text(TINY_CONFIG.replace("lr = 1e-3\nsteps = 25", "lr = 1e-3\nsteps = 0"))  # [adjust]
+    out = tmp_path / "adjust0"
+    assert main(["adjust", "--config", str(steps0), "--checkpoint", converted, "--out", str(out)]) == 2
+    assert "BadConfig:" in capsys.readouterr().err
+    assert not (out / "adjust.lolc").exists()
 
     # MissingCheckpoint -> 3
     assert main(["adjust", "--config", str(workdir / "tiny.ini"), "--checkpoint", "/nonexistent.lolc", "--out", str(tmp_path)]) == 3

@@ -289,13 +289,16 @@ MALFORMED_HEADERS = {
     # ~1e8 parameters declared in a file of a few KB
     "config_larger_than_payload": lambda h: h["config"].update(vocab_size=10**5, n_layers=8, n_heads=8, head_dim=64),
     "infinite_mlp_mult": lambda h: h["config"].update(mlp_hidden_mult=float("inf")),
+    # feature maps and adapters of ~1e7 parameters each, sized by the header alone
+    "huge_feature_dim": lambda h: h["hybrid"].update(feature_dim=200000),
+    "huge_lora_rank": lambda h: h["lora"].update(rank=20000),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
 def test_checkpoint_malformed_header_is_corrupt_payload(tmp_path, case):
     path = str(tmp_path / "model.lolc")
-    save_checkpoint(small_model(), path)
+    save_checkpoint(lora_attach(convert_model(small_model(), SPEC), rank=2), path)
     _rewrite_header(path, MALFORMED_HEADERS[case])
     tracemalloc.start()
     try:
@@ -373,7 +376,7 @@ def test_generate_decode_matches_full_prefill(mode):
     out = generate_greedy(model, prompt, n_new)
     # re-prefilling at every intermediate length must pick the same tokens
     for p in range(len(prompt), len(prompt) + n_new):
-        logits = model.forward(out[:, :p][None, 0][None, :][0] if False else out[:, :p])
+        logits = model.forward(out[:, :p])
         nxt = logits.data[:, -1].argmax(-1)
         assert nxt[0] == out[0, p]
 

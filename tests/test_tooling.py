@@ -3,6 +3,8 @@
 ``benchmarks/run.py``, so both are checked here, with the benchmark files
 loaded read-only."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -28,3 +30,24 @@ def test_workloads_import_against_the_package(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))  # workloads.py imports its sibling harness.py
     workloads = _load("workloads")
     assert callable(workloads.terraced_prefill_chunked)
+
+
+def test_workloads_reference_only_defined_attributes():
+    # a removed or renamed helper would otherwise fail only inside
+    # benchmarks/run.py, on the workload that first calls it
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"linswap.{alias.name}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "linswap"
+        for alias in node.names
+    }
+    assert {"tr", "M", "ckpt", "T"} <= set(modules)
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    assert used
+    missing = sorted(f"{alias}.{attr}" for alias, attr in used if not hasattr(modules[alias], attr))
+    assert not missing, f"benchmarks/workloads.py uses undefined {missing}"
