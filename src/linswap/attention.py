@@ -1,13 +1,13 @@
 """Attention mathematics: causal softmax attention, linear attention (parallel,
 state-form, and recurrent), learnable feature maps, rotary embeddings, the
-hybrid linear + sliding-window layer in standard and terraced window modes
-with one chunked prefill kernel for both (scratch grows with the window, not
-the sequence; the masked O(l^2) form is kept as the oracle), constant-memory
-decoding, and the entropy / effective-sequence-length diagnostics.
+hybrid linear + sliding-window layer in standard and terraced window modes,
+and the entropy / effective-sequence-length diagnostics.
 
-All batched operations take [batch, heads, seq, dim] arrays. Training paths are
-built from tape-recorded Tensor ops; decode paths are plain numpy (inference
-only) and are pinned to the prefill paths by consistency tests.
+All batched operations take [batch, heads, seq, dim] arrays. The hybrid layer
+runs in w-aligned chunks (scratch grows with the window, not the sequence):
+training uses the tape-recorded Tensor kernel hybrid_attention_prefill, and
+serving the numpy hybrid_decode_step, which advances a constant-size state by
+a segment of any length; _hybrid_naive, the masked O(l^2) form, is the oracle.
 """
 
 from __future__ import annotations
@@ -150,12 +150,10 @@ def feature_map_apply(params: FeatureMapParams, x: Tensor) -> Tensor:
 
 
 def _phi_np(params: FeatureMapParams, x: np.ndarray) -> np.ndarray:
-    """numpy twin of feature_map_apply for decode; x [b, h, d] or [b, h, n, d]."""
-    w = params.weight.data
-    proj = np.einsum("bhd,hdf->bhf", x, w) if x.ndim == 3 else np.einsum("bhnd,hdf->bhnf", x, w)
+    """numpy twin of feature_map_apply for inference; x [b, h, n, d]."""
+    proj = np.einsum("bhnd,hdf->bhnf", x, params.weight.data)
     if params.kind == "t2r":
-        b = params.bias.data
-        return np.maximum(proj + (b[:, None] if x.ndim == 4 else b), 0.0)
+        return np.maximum(proj + params.bias.data[:, None], 0.0)
     return np.concatenate([_softmax_np(proj), _softmax_np(-proj)], axis=-1)
 
 
@@ -247,12 +245,12 @@ def linear_attention_recurrent_step(
     """One streaming step of linear attention; mutates state, returns y_n [b, h, d]."""
     if q_n.shape != state.s.shape[:2] + (state.s.shape[-1],):
         raise StateDimMismatch(f"token shape {q_n.shape} vs state {state.s.shape}")
-    fk = _phi_np(phi_k, k_n)
+    fk = _phi_np(phi_k, k_n[:, :, None])[:, :, 0]
     if fk.shape[-1] != state.s.shape[2]:
         raise StateDimMismatch(f"feature dim {fk.shape[-1]} vs state {state.s.shape[2]}")
     state.s += fk[..., :, None] * v_n[..., None, :]
     state.z += fk
-    fq = _phi_np(phi_q, q_n)
+    fq = _phi_np(phi_q, q_n[:, :, None])[:, :, 0]
     num = np.einsum("bhf,bhfd->bhd", fq, state.s)
     den = np.einsum("bhf,bhf->bh", fq, state.z) + EPS
     state.position += 1
@@ -457,11 +455,11 @@ def terraced_prefill_chunked(
 # --------------------------------------------------------------------------
 
 
-def _window_start(n_seen: int, w: int, mode: str) -> int:
-    """First token of the exact-softmax window after n_seen tokens (see HybridDecodeState)."""
+def _window_start(n_seen, w: int, mode: str):
+    """First window token after n_seen tokens (int or array; see HybridDecodeState)."""
     if mode == "standard":
-        return max(0, n_seen - w)
-    return max(0, (n_seen - 1) // w * w)
+        return np.maximum(0, n_seen - w)
+    return np.maximum(0, (n_seen - 1) // w * w)
 
 
 class HybridDecodeState:
@@ -498,76 +496,73 @@ class HybridDecodeState:
     def cache_bytes(self) -> int:
         return self.k_cache.nbytes + self.v_cache.nbytes
 
-    def _absorb(self, phi_k: FeatureMapParams, k: np.ndarray, v: np.ndarray) -> None:
-        """Add the (k, v) pairs [b, h, n, d] to the kv-state."""
-        fk = _phi_np(phi_k, k)
-        self.s += np.einsum("bhnf,bhnd->bhfd", fk, v)
-        self.z += fk.sum(axis=2)
-
-    def _fold(self, phi_k: FeatureMapParams, upto: int) -> None:
-        """Move the first `upto` cached pairs into the kv-state."""
-        if upto == 0:
-            return
-        self._absorb(phi_k, self.k_cache[:, :, :upto], self.v_cache[:, :, :upto])
-        keep = self.filled - upto
-        self.k_cache[:, :, :keep] = self.k_cache[:, :, upto:self.filled]
-        self.v_cache[:, :, :keep] = self.v_cache[:, :, upto:self.filled]
-        self.filled = keep
-
-    def load(self, cfg: HybridAttnConfig, k: np.ndarray, v: np.ndarray) -> None:
-        """Replace the state by the one after the post-RoPE prompt k, v [b, h, n, d]."""
-        n = k.shape[2]
-        start = _window_start(n, cfg.window_size, cfg.window_mode)
-        self.s[...] = 0
-        self.z[...] = 0
-        self._absorb(cfg.phi_k, k[:, :, :start], v[:, :, :start])
-        self.filled = n - start
-        self.k_cache[:, :, : self.filled] = k[:, :, start:]
-        self.v_cache[:, :, : self.filled] = v[:, :, start:]
-        self.position = n
-
 
 def hybrid_decode_step(
     state: HybridDecodeState,
-    q_n: np.ndarray,
-    k_n: np.ndarray,
-    v_n: np.ndarray,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
     cfg: HybridAttnConfig,
     position: int | None = None,
 ) -> np.ndarray:
-    """One token of hybrid attention; q/k/v are post-RoPE [b, h, d]. Mutates state."""
-    if q_n.shape != state.s.shape[:2] + (state.s.shape[-1],):
-        raise StateDimMismatch(f"token shape {q_n.shape} vs state {state.s.shape}")
+    """Hybrid attention over the next S >= 1 tokens, post-RoPE q, k, v
+    [b, h, S, d] at positions state.position onwards: returns y [b, h, S, d]
+    and advances the state. Chunks end at multiples of w; before each, the
+    tokens outside its first query's window are folded into the kv-state, then
+    its queries attend over the cached tail plus the segment so far under the
+    masks of _window_start (in standard mode later queries also score span keys
+    that left their window by the linear term). The state ends folded to
+    _window_start(end) with the tail in the fixed-size cache."""
+    b, h, f, d = state.s.shape
+    if not q.shape == k.shape == v.shape or q.ndim != 4 or q.shape[:2] != (b, h) or q.shape[3] != d or not q.shape[2]:
+        raise StateDimMismatch(f"segment shapes {q.shape} {k.shape} {v.shape} vs state {state.s.shape}")
     if position is not None and position != state.position:
         raise OutOfOrderToken(f"expected position {state.position}, got {position}")
-    p, w, mode = state.position, cfg.window_size, cfg.window_mode
-    state._fold(cfg.phi_k, _window_start(p + 1, w, mode) - _window_start(p, w, mode))
+    w, mode = cfg.window_size, cfg.window_mode
+    p = state.position
+    end = p + q.shape[2]
+    off = folded = p - state.filled  # position of keys[:, :, 0]
+    keys = np.concatenate([state.k_cache[:, :, : state.filled], k], axis=2)
+    values = np.concatenate([state.v_cache[:, :, : state.filled], v], axis=2)
 
-    state.k_cache[:, :, state.filled] = k_n
-    state.v_cache[:, :, state.filled] = v_n
-    state.filled += 1
+    def fold(upto):
+        nonlocal folded
+        if upto > folded:
+            fk = _phi_np(cfg.phi_k, keys[:, :, folded - off : upto - off])
+            state.s += np.einsum("bhnf,bhnd->bhfd", fk, values[:, :, folded - off : upto - off])
+            state.z += fk.sum(axis=2)
+            folded = upto
 
-    d = q_n.shape[-1]
-    ks = state.k_cache[:, :, : state.filled]
-    vs = state.v_cache[:, :, : state.filled]
-    logits = np.einsum("bhd,bhnd->bhn", q_n, ks) / np.sqrt(d)
-    c = logits.max(axis=-1, keepdims=True)
-    gamma = _sigmoid_np(cfg.gamma_raw.data)[None, :, None]
-    ew = gamma * np.exp(logits - c)
-    win_num = np.einsum("bhn,bhnd->bhd", ew, vs)
-    win_den = ew.sum(axis=-1)
+    scale = 1.0 / float(np.sqrt(d))
+    gamma = (1.0 / (1.0 + np.exp(-cfg.gamma_raw.data)))[:, None, None]
+    fq = _phi_np(cfg.phi_q, q)
+    outs = []
+    for start in [p, *range((p // w + 1) * w, end, w)]:
+        stop = min(end, (start // w + 1) * w)
+        lo = int(_window_start(start + 1, w, mode))
+        fold(lo)
+        n = np.arange(start, stop)[:, None]
+        j = np.arange(lo, stop)[None, :]
+        first = _window_start(n + 1, w, mode)
+        win, lin = (j >= first) & (j <= n), j < first
+        qc, fqc = q[:, :, start - p : stop - p], fq[:, :, start - p : stop - p]
+        kc, vc = keys[:, :, lo - off : stop - off], values[:, :, lo - off : stop - off]
 
-    fq = _phi_np(cfg.phi_q, q_n)
-    lin_num = np.einsum("bhf,bhfd->bhd", fq, state.s)
-    lin_den = np.einsum("bhf,bhf->bh", fq, state.z)
+        scores = np.where(win, qc @ kc.swapaxes(-1, -2) * scale, MASK_VALUE)
+        weights = gamma * np.exp(scores - scores.max(axis=-1, keepdims=True))
+        if lin.any():
+            weights += np.where(lin, fqc @ _phi_np(cfg.phi_k, kc).swapaxes(-1, -2), 0.0)
+        num = weights @ vc + fqc @ state.s
+        den = weights.sum(axis=-1, keepdims=True) + fqc @ state.z[..., None]
+        outs.append(num / np.maximum(den, EPS))
 
-    state.position += 1
-    den = np.maximum(win_den + lin_den, EPS)
-    return (win_num + lin_num) / den[..., None]
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    tail = int(_window_start(end, w, mode))
+    fold(tail)
+    state.filled = end - tail
+    state.k_cache[:, :, : state.filled] = keys[:, :, tail - off :]
+    state.v_cache[:, :, : state.filled] = values[:, :, tail - off :]
+    state.position = end
+    return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)
 
 
 # --------------------------------------------------------------------------

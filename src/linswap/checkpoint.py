@@ -10,7 +10,9 @@ Checkpoint layout (little-endian throughout):
     payload: raw tensor bytes back to back
     u32    CRC32 over everything above
 
-Round trips are bit-exact. Corpus files are raw little-endian uint32 ids.
+Round trips are bit-exact. A save fsyncs <path>.tmp before renaming it over
+<path>, so a crash or a failed save never leaves a torn file at <path>.
+Corpus files are raw little-endian uint32 ids.
 """
 
 from __future__ import annotations
@@ -83,12 +85,13 @@ def save_checkpoint(model: Model, path: str) -> None:
     for c in chunks:
         blob += c
     blob += np.uint32(zlib.crc32(bytes(blob)) & 0xFFFFFFFF).tobytes()
-    # write beside the target and rename over it, so a failed write never
-    # clobbers the checkpoint already at path
+    # fsync, then rename: neither a failed write nor a crash tears path
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(bytes(blob))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):

@@ -36,7 +36,7 @@ from .errors import (
     PromptTooLong,
     UnknownId,
 )
-from .tensor import Tensor
+from .tensor import MASK_VALUE, Tensor
 
 RMS_EPS = 1e-6
 
@@ -509,17 +509,37 @@ def detokenize(ids) -> bytes:
 # --------------------------------------------------------------------------
 
 
-class HybridSession:
-    """Per-layer recurrent decode states for a converted model."""
+class _Session:
+    """Shared by the decode sessions: _advance runs the block stack with the
+    session's _attend over the next tokens, and the head on the last one."""
+
+    def __init__(self, model: Model, batch: int):
+        self.model = model
+        self._reset(batch)
+
+    def _advance(self, ids: np.ndarray) -> np.ndarray:
+        with T.no_grad():
+            x = self.model.run_blocks(ids, self._attend, start_pos=self.position)
+            logits = self.model.logits(x[:, -1:])
+        self.position += ids.shape[1]
+        return logits.data[:, 0]
+
+
+class HybridSession(_Session):
+    """Per-layer recurrent decode states for a converted model. Prefill and
+    step are the same advance through attention.hybrid_decode_step; prefill
+    starts it from fresh states."""
 
     def __init__(self, model: Model, batch: int):
         if not model.converted:
             raise NotConverted("decode session needs a converted model")
-        self.model = model
-        cfgs = [blk.attn.hybrid_cfg for blk in model.blocks]
+        super().__init__(model, batch)
+
+    def _reset(self, batch: int) -> None:
+        cfg = self.model.config
         self.states = [
-            HybridDecodeState(batch, model.config.n_heads, cfg, model.config.head_dim)
-            for cfg in cfgs
+            HybridDecodeState(batch, cfg.n_heads, blk.attn.hybrid_cfg, cfg.head_dim)
+            for blk in self.model.blocks
         ]
         self.position = 0
 
@@ -532,84 +552,54 @@ class HybridSession:
         return sum(s.cache_bytes for s in self.states)
 
     def prefill(self, ids: np.ndarray) -> np.ndarray:
-        """Run the chunked prefill, bulk-load the decode states, and return the
+        """Advance fresh states over the prompt ids [b, n]; returns the
         final-position logits [b, vocab]."""
-
-        def attend(i, x, q, k, v):
-            attn = self.model.blocks[i].attn
-            y = attn.heads_hybrid(q, k, v)
-            self.states[i].load(attn.hybrid_cfg, k.data, v.data)
-            return y
-
-        with T.no_grad():
-            x = self.model.run_blocks(ids, attend)
-            logits = self.model.logits(x[:, -1:])
-        self.position = ids.shape[1]
-        return logits.data[:, 0]
+        self._reset(ids.shape[0])
+        return self._advance(ids)
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Advance one token; token_ids [b] -> logits [b, vocab]."""
+        return self._advance(token_ids[:, None])
 
-        def attend(i, x, q, k, v):
-            y = attention.hybrid_decode_step(
-                self.states[i], q.data[:, :, 0], k.data[:, :, 0], v.data[:, :, 0],
-                self.model.blocks[i].attn.hybrid_cfg, position=self.position,
-            )
-            return Tensor(y[:, :, None, :].astype(np.float32))
-
-        with T.no_grad():
-            x = self.model.run_blocks(token_ids[:, None], attend, start_pos=self.position)
-            logits = self.model.logits(x)
-        self.position += 1
-        return logits.data[:, 0]
+    def _attend(self, i, x, q, k, v) -> Tensor:
+        cfg = self.model.blocks[i].attn.hybrid_cfg
+        y = attention.hybrid_decode_step(self.states[i], q.data, k.data, v.data, cfg, position=self.position)
+        return Tensor(y)
 
 
-class SoftmaxSession:
-    """Growing-KV-cache decoding for the softmax baseline (bench comparison)."""
+class SoftmaxSession(_Session):
+    """Growing-KV-cache decoding for the softmax baseline (bench comparison);
+    prefill is the step's numpy advance over the cache, started empty."""
 
-    def __init__(self, model: Model, batch: int):
-        self.model = model
-        self.k_cache = [None] * len(model.blocks)
-        self.v_cache = [None] * len(model.blocks)
+    def _reset(self, batch: int) -> None:
+        cfg = self.model.config
+        empty = np.zeros((batch, cfg.n_heads, 0, cfg.head_dim), dtype=np.float32)
+        self.k_cache = [empty] * len(self.model.blocks)
+        self.v_cache = [empty] * len(self.model.blocks)
         self.position = 0
 
     @property
     def cache_bytes(self) -> int:
-        return sum(k.nbytes + v.nbytes for k, v in zip(self.k_cache, self.v_cache) if k is not None)
+        return sum(k.nbytes + v.nbytes for k, v in zip(self.k_cache, self.v_cache))
 
     def prefill(self, ids: np.ndarray) -> np.ndarray:
-        def attend(i, x, q, k, v):
-            self.k_cache[i] = k.data.copy()
-            self.v_cache[i] = v.data.copy()
-            return self.model.blocks[i].attn.heads_softmax(q, k, v)[0]
-
-        with T.no_grad():
-            x = self.model.run_blocks(ids, attend)
-            logits = self.model.logits(x[:, -1:])
-        self.position = ids.shape[1]
-        return logits.data[:, 0]
+        self._reset(ids.shape[0])
+        return self._advance(ids)
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
-        d = self.model.config.head_dim
+        return self._advance(token_ids[:, None])
 
-        def attend(i, x, q, k, v):
-            self.k_cache[i] = np.concatenate([self.k_cache[i], k.data], axis=2)
-            self.v_cache[i] = np.concatenate([self.v_cache[i], v.data], axis=2)
-            logits_attn = np.einsum("bhd,bhnd->bhn", q.data[:, :, 0], self.k_cache[i]) / np.sqrt(d)
-            w = np.exp(logits_attn - logits_attn.max(-1, keepdims=True))
-            w /= w.sum(-1, keepdims=True)
-            y = np.einsum("bhn,bhnd->bhd", w, self.v_cache[i])
-            return Tensor(y[:, :, None, :].astype(np.float32))
-
-        with T.no_grad():
-            x = self.model.run_blocks(token_ids[:, None], attend, start_pos=self.position)
-            logits = self.model.logits(x)
-        self.position += 1
-        return logits.data[:, 0]
+    def _attend(self, i, x, q, k, v) -> Tensor:
+        keys = self.k_cache[i] = np.concatenate([self.k_cache[i], k.data], axis=2)
+        values = self.v_cache[i] = np.concatenate([self.v_cache[i], v.data], axis=2)
+        s, n = q.shape[2], keys.shape[2]
+        scores = q.data @ keys.swapaxes(-1, -2) * (1.0 / float(np.sqrt(q.shape[-1])))
+        scores = np.where(np.triu(np.ones((s, n), dtype=bool), n - s + 1), MASK_VALUE, scores)
+        return Tensor(attention._softmax_np(scores) @ values)
 
 
 def generate_greedy(model: Model, prompt_ids: np.ndarray, n_new: int, max_len: int | None = None) -> np.ndarray:
-    """Greedy decoding: chunked prefill, then recurrent hybrid steps."""
+    """Greedy decoding: the prompt as one session segment, then one per token."""
     prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
     if prompt_ids.ndim == 1:
         prompt_ids = prompt_ids[None, :]

@@ -22,7 +22,6 @@ from . import tensor as T
 from .attention import attention_entropy, sample_esl
 from .base import ParamsMixin
 from .errors import (
-    AdaptersMissing,
     BadConfig,
     DivergedLoss,
     IndivisibleBlocks,
@@ -309,23 +308,28 @@ def _update(optimizer: AdamW, loss_fn, what: str) -> float:
     return value
 
 
-def _fit_loop(step, optimizer: AdamW, corpus: np.ndarray, steps: int, batch_size: int, seq_len: int, seed: int, eval_every: int = 0) -> list[float]:
-    """The training loop of every stage: `steps` crops drawn by sample_batch
-    from an rng seeded with `seed`, each passed to step(inputs, targets),
-    which returns the loss. Every eval_every-th loss (0 = none) drives the
-    plateau schedule of `optimizer`. Returns the losses."""
+def _fit_loop(prepare, step, corpus: np.ndarray, steps: int, batch_size: int, seq_len: int, seed: int, eval_every: int = 0):
+    """The training loop of every stage; returns (losses, optimizer). prepare()
+    sets the model up and returns the optimizer after the checks, so a rejected
+    fit leaves the model as it was. Each of `steps` crops that sample_batch
+    draws with an rng seeded by `seed` goes to step(inputs, targets, optimizer),
+    which returns the loss; every eval_every-th loss (0 = none) drives the
+    plateau schedule."""
     check_positive("steps", steps)
     check_positive("batch_size", batch_size)
     check_positive("seq_len", seq_len)
+    if corpus.size < seq_len + 1:
+        raise BadConfig(f"corpus of {corpus.size} tokens cannot yield seq_len {seq_len}")
+    optimizer = prepare()
     rng = np.random.default_rng(seed)
     plateau = ReduceLROnPlateau(optimizer)
     losses = []
     for step_idx in range(steps):
         inputs, targets = sample_batch(corpus, batch_size, seq_len, rng)
-        losses.append(step(inputs, targets))
+        losses.append(step(inputs, targets, optimizer))
         if eval_every and (step_idx + 1) % eval_every == 0:
             plateau.on_eval(losses[-1])
-    return losses
+    return losses, optimizer
 
 
 # --------------------------------------------------------------------------
@@ -413,11 +417,11 @@ class AttentionTransfer(ParamsMixin):
         check_converted(model)
         corpus = check_token_array(corpus, model.config.vocab_size)
         self._resolve_block_size(model)
-        optimizer = AdamW(feature_map_parameters(model), lr=self.lr, clip_norm=self.clip_norm)
         start = time.perf_counter()
-        losses = _fit_loop(
-            lambda inputs, _: self.step(model, inputs, optimizer),
-            optimizer, corpus, self.steps, self.batch_size, self.seq_len, self.seed, self.eval_every,
+        losses, optimizer = _fit_loop(
+            lambda: AdamW(feature_map_parameters(model), lr=self.lr, clip_norm=self.clip_norm),
+            lambda inputs, _, optimizer: self.step(model, inputs, optimizer),
+            corpus, self.steps, self.batch_size, self.seq_len, self.seed, self.eval_every,
         )
         report = layerwise_diagnostics(model, corpus, min(self.batch_size, 4), self.seq_len, seed=self.seed + 1)
         report.train_losses = losses
@@ -469,17 +473,18 @@ class LoraAdjust(ParamsMixin):
     def fit(self, model: Model, corpus) -> "LoraAdjust":
         check_converted(model)
         corpus = check_token_array(corpus, model.config.vocab_size)
-        freeze_feature_maps(model)
-        try:
-            params = adapter_parameters(model)
-        except AdaptersMissing:
-            lora_attach(model, rank=self.rank, alpha=self.alpha, targets=tuple(self.targets), seed=self.seed)
-            params = adapter_parameters(model)
-        optimizer = AdamW(params, lr=self.lr, clip_norm=self.clip_norm)
+
+        def prepare():
+            if model.lora_meta is None:
+                lora_attach(model, rank=self.rank, alpha=self.alpha, targets=tuple(self.targets), seed=self.seed)
+            freeze_feature_maps(model)
+            return AdamW(adapter_parameters(model), lr=self.lr, clip_norm=self.clip_norm)
+
         start = time.perf_counter()
-        self.train_losses_ = _fit_loop(
-            lambda inputs, targets: self.step(model, inputs, targets, optimizer),
-            optimizer, corpus, self.steps, self.batch_size, self.seq_len, self.seed, self.eval_every,
+        self.train_losses_, optimizer = _fit_loop(
+            prepare,
+            lambda inputs, targets, optimizer: self.step(model, inputs, targets, optimizer),
+            corpus, self.steps, self.batch_size, self.seq_len, self.seed, self.eval_every,
         )
         self.wall_time_ = time.perf_counter() - start
         self.optimizer_ = optimizer
@@ -505,9 +510,13 @@ def pretrain_base(
     experiment scaffolding (a desk-scale stand-in for a pretrained checkpoint),
     not part of either linearizing stage."""
     corpus = check_token_array(corpus, model.config.vocab_size)
-    model.set_all_trainable(True)
-    optimizer = AdamW(model.parameters(), lr=lr, clip_norm=clip_norm)
+
+    def prepare():
+        model.set_all_trainable(True)
+        return AdamW(model.parameters(), lr=lr, clip_norm=clip_norm)
+
     return _fit_loop(
-        lambda inputs, targets: _update(optimizer, lambda: next_token_loss(model.forward(inputs), targets), "pretraining"),
-        optimizer, corpus, steps, batch_size, seq_len, seed,
-    )
+        prepare,
+        lambda inputs, targets, optimizer: _update(optimizer, lambda: next_token_loss(model.forward(inputs), targets), "pretraining"),
+        corpus, steps, batch_size, seq_len, seed,
+    )[0]

@@ -143,9 +143,9 @@ def test_criterion_04_decode_prefill_consistency():
             state = A.HybridDecodeState(2, 2, cfg, 8)
             for n in range(seq):
                 step = A.hybrid_decode_step(
-                    state, q.data[:, :, n], k.data[:, :, n], v.data[:, :, n], cfg, position=n
+                    state, q.data[:, :, n : n + 1], k.data[:, :, n : n + 1], v.data[:, :, n : n + 1], cfg, position=n
                 )
-                worst = max(worst, np.abs(step - ref[:, :, n]).max())
+                worst = max(worst, np.abs(step - ref[:, :, n : n + 1]).max())
     assert worst <= 1e-5
     report(4, f"both modes and feature maps, seq 4w+3; max-abs dev {worst:.2e}")
 

@@ -1,11 +1,15 @@
 """Hybrid linear + sliding-window attention: brute-force oracle agreement,
 softmax-collapse and pure-linear limits, chunked prefill against the masked
-oracle, and recurrent decode consistency."""
+oracle, recurrent decode consistency, and a property test of the segment
+step and the decode session over drawn shapes and segment splits."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linswap import attention as A
+from linswap import model as M
 from linswap.errors import OutOfOrderToken, ShapeMismatch, WindowTooSmall
 from linswap.tensor import Tensor
 
@@ -174,8 +178,8 @@ def test_decode_reproduces_prefill_everywhere(mode, kind):
     state = A.HybridDecodeState(2, 2, cfg, 8, dtype=np.float64)
     out = np.zeros_like(ref)
     for n in range(seq):
-        out[:, :, n] = A.hybrid_decode_step(
-            state, q.data[:, :, n], k.data[:, :, n], v.data[:, :, n], cfg, position=n
+        out[:, :, n : n + 1] = A.hybrid_decode_step(
+            state, q.data[:, :, n : n + 1], k.data[:, :, n : n + 1], v.data[:, :, n : n + 1], cfg, position=n
         )
     np.testing.assert_allclose(out, ref, atol=1e-6)
 
@@ -184,8 +188,8 @@ def test_decode_first_token_is_value():
     cfg = make_cfg(4, "standard", seed=25)
     state = A.HybridDecodeState(1, 2, cfg, 8, dtype=np.float64)
     g = rng(26)
-    v1 = g.normal(size=(1, 2, 8))
-    y1 = A.hybrid_decode_step(state, g.normal(size=(1, 2, 8)), g.normal(size=(1, 2, 8)), v1, cfg)
+    v1 = g.normal(size=(1, 2, 1, 8))
+    y1 = A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), v1, cfg)
     np.testing.assert_allclose(y1, v1, atol=1e-5)
 
 
@@ -197,7 +201,7 @@ def test_decode_state_bytes_constant_past_window(mode):
     g = rng(28)
     sizes = []
     for n in range(3 * w):
-        A.hybrid_decode_step(state, g.normal(size=(1, 2, 8)), g.normal(size=(1, 2, 8)), g.normal(size=(1, 2, 8)), cfg)
+        A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), cfg)
         sizes.append(state.nbytes)
     assert len(set(sizes)) == 1  # fixed allocation from the start
 
@@ -206,9 +210,9 @@ def test_decode_out_of_order_rejected():
     cfg = make_cfg(4, "standard", seed=29)
     state = A.HybridDecodeState(1, 2, cfg, 8, dtype=np.float64)
     g = rng(30)
-    A.hybrid_decode_step(state, g.normal(size=(1, 2, 8)), g.normal(size=(1, 2, 8)), g.normal(size=(1, 2, 8)), cfg, position=0)
+    A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), cfg, position=0)
     with pytest.raises(OutOfOrderToken):
-        A.hybrid_decode_step(state, g.normal(size=(1, 2, 8)), g.normal(size=(1, 2, 8)), g.normal(size=(1, 2, 8)), cfg, position=3)
+        A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), cfg, position=3)
 
 
 def test_decode_state_matches_spec_partition():
@@ -220,7 +224,7 @@ def test_decode_state_matches_spec_partition():
     vs = g.normal(size=(8, 1, 1, 8))
     state = A.HybridDecodeState(1, 1, cfg, 8, dtype=np.float64)
     for n in range(8):
-        A.hybrid_decode_step(state, g.normal(size=(1, 1, 8)), ks[n], vs[n], cfg)
+        A.hybrid_decode_step(state, g.normal(size=(1, 1, 1, 8)), ks[n, :, :, None], vs[n, :, :, None], cfg)
     fk_old = oracles.phi_ref(cfg.phi_k.kind, cfg.phi_k.weight.data, None,
                              ks[: 8 - w].transpose(1, 2, 0, 3))
     s_expect = np.einsum("bhnf,bhnd->bhfd", fk_old, vs[: 8 - w].transpose(1, 2, 0, 3))
@@ -228,3 +232,56 @@ def test_decode_state_matches_spec_partition():
     np.testing.assert_allclose(state.s, s_expect, atol=1e-9)
     np.testing.assert_allclose(state.z, z_expect, atol=1e-9)
     np.testing.assert_allclose(state.k_cache[:, :, : state.filled], ks[8 - w :].transpose(1, 2, 0, 3), atol=0)
+
+
+# --- property: any segment split, any shape -------------------------------------
+
+
+@st.composite
+def hybrid_cases(draw):
+    w = draw(st.integers(1, 6))
+    l = draw(st.integers(1, 4 * w + 3))
+    return {
+        "b": draw(st.integers(1, 2)),
+        "h": draw(st.integers(1, 3)),
+        "d": 2 * draw(st.integers(1, 4)),
+        "w": w,
+        "l": l,
+        "mode": draw(st.sampled_from(A.WINDOW_MODES)),
+        "kind": draw(st.sampled_from(["t2r", "hedgehog"])),
+        "gamma": draw(st.floats(-4.0, 4.0).filter(lambda x: abs(x) > 1e-3)),
+        "cuts": sorted(draw(st.sets(st.integers(1, l), max_size=4)) | {l}),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(hybrid_cases())
+def test_segment_steps_match_oracle_and_session_matches_fresh_prefill(case):
+    b, h, d, w, l = case["b"], case["h"], case["d"], case["w"], case["l"]
+    mode, kind, cuts = case["mode"], case["kind"], case["cuts"]
+
+    # any split of the sequence into segments reproduces the masked oracle
+    cfg = make_cfg(w, mode, kind=kind, heads=h, d=d, seed=case["seed"], gamma=case["gamma"])
+    q, k, v = rand_qkv(b, h, l, d, case["seed"] + 1)
+    ref = A._hybrid_naive(q, k, v, cfg)[0].data
+    state = A.HybridDecodeState(b, h, cfg, d, dtype=np.float64)
+    outs = [
+        A.hybrid_decode_step(state, q.data[:, :, lo:hi], k.data[:, :, lo:hi], v.data[:, :, lo:hi], cfg, position=lo)
+        for lo, hi in zip([0] + cuts[:-1], cuts)
+    ]
+    np.testing.assert_allclose(np.concatenate(outs, axis=2), ref, rtol=0, atol=1e-12)
+
+    # a session prefilled with the first segment and stepped token by token
+    # agrees with a fresh prefill of every longer prompt
+    model = M.convert_model(
+        M.build_model(M.ModelConfig(n_layers=2, n_heads=h, head_dim=d, seed=case["seed"])),
+        M.HybridSpec(window_size=w, window_mode=mode, feature_kind=kind, gamma_init=case["gamma"]),
+    )
+    ids = rng(case["seed"] + 2).integers(0, 258, size=(b, l))
+    session = M.HybridSession(model, b)
+    session.prefill(ids[:, : cuts[0]])
+    for n in range(cuts[0], l):
+        stepped = session.step(ids[:, n])
+        fresh = M.HybridSession(model, b).prefill(ids[:, : n + 1])
+        assert np.abs(stepped - fresh).max() <= 1e-5, f"position {n}"

@@ -341,6 +341,26 @@ def test_checkpoint_failed_save_keeps_previous(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["model.lolc"]
 
 
+def test_checkpoint_save_fsyncs_before_rename(tmp_path, monkeypatch):
+    # the complete temp file must reach the disk before it replaces path
+    path = str(tmp_path / "model.lolc")
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", replace)
+    save_checkpoint(small_model(), path)
+    assert events == [("fsync", os.path.getsize(path)), ("replace", path)]
+
+
 def test_corpus_roundtrip(tmp_path):
     ids = np.random.default_rng(23).integers(0, 258, size=1000).astype(np.uint32)
     path = str(tmp_path / "corpus.bin")
@@ -423,8 +443,9 @@ def test_decode_matches_reprefill_at_window_boundaries(mode):
 @pytest.mark.parametrize("kind", ["hedgehog", "t2r"])
 @pytest.mark.parametrize("mode", ["standard", "terraced"])
 def test_session_bulk_load_then_step_matches_prefill(mode, kind):
-    # the prefill bulk load must leave the same state that streaming would,
-    # at every prompt length on both sides of each eviction boundary
+    # a prompt advanced as one segment must leave the same state that
+    # streaming would, at every prompt length on both sides of each eviction
+    # boundary
     w = 4
     model = convert_model(small_model(), HybridSpec(window_size=w, window_mode=mode, feature_kind=kind))
     ids = np.random.default_rng(0).integers(0, 258, size=(2, 3 * w + 2))

@@ -1,12 +1,18 @@
 """The benchmark imports linswap names and its span tracer patches them through
 ``owner.__dict__[attr]``; a refactor that moves or renames one of them breaks
 ``benchmarks/run.py``, so both are checked here, with the benchmark files
-loaded read-only."""
+loaded read-only. The serving sessions are pinned to the names the tracer
+attributes their attention time to."""
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from linswap import attention
+from linswap import model as M
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -51,3 +57,28 @@ def test_workloads_reference_only_defined_attributes():
     assert used
     missing = sorted(f"{alias}.{attr}" for alias, attr in used if not hasattr(modules[alias], attr))
     assert not missing, f"benchmarks/workloads.py uses undefined {missing}"
+
+
+def test_sessions_serve_every_layer_through_the_segment_step(monkeypatch):
+    # the span tracer attributes serving time through these two names: both
+    # prefill and step must advance each layer by one hybrid_decode_step call
+    # and never reach the Tensor prefill kernel
+    calls = {"decode_step": 0, "heads_hybrid": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(attention, "hybrid_decode_step", counted("decode_step", attention.hybrid_decode_step))
+    monkeypatch.setattr(M.AttentionLayer, "heads_hybrid", counted("heads_hybrid", M.AttentionLayer.heads_hybrid))
+    cfg = M.ModelConfig(n_layers=3, n_heads=2, head_dim=8, seed=5)
+    model = M.convert_model(M.build_model(cfg), M.HybridSpec(window_size=4, window_mode="standard", feature_kind="t2r"))
+    session = M.HybridSession(model, 2)
+    ids = np.random.default_rng(5).integers(0, 258, size=(2, 11))
+    session.prefill(ids)
+    assert calls == {"decode_step": cfg.n_layers, "heads_hybrid": 0}
+    session.step(ids[:, 0])
+    assert calls == {"decode_step": 2 * cfg.n_layers, "heads_hybrid": 0}

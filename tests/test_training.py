@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from linswap import tensor as T
-from linswap.errors import BadConfig, DivergedLoss, IndivisibleBlocks, NotStochastic, ShapeMismatch
+from linswap.errors import BadConfig, DivergedLoss, IndivisibleBlocks, LinswapError, NotStochastic, ShapeMismatch
 from linswap.model import (
     HybridSpec,
     ModelConfig,
@@ -384,6 +384,17 @@ def test_adjust_requires_adapters():
     opt = AdamW({}, lr=1e-3)
     with pytest.raises(AdaptersMissing):
         LoraAdjust().step(model, inputs, targets, opt)
+
+
+@pytest.mark.parametrize("bad", [{"steps": 0}, {"batch_size": 0}, {"seq_len": -1}, {"seq_len": 5000}, {"rank": 0}])
+def test_rejected_adjust_fit_leaves_model_unchanged(bad):
+    model = tiny_model(seed=79)
+    corpus = synthetic_corpus(2000, seed=79)
+    before = {n: t.requires_grad for n, t in model.parameters().items()}
+    with pytest.raises(LinswapError):
+        LoraAdjust(**{"steps": 2, "batch_size": 2, "seq_len": 16, **bad}).fit(model, corpus)
+    assert {n: t.requires_grad for n, t in model.parameters().items()} == before
+    assert model.lora_meta is None
 
 
 def test_diverged_loss_is_reported():
