@@ -73,6 +73,9 @@ def apply_rope(x: Tensor, start_pos: int = 0, base: float = 10000.0) -> Tensor:
 # --------------------------------------------------------------------------
 
 
+FEATURE_KINDS = ("t2r", "hedgehog")
+
+
 @dataclass
 class FeatureMapParams:
     """Per-head learnable feature map phi: R^d -> R^{d'} (t2r) or R^{2d'} (hedgehog).
@@ -86,7 +89,7 @@ class FeatureMapParams:
     bias: Tensor | None = None  # [heads, feature_dim], t2r only
 
     def __post_init__(self):
-        if self.kind not in ("t2r", "hedgehog"):
+        if self.kind not in FEATURE_KINDS:
             raise ShapeMismatch(f"unknown feature map kind {self.kind!r}")
         if self.weight.ndim != 3:
             raise ShapeMismatch(f"feature map weight must be [heads, d, d'], got {self.weight.shape}")

@@ -18,6 +18,7 @@ Corpus files are raw little-endian uint32 ids.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import zlib
@@ -70,8 +71,8 @@ def save_checkpoint(model: Model, path: str) -> None:
         chunks.append(payload)
         offset += len(payload)
     header = {
-        "config": model.config.to_dict(),
-        "hybrid": model.hybrid_spec.to_dict() if model.hybrid_spec else None,
+        "config": dataclasses.asdict(model.config),
+        "hybrid": dataclasses.asdict(model.hybrid_spec) if model.hybrid_spec else None,
         "lora": model.lora_meta,
         "tensors": table,
     }

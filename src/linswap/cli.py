@@ -21,14 +21,7 @@ from .config import RunConfig, load_config
 from .errors import BadConfig, LinswapError, MissingCheckpoint
 from .model import BOS_ID, build_model, convert_model, detokenize, generate_greedy
 from .planner import plan_blockwise_storage
-from .training import (
-    AttentionTransfer,
-    LoraAdjust,
-    eval_next_token_loss,
-    layerwise_diagnostics,
-    pretrain_base,
-    synthetic_corpus,
-)
+from .training import eval_next_token_loss, layerwise_diagnostics, pretrain_base, synthetic_corpus
 
 
 def _log(msg: str) -> None:
@@ -43,10 +36,9 @@ def _log_config(cfg: RunConfig) -> None:
 def _apply_seed_override(cfg: RunConfig, seed: int | None) -> None:
     if seed is None:
         return
-    cfg["model"]["seed"] = seed
-    cfg["transfer"]["seed"] = seed
-    cfg["adjust"]["seed"] = seed
-    cfg["bench"]["seed"] = seed
+    for section in cfg.values.values():
+        if "seed" in section:
+            section["seed"] = seed
 
 
 def _load_model(args, cfg: RunConfig, require_checkpoint: bool = False):
@@ -56,7 +48,7 @@ def _load_model(args, cfg: RunConfig, require_checkpoint: bool = False):
         return load_checkpoint(args.checkpoint)
     if require_checkpoint:
         raise MissingCheckpoint("this subcommand needs --checkpoint")
-    return build_model(cfg.model_config())
+    return build_model(cfg.build("model"))
 
 
 def _resolve_corpus(section: dict, fallback: dict | None = None) -> np.ndarray:
@@ -104,29 +96,15 @@ def cmd_transfer(args) -> int:
                 seq_len=cfg["transfer"]["seq_len"],
                 seed=cfg["transfer"]["seed"],
             )
-        convert_model(model, cfg.hybrid_spec(), seed=cfg["model"]["seed"])
-    t = cfg["transfer"]
-    trainer = AttentionTransfer(
-        lr=t["lr"],
-        steps=t["steps"],
-        batch_size=t["batch_size"],
-        seq_len=t["seq_len"],
-        block_size=t["block_size"],
-        loss=t["loss"],
-        w_mse=t["w_mse"],
-        w_xent=t["w_xent"],
-        clip_norm=t["clip_norm"],
-        eval_every=t["eval_every"],
-        seed=t["seed"],
-    )
-    trainer.fit(model, corpus)
+        convert_model(model, cfg.build("attention"), seed=cfg["model"]["seed"])
+    trainer = cfg.build("transfer").fit(model, corpus)
     report = trainer.report_
     out = _out_dir(args)
     ckpt = os.path.join(out, "transfer.lolc")
     save_checkpoint(model, ckpt)
     _write_diag_csv(os.path.join(out, "diagnostics.csv"), report)
     with open(os.path.join(out, "transfer_summary.txt"), "w") as fh:
-        fh.write(f"steps={t['steps']}\n")
+        fh.write(f"steps={trainer.steps}\n")
         fh.write(f"final_train_loss={report.train_losses[-1]:.8e}\n")
         fh.write(f"mean_layer_mse={np.mean(report.layer_mse):.8e}\n")
         fh.write(f"mean_esl={report.mean_esl:.4f}\n")
@@ -142,27 +120,13 @@ def cmd_adjust(args) -> int:
     _log_config(cfg)
     model = _load_model(args, cfg, require_checkpoint=True)
     corpus = _resolve_corpus(cfg["adjust"], fallback=cfg["transfer"])
-    a = cfg["adjust"]
-    targets = tuple(x.strip() for x in a["targets"].split(",") if x.strip())
-    trainer = LoraAdjust(
-        lr=a["lr"],
-        steps=a["steps"],
-        batch_size=a["batch_size"],
-        seq_len=a["seq_len"],
-        rank=a["rank"],
-        alpha=a["alpha"],
-        targets=targets,
-        clip_norm=a["clip_norm"],
-        eval_every=a["eval_every"],
-        seed=a["seed"],
-    )
-    trainer.fit(model, corpus)
+    trainer = cfg.build("adjust").fit(model, corpus)
     out = _out_dir(args)
     ckpt = os.path.join(out, "adjust.lolc")
     save_checkpoint(model, ckpt)
-    eval_loss = eval_next_token_loss(model, corpus, a["batch_size"], a["seq_len"], seed=a["seed"] + 1)
+    eval_loss = eval_next_token_loss(model, corpus, trainer.batch_size, trainer.seq_len, seed=trainer.seed + 1)
     with open(os.path.join(out, "adjust_summary.txt"), "w") as fh:
-        fh.write(f"steps={a['steps']}\n")
+        fh.write(f"steps={trainer.steps}\n")
         fh.write(f"final_train_loss={trainer.train_losses_[-1]:.8e}\n")
         fh.write(f"eval_loss={eval_loss:.8e}\n")
         fh.write(f"wall_time_s={trainer.wall_time_:.2f}\n")
@@ -213,9 +177,9 @@ def cmd_bench(args) -> int:
     if args.checkpoint:
         model = _load_model(args, cfg)
     else:
-        model = build_model(cfg.model_config())
+        model = build_model(cfg.build("model"))
         if mode == "hybrid":
-            convert_model(model, cfg.hybrid_spec(), seed=cfg["model"]["seed"])
+            convert_model(model, cfg.build("attention"), seed=cfg["model"]["seed"])
     budget = b["memory_budget_mb"]
     result = bench_generation(
         model,

@@ -1,82 +1,90 @@
-"""INI-style run configuration with documented defaults.
+"""INI-style run configuration, declared by the classes that take it.
 
-Sections are fixed ([model], [attention], [transfer], [adjust], [bench]);
-unknown sections or keys are errors (fail-closed). Empty string values mean
-"use the default". Stage-2 reuses stage-1's corpus settings unless [adjust]
-overrides them, matching the two-stage default of training both stages on the
-same data.
+Sections are fixed ([model], [attention], [transfer], [adjust], [bench]). The
+keys, defaults and types of [model] and [attention] are the fields of
+ModelConfig and HybridSpec; those of [transfer] and [adjust] are the
+constructor parameters of AttentionTransfer and LoraAdjust. This module
+declares only the keys the CLI reads itself (CLI_KEYS): base-model
+pretraining, each stage's corpus and [bench].
+
+A value is parsed by its declared type; a tuple is a comma list, and an empty
+value means "use the default". Everything else fails closed with BadConfig:
+unknown sections (including [DEFAULT]) or keys, bytes that are not UTF-8,
+values that do not parse, and values outside a key's fixed choices (CHOICES).
+Stage-2 reuses stage-1's corpus settings unless [adjust] overrides them,
+matching the two-stage default of training both stages on the same data.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
+import typing
 from dataclasses import dataclass, field
 from typing import Any
 
+from .attention import FEATURE_KINDS, WINDOW_MODES
+from .bench import BENCH_MODES
 from .errors import BadConfig
-from .model import HybridSpec, ModelConfig
+from .model import LORA_TARGETS, HybridSpec, ModelConfig
+from .training import LOSS_KINDS, AttentionTransfer, LoraAdjust
+from .validation import check_choice
 
-# key -> (default, type); type "opt_int"/"opt_str" admits empty -> None
-DEFAULTS: dict[str, dict[str, tuple[Any, str]]] = {
-    "model": {
-        "vocab_size": (258, "int"),
-        "n_layers": (2, "int"),
-        "n_heads": (2, "int"),
-        "head_dim": (16, "int"),
-        "mlp_hidden_mult": (4.0, "float"),
-        "max_seq_len": (512, "int"),
-        "rope_base": (10000.0, "float"),
-        "seed": (0, "int"),
-        "pretrain_steps": (0, "int"),  # optional toy-teacher pretraining before transfer
-        "pretrain_lr": (3e-3, "float"),
+# section -> the class its keys are passed to (None: read by the CLI only)
+CLASSES = {"model": ModelConfig, "attention": HybridSpec, "transfer": AttentionTransfer, "adjust": LoraAdjust, "bench": None}
+
+# keys the CLI reads itself: key -> (default, type)
+CLI_KEYS: dict[str, dict[str, tuple[Any, Any]]] = {
+    "model": {  # optional toy-teacher pretraining before transfer
+        "pretrain_steps": (0, int),
+        "pretrain_lr": (3e-3, float),
     },
-    "attention": {
-        "window_size": (8, "int"),
-        "window_mode": ("terraced", "str"),
-        "feature_kind": ("hedgehog", "str"),
-        "feature_dim": (None, "opt_int"),
-        "gamma_init": (1.0, "float"),
+    "transfer": {  # path to a token corpus; empty -> synthetic
+        "corpus": (None, str | None),
+        "synthetic_tokens": (20000, int),
+        "synthetic_seed": (0, int),
     },
-    "transfer": {
-        "lr": (1e-2, "float"),
-        "steps": (200, "int"),
-        "batch_size": (8, "int"),
-        "seq_len": (64, "int"),
-        "block_size": (None, "opt_int"),
-        "loss": ("output_mse", "str"),
-        "w_mse": (1000.0, "float"),
-        "w_xent": (1.0, "float"),
-        "clip_norm": (1.0, "float"),
-        "eval_every": (50, "int"),
-        "seed": (0, "int"),
-        "corpus": (None, "opt_str"),  # path to a token corpus; empty -> synthetic
-        "synthetic_tokens": (20000, "int"),
-        "synthetic_seed": (0, "int"),
-    },
-    "adjust": {
-        "lr": (1e-4, "float"),
-        "steps": (500, "int"),
-        "batch_size": (8, "int"),
-        "seq_len": (64, "int"),
-        "rank": (8, "int"),
-        "alpha": (16.0, "float"),
-        "targets": ("wq,wk,wv,wo", "str"),
-        "clip_norm": (1.0, "float"),
-        "eval_every": (50, "int"),
-        "seed": (0, "int"),
-        "corpus": (None, "opt_str"),  # empty -> same data as [transfer]
-        "synthetic_tokens": (None, "opt_int"),
-        "synthetic_seed": (None, "opt_int"),
+    "adjust": {  # empty -> same data as [transfer]
+        "corpus": (None, str | None),
+        "synthetic_tokens": (None, int | None),
+        "synthetic_seed": (None, int | None),
     },
     "bench": {
-        "mode": ("hybrid", "str"),
-        "batch_size": (8, "int"),
-        "prompt_len": (128, "int"),
-        "gen_len": (512, "int"),
-        "seed": (0, "int"),
-        "memory_budget_mb": (None, "opt_int"),
+        "mode": ("hybrid", str),
+        "batch_size": (8, int),
+        "prompt_len": (128, int),
+        "gen_len": (512, int),
+        "seed": (0, int),
+        "memory_budget_mb": (None, int | None),
     },
 }
+
+# keys whose value (each item, for a list) is one of a fixed set
+CHOICES = {
+    ("attention", "window_mode"): WINDOW_MODES,
+    ("attention", "feature_kind"): FEATURE_KINDS,
+    ("transfer", "loss"): LOSS_KINDS,
+    ("adjust", "targets"): LORA_TARGETS,
+    ("bench", "mode"): BENCH_MODES,
+}
+
+
+def _declared(cls) -> dict[str, tuple[Any, Any]]:
+    """key -> (default, type) for the dataclass fields or constructor parameters of cls."""
+    hints = typing.get_type_hints(cls.__init__)
+    return {name: (p.default, hints[name]) for name, p in inspect.signature(cls).parameters.items()}
+
+
+SCHEMA = {s: {**(_declared(cls) if cls else {}), **CLI_KEYS.get(s, {})} for s, cls in CLASSES.items()}
+
+
+def _format(value) -> str:
+    """The INI spelling of a value: what _parse reads back to it."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ",".join(value)
+    return str(value)
 
 
 @dataclass
@@ -86,56 +94,39 @@ class RunConfig:
     def __getitem__(self, section: str) -> dict[str, Any]:
         return self.values[section]
 
-    def model_config(self) -> ModelConfig:
-        m = self.values["model"]
-        return ModelConfig(
-            vocab_size=m["vocab_size"],
-            n_layers=m["n_layers"],
-            n_heads=m["n_heads"],
-            head_dim=m["head_dim"],
-            mlp_hidden_mult=m["mlp_hidden_mult"],
-            max_seq_len=m["max_seq_len"],
-            rope_base=m["rope_base"],
-            seed=m["seed"],
-        )
-
-    def hybrid_spec(self) -> HybridSpec:
-        a = self.values["attention"]
-        return HybridSpec(
-            window_size=a["window_size"],
-            window_mode=a["window_mode"],
-            feature_kind=a["feature_kind"],
-            feature_dim=a["feature_dim"],
-            gamma_init=a["gamma_init"],
-        )
+    def build(self, section: str):
+        """The section's class (see CLASSES) constructed from its keys."""
+        cls = CLASSES[section]
+        return cls(**{key: self.values[section][key] for key in _declared(cls)})
 
     def resolved_lines(self) -> list[str]:
-        """Every key with defaults expanded, for reproducibility logging."""
-        out = []
-        for section in sorted(self.values):
-            for key in sorted(self.values[section]):
-                out.append(f"config {section}.{key}={self.values[section][key]}")
-        return out
+        """Every key with defaults expanded, for reproducibility logging. Read
+        back as an INI file, the values give the same config."""
+        return [
+            f"config {section}.{key}={_format(value)}"
+            for section in sorted(self.values)
+            for key, value in sorted(self.values[section].items())
+        ]
 
 
-def _convert(section: str, key: str, raw: str, kind: str):
-    raw = raw.strip()
+def _parse(section: str, key: str, raw: str, kind):
+    """A non-empty raw value as its declared type: int, float, str, X | None
+    (a set value is an X) or tuple[str, ...] (a non-empty comma list)."""
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "opt_int":
-            return None if raw == "" else int(raw)
-        if kind == "opt_str":
-            return None if raw == "" else raw
-        return raw
+        if typing.get_origin(kind) is tuple:
+            items = tuple(x.strip() for x in raw.split(",") if x.strip())
+            if not items:
+                raise ValueError("empty list")
+            return items
+        if type(None) in typing.get_args(kind):
+            return typing.get_args(kind)[0](raw)
+        return kind(raw)
     except ValueError as exc:
         raise BadConfig(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from exc
 
 
 def default_config() -> RunConfig:
-    return RunConfig({s: {k: v for k, (v, _) in keys.items()} for s, keys in DEFAULTS.items()})
+    return RunConfig({s: {k: default for k, (default, _) in keys.items()} for s, keys in SCHEMA.items()})
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -143,19 +134,27 @@ def load_config(path: str | None) -> RunConfig:
     cfg = default_config()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the section "", so [DEFAULT] is an ordinary (unknown)
+    # section instead of silent values for every other one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise BadConfig(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (UnicodeDecodeError, configparser.Error) as exc:
         raise BadConfig(f"malformed config {path}: {exc}") from exc
     for section in parser.sections():
-        if section not in DEFAULTS:
+        if section not in SCHEMA:
             raise BadConfig(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in DEFAULTS[section]:
+            if key not in SCHEMA[section]:
                 raise BadConfig(f"unknown key {key!r} in section [{section}]")
-            cfg.values[section][key] = _convert(section, key, raw, DEFAULTS[section][key][1])
+            raw = raw.strip()
+            if raw:
+                cfg.values[section][key] = _parse(section, key, raw, SCHEMA[section][key][1])
+    for (section, key), choices in CHOICES.items():
+        value = cfg[section][key]
+        for item in value if isinstance(value, tuple) else (value,):
+            check_choice(f"[{section}] {key}", item, choices)
     return cfg

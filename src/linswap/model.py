@@ -40,6 +40,8 @@ from .tensor import MASK_VALUE, Tensor
 
 RMS_EPS = 1e-6
 
+LORA_TARGETS = ("wq", "wk", "wv", "wo")  # the attention projections an adapter can wrap
+
 BOS_ID = 256
 EOS_ID = 257
 
@@ -78,18 +80,6 @@ class ModelConfig:
     def mlp_hidden(self) -> int:
         return int(round(self.mlp_hidden_mult * self.model_dim))
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "head_dim": self.head_dim,
-            "mlp_hidden_mult": self.mlp_hidden_mult,
-            "max_seq_len": self.max_seq_len,
-            "rope_base": self.rope_base,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class HybridSpec:
@@ -100,15 +90,6 @@ class HybridSpec:
     feature_kind: str = "hedgehog"
     feature_dim: int | None = None
     gamma_init: float = 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "window_size": self.window_size,
-            "window_mode": self.window_mode,
-            "feature_kind": self.feature_kind,
-            "feature_dim": self.feature_dim,
-            "gamma_init": self.gamma_init,
-        }
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +428,7 @@ def lora_attach(
     model: Model,
     rank: int = 8,
     alpha: float = 16.0,
-    targets: tuple[str, ...] = ("wq", "wk", "wv", "wo"),
+    targets: tuple[str, ...] = LORA_TARGETS,
     seed: int = 0,
 ) -> Model:
     """Attach rank-r adapters to the targeted attention projections of every
@@ -455,7 +436,7 @@ def lora_attach(
     attach time; only A/B are trainable afterwards."""
     if rank < 1:
         raise InvalidConfig("LoRA rank must be >= 1")
-    bad = [t for t in targets if t not in ("wq", "wk", "wv", "wo")]
+    bad = [t for t in targets if t not in LORA_TARGETS]
     if bad or not targets:
         raise InvalidConfig(f"LoRA targets must be non-empty drawn from wq/wk/wv/wo, got {targets}")
     rng = np.random.default_rng(seed)

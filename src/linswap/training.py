@@ -29,7 +29,7 @@ from .errors import (
     NotStochastic,
     ShapeMismatch,
 )
-from .model import Model, adapter_parameters, freeze_feature_maps, lora_attach
+from .model import LORA_TARGETS, Model, adapter_parameters, freeze_feature_maps, lora_attach
 from .tensor import Tensor
 from .validation import check_converted, check_positive, check_token_array
 
@@ -450,7 +450,7 @@ class LoraAdjust(ParamsMixin):
         seq_len: int = 64,
         rank: int = 8,
         alpha: float = 16.0,
-        targets: tuple[str, ...] = ("wq", "wk", "wv", "wo"),
+        targets: tuple[str, ...] = LORA_TARGETS,
         clip_norm: float = 1.0,
         eval_every: int = 50,
         seed: int = 0,

@@ -124,6 +124,24 @@ def test_exit_codes(workdir, capsys, tmp_path):
         (tmp_path / name).write_text(text)
         assert main(["transfer", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
         assert "BadConfig:" in capsys.readouterr().err
+    # bytes that are not UTF-8 and values outside a key's choices are rejected
+    # when the config loads, before any pretraining
+    for name, text in (
+        ("window.ini", TINY_CONFIG.replace("window_mode = terraced", "window_mode = bogus")),
+        ("feature.ini", TINY_CONFIG.replace("feature_kind = t2r", "feature_kind = bogus")),
+        ("loss.ini", TINY_CONFIG.replace("eval_every = 10", "eval_every = 10\nloss = bogus")),
+        ("targets.ini", TINY_CONFIG.replace("rank = 2", "rank = 2\ntargets = wq,bogus")),
+        ("bench.ini", TINY_CONFIG + "\n[bench]\nmode = bogus\n"),
+    ):
+        (tmp_path / name).write_text(text)
+        assert main(["transfer", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "BadConfig:" in err and "bogus" in err and "pretraining" not in err
+    undecodable = tmp_path / "latin1.ini"
+    undecodable.write_bytes(TINY_CONFIG.replace("seed = 5", "seed = 5\xff").encode("latin-1"))
+    assert main(["transfer", "--config", str(undecodable), "--out", str(tmp_path)]) == 2
+    assert "BadConfig:" in capsys.readouterr().err
+
     converted = str(tmp_path / "converted.lolc")
     base = build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_seq_len=256, seed=5))
     save_checkpoint(convert_model(base, HybridSpec(4, "terraced", "t2r")), converted)

@@ -2,7 +2,8 @@
 ``owner.__dict__[attr]``; a refactor that moves or renames one of them breaks
 ``benchmarks/run.py``, so both are checked here, with the benchmark files
 loaded read-only. The serving sessions are pinned to the names the tracer
-attributes their attention time to."""
+attributes their attention time to, and every bundled config is built into
+the classes it configures."""
 
 import ast
 import importlib
@@ -13,6 +14,8 @@ import numpy as np
 
 from linswap import attention
 from linswap import model as M
+from linswap.config import load_config
+from linswap.training import AttentionTransfer, LoraAdjust
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -82,3 +85,15 @@ def test_sessions_serve_every_layer_through_the_segment_step(monkeypatch):
     assert calls == {"decode_step": cfg.n_layers, "heads_hybrid": 0}
     session.step(ids[:, 0])
     assert calls == {"decode_step": 2 * cfg.n_layers, "heads_hybrid": 0}
+
+
+def test_bundled_configs_build_every_section():
+    # a renamed field or constructor parameter fails here, not in the demo
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+    assert configs
+    for path in configs:
+        cfg = load_config(str(path))
+        assert isinstance(cfg.build("model"), M.ModelConfig)
+        assert isinstance(cfg.build("attention"), M.HybridSpec)
+        assert isinstance(cfg.build("transfer"), AttentionTransfer)
+        assert isinstance(cfg.build("adjust"), LoraAdjust)
