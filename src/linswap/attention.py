@@ -8,11 +8,16 @@ runs in w-aligned chunks (scratch grows with the window, not the sequence):
 training uses the tape-recorded Tensor kernel hybrid_attention_prefill, and
 serving the numpy hybrid_decode_step, which advances a constant-size state by
 a segment of any length; _hybrid_naive, the masked O(l^2) form, is the oracle.
+
+The numpy serving kernels (_rope_np, _phi_np, _softmax_np, hybrid_decode_step)
+read plain-array snapshots of the parameters (PhiArrays, HybridArrays), so the
+serving engine in model.py takes them from the model once per session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +73,16 @@ def apply_rope(x: Tensor, start_pos: int = 0, base: float = 10000.0) -> Tensor:
     return T.stack([re, ro], axis=-1).reshape(shape)
 
 
+def _rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """numpy twin of apply_rope for serving: x [..., S, d] rotated by the
+    rope_angles tables cos/sin [S, d/2] of its positions."""
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = xe * cos - xo * sin
+    out[..., 1::2] = xe * sin + xo * cos
+    return out
+
+
 # --------------------------------------------------------------------------
 # learnable feature maps
 # --------------------------------------------------------------------------
@@ -117,6 +132,17 @@ class FeatureMapParams:
     def parameters(self) -> list[Tensor]:
         return [self.weight] if self.bias is None else [self.weight, self.bias]
 
+    def arrays(self) -> PhiArrays:
+        return PhiArrays(self.kind, self.weight.data, None if self.bias is None else self.bias.data)
+
+
+class PhiArrays(NamedTuple):
+    """The arrays of a FeatureMapParams, as the numpy kernels read them."""
+
+    kind: str
+    weight: np.ndarray  # [heads, head_dim, feature_dim]
+    bias: np.ndarray | None  # [heads, feature_dim], t2r only
+
 
 def init_feature_map(
     kind: str,
@@ -152,11 +178,11 @@ def feature_map_apply(params: FeatureMapParams, x: Tensor) -> Tensor:
     return T.concat([T.softmax(proj, -1), T.softmax(-proj, -1)], axis=-1)
 
 
-def _phi_np(params: FeatureMapParams, x: np.ndarray) -> np.ndarray:
+def _phi_np(params: PhiArrays, x: np.ndarray) -> np.ndarray:
     """numpy twin of feature_map_apply for inference; x [b, h, n, d]."""
-    proj = np.einsum("bhnd,hdf->bhnf", x, params.weight.data)
+    proj = np.einsum("bhnd,hdf->bhnf", x, params.weight)
     if params.kind == "t2r":
-        return np.maximum(proj + params.bias.data[:, None], 0.0)
+        return np.maximum(proj + params.bias[:, None], 0.0)
     return np.concatenate([_softmax_np(proj), _softmax_np(-proj)], axis=-1)
 
 
@@ -248,12 +274,12 @@ def linear_attention_recurrent_step(
     """One streaming step of linear attention; mutates state, returns y_n [b, h, d]."""
     if q_n.shape != state.s.shape[:2] + (state.s.shape[-1],):
         raise StateDimMismatch(f"token shape {q_n.shape} vs state {state.s.shape}")
-    fk = _phi_np(phi_k, k_n[:, :, None])[:, :, 0]
+    fk = _phi_np(phi_k.arrays(), k_n[:, :, None])[:, :, 0]
     if fk.shape[-1] != state.s.shape[2]:
         raise StateDimMismatch(f"feature dim {fk.shape[-1]} vs state {state.s.shape[2]}")
     state.s += fk[..., :, None] * v_n[..., None, :]
     state.z += fk
-    fq = _phi_np(phi_q, q_n[:, :, None])[:, :, 0]
+    fq = _phi_np(phi_q.arrays(), q_n[:, :, None])[:, :, 0]
     num = np.einsum("bhf,bhfd->bhd", fq, state.s)
     den = np.einsum("bhf,bhf->bh", fq, state.z) + EPS
     state.position += 1
@@ -300,6 +326,21 @@ class HybridAttnConfig:
 
     def parameters(self) -> list[Tensor]:
         return [self.gamma_raw] + self.phi_q.parameters() + self.phi_k.parameters()
+
+    def arrays(self) -> HybridArrays:
+        gamma = 1.0 / (1.0 + np.exp(-self.gamma_raw.data))
+        return HybridArrays(self.window_size, self.window_mode, gamma[:, None, None], self.phi_q.arrays(), self.phi_k.arrays())
+
+
+class HybridArrays(NamedTuple):
+    """A HybridAttnConfig as hybrid_decode_step reads it: plain arrays, with the
+    window factor sigmoid(gamma_raw) computed once."""
+
+    window_size: int
+    window_mode: str
+    gamma: np.ndarray  # sigmoid(gamma_raw) as [heads, 1, 1]
+    phi_q: PhiArrays
+    phi_k: PhiArrays
 
 
 def make_hybrid_config(
@@ -505,7 +546,7 @@ def hybrid_decode_step(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
-    cfg: HybridAttnConfig,
+    cfg: HybridAttnConfig | HybridArrays,
     position: int | None = None,
 ) -> np.ndarray:
     """Hybrid attention over the next S >= 1 tokens, post-RoPE q, k, v
@@ -515,18 +556,28 @@ def hybrid_decode_step(
     its queries attend over the cached tail plus the segment so far under the
     masks of _window_start (in standard mode later queries also score span keys
     that left their window by the linear term). The state ends folded to
-    _window_start(end) with the tail in the fixed-size cache."""
+    _window_start(end) with the tail in the fixed-size cache. A segment that
+    fits in the cache beside the tail evicts nothing, so it is written into the
+    cache and attends over a view of it."""
     b, h, f, d = state.s.shape
     if not q.shape == k.shape == v.shape or q.ndim != 4 or q.shape[:2] != (b, h) or q.shape[3] != d or not q.shape[2]:
         raise StateDimMismatch(f"segment shapes {q.shape} {k.shape} {v.shape} vs state {state.s.shape}")
     if position is not None and position != state.position:
         raise OutOfOrderToken(f"expected position {state.position}, got {position}")
+    if isinstance(cfg, HybridAttnConfig):
+        cfg = cfg.arrays()
     w, mode = cfg.window_size, cfg.window_mode
-    p = state.position
+    p, filled = state.position, state.filled
     end = p + q.shape[2]
-    off = folded = p - state.filled  # position of keys[:, :, 0]
-    keys = np.concatenate([state.k_cache[:, :, : state.filled], k], axis=2)
-    values = np.concatenate([state.v_cache[:, :, : state.filled], v], axis=2)
+    off = folded = p - filled  # position of keys[:, :, 0]
+    in_place = end - off <= w
+    if in_place:
+        state.k_cache[:, :, filled : end - off] = k
+        state.v_cache[:, :, filled : end - off] = v
+        keys, values = state.k_cache[:, :, : end - off], state.v_cache[:, :, : end - off]
+    else:
+        keys = np.concatenate([state.k_cache[:, :, :filled], k], axis=2)
+        values = np.concatenate([state.v_cache[:, :, :filled], v], axis=2)
 
     def fold(upto):
         nonlocal folded
@@ -537,7 +588,6 @@ def hybrid_decode_step(
             folded = upto
 
     scale = 1.0 / float(np.sqrt(d))
-    gamma = (1.0 / (1.0 + np.exp(-cfg.gamma_raw.data)))[:, None, None]
     fq = _phi_np(cfg.phi_q, q)
     outs = []
     for start in [p, *range((p // w + 1) * w, end, w)]:
@@ -552,18 +602,21 @@ def hybrid_decode_step(
         kc, vc = keys[:, :, lo - off : stop - off], values[:, :, lo - off : stop - off]
 
         scores = np.where(win, qc @ kc.swapaxes(-1, -2) * scale, MASK_VALUE)
-        weights = gamma * np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = cfg.gamma * np.exp(scores - scores.max(axis=-1, keepdims=True))
         if lin.any():
             weights += np.where(lin, fqc @ _phi_np(cfg.phi_k, kc).swapaxes(-1, -2), 0.0)
         num = weights @ vc + fqc @ state.s
         den = weights.sum(axis=-1, keepdims=True) + fqc @ state.z[..., None]
         outs.append(num / np.maximum(den, EPS))
 
+    # the window never moves past keys[:, :, 0] while the segment fits beside
+    # the tail, so an in-place segment is already where the cache keeps it
     tail = int(_window_start(end, w, mode))
     fold(tail)
+    if not in_place:
+        state.k_cache[:, :, : end - tail] = keys[:, :, tail - off :]
+        state.v_cache[:, :, : end - tail] = values[:, :, tail - off :]
     state.filled = end - tail
-    state.k_cache[:, :, : state.filled] = keys[:, :, tail - off :]
-    state.v_cache[:, :, : state.filled] = values[:, :, tail - off :]
     state.position = end
     return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)
 

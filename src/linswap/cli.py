@@ -52,13 +52,17 @@ def _load_model(args, cfg: RunConfig, require_checkpoint: bool = False):
 
 
 def _resolve_corpus(section: dict, fallback: dict | None = None) -> np.ndarray:
+    """The corpus file a stage names, else its synthetic corpus. With a
+    fallback section ([adjust] falls back to [transfer]) each key is taken
+    from it per key: the corpus file or token count unless the stage names
+    one, the seed unless the stage sets one."""
+    if fallback is not None:
+        source = section if section.get("corpus") or section.get("synthetic_tokens") is not None else fallback
+        seed = section.get("synthetic_seed")
+        section = {**source, "synthetic_seed": fallback["synthetic_seed"] if seed is None else seed}
     if section.get("corpus"):
         return load_corpus(section["corpus"])
-    tokens = section.get("synthetic_tokens")
-    seed = section.get("synthetic_seed")
-    if tokens is None and fallback is not None:
-        return _resolve_corpus(fallback)
-    return synthetic_corpus(int(tokens), int(seed or 0))
+    return synthetic_corpus(int(section["synthetic_tokens"]), int(section["synthetic_seed"]))
 
 
 def _out_dir(args) -> str:
@@ -184,9 +188,9 @@ def cmd_bench(args) -> int:
     result = bench_generation(
         model,
         mode=mode,
-        batch_size=args.batch or b["batch_size"],
-        prompt_len=args.prompt_len or b["prompt_len"],
-        gen_len=args.gen_len or b["gen_len"],
+        batch_size=b["batch_size"] if args.batch is None else args.batch,
+        prompt_len=b["prompt_len"] if args.prompt_len is None else args.prompt_len,
+        gen_len=b["gen_len"] if args.gen_len is None else args.gen_len,
         seed=b["seed"],
         memory_budget_bytes=budget * 1024 * 1024 if budget else None,
     )

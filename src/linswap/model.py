@@ -3,6 +3,12 @@ rotary attention, gated MLP, untied head), whose softmax attention layers can
 be swapped for hybrid linear + sliding-window layers, plus LoRA adapters and a
 byte-level tokenizer.
 
+Training and Model.forward run on the autograd Tensor path. Generation runs
+on a numpy serving engine that each decode session builds once from the
+model: LoRA merged into its base weights, wq|wk|wv fused into one matrix, the
+norm gains, MLP weights and head as arrays, and sigmoid(gamma) cached. A
+session therefore serves the weights as they were when it was built.
+
 Parameter count closed form (asserted in tests):
 
     vocab*D + M*(4*D^2 + 3*D*Dh + 2*D) + D + D*vocab
@@ -13,18 +19,22 @@ with D = n_heads * head_dim and Dh = round(mlp_hidden_mult * D).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import attention
 from . import tensor as T
 from .attention import (
+    HybridArrays,
     HybridAttnConfig,
     HybridDecodeState,
+    _rope_np,
     apply_rope,
     hybrid_attention_prefill,
     hybrid_attention_weights,
     make_hybrid_config,
+    rope_angles,
     softmax_attention,
 )
 from .errors import (
@@ -32,6 +42,7 @@ from .errors import (
     AlreadyConverted,
     DuplicateAdapter,
     InvalidConfig,
+    NonFiniteResult,
     NotConverted,
     PromptTooLong,
     UnknownId,
@@ -161,7 +172,7 @@ class AttentionLayer:
         self.rope_base = rope_base
         self.hybrid_cfg: HybridAttnConfig | None = None
 
-    def project_qkv(self, x: Tensor, start_pos: int = 0):
+    def project_qkv(self, x: Tensor):
         """x [b, l, D] -> rotary q, k and plain v as [b, h, l, d]."""
         b, l, _ = x.shape
 
@@ -171,8 +182,8 @@ class AttentionLayer:
         q = split(self.wq.forward(x))
         k = split(self.wk.forward(x))
         v = split(self.wv.forward(x))
-        q = apply_rope(q, start_pos, self.rope_base)
-        k = apply_rope(k, start_pos, self.rope_base)
+        q = apply_rope(q, base=self.rope_base)
+        k = apply_rope(k, base=self.rope_base)
         return q, k, v
 
     def merge_heads(self, y: Tensor) -> Tensor:
@@ -275,15 +286,15 @@ class Model:
             raise UnknownId(f"token ids outside [0, {self.config.vocab_size})")
         return T.embedding(self.embed, ids)
 
-    def run_blocks(self, ids: np.ndarray, attend, start_pos: int = 0) -> Tensor:
-        """The residual stack of every forward path, to the final residual
-        stream [b, l, D]. Per block i, attend(i, x, q, k, v) gets the block
-        input x and the heads [b, h, l, d] of norm1(x), rotated from start_pos,
-        and returns the heads output that wo adds back to x; the MLP residual
+    def run_blocks(self, ids: np.ndarray, attend) -> Tensor:
+        """The residual stack of the Tensor forward paths, to the final
+        residual stream [b, l, D]. Per block i, attend(i, x, q, k, v) gets the
+        block input x and the rotary heads [b, h, l, d] of norm1(x), and
+        returns the heads output that wo adds back to x; the MLP residual
         follows."""
         x = self.embed_tokens(ids)
         for i, blk in enumerate(self.blocks):
-            q, k, v = blk.attn.project_qkv(blk.norm1.forward(x), start_pos)
+            q, k, v = blk.attn.project_qkv(blk.norm1.forward(x))
             y = attend(i, x, q, k, v)
             x = x + blk.attn.wo.forward(blk.attn.merge_heads(y))
             x = x + blk.mlp.forward(blk.norm2.forward(x))
@@ -486,24 +497,120 @@ def detokenize(ids) -> bytes:
 
 
 # --------------------------------------------------------------------------
-# decoding
+# serving: the numpy engine and the decode sessions
 # --------------------------------------------------------------------------
 
 
+class _EngineLayer(NamedTuple):
+    norm1: np.ndarray  # [D]
+    wqkv: np.ndarray  # [D, 3D]: wq | wk | wv
+    wo: np.ndarray  # [D, D]
+    norm2: np.ndarray  # [D]
+    gate: np.ndarray  # [D, Dh]
+    up: np.ndarray  # [D, Dh]
+    down: np.ndarray  # [Dh, D]
+    hybrid: HybridArrays | None
+
+
+def _merged(proj: Projection) -> np.ndarray:
+    """The projection's weight with its LoRA delta folded in: W + (alpha/r) A^T B^T."""
+    w = proj.weight.data
+    if proj.adapter is None:
+        return w
+    ad = proj.adapter
+    delta = (ad.alpha / ad.rank) * (ad.a.data.T.astype(np.float64) @ ad.b.data.T.astype(np.float64))
+    return (w + delta).astype(w.dtype)
+
+
+def _finite(a: np.ndarray, where: str, op: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise NonFiniteResult(f"{where} {op} produced NaN/Inf")
+    return a
+
+
+def _rms_norm_np(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    # sum / n is what ndarray.mean computes, without its Python-level wrapper
+    return x * ((x * x).sum(-1, keepdims=True) / x.shape[-1] + RMS_EPS) ** -0.5 * gain
+
+
+class _Engine:
+    """The plain numpy arrays a session serves, taken from the model once, and
+    the block loop over them; the Tensor path keeps training and
+    Model.forward. LoRA is merged into its base projection, W + (alpha/r)
+    A^T B^T (Hu et al. 2021), wq|wk|wv is one [D, 3D] matrix, and a hybrid
+    layer's window factor sigmoid(gamma_raw) is computed once (HybridArrays).
+
+    Merged and fused matrices are the engine's own arrays; the others are the
+    parameter arrays themselves, which the optimizer and load_checkpoint
+    replace rather than write into. So a session serves the weights as they
+    were when it was built: build a new one after an update.
+
+    As _make does for every Tensor op, every array the loop computes is
+    checked finite, and NonFiniteResult names the layer and the op."""
+
+    def __init__(self, model: Model):
+        self.config = model.config
+        self.embed = model.embed.data
+        self.layers = [
+            _EngineLayer(
+                blk.norm1.gain.data,
+                np.concatenate([_merged(blk.attn.wq), _merged(blk.attn.wk), _merged(blk.attn.wv)], axis=1),
+                _merged(blk.attn.wo),
+                blk.norm2.gain.data,
+                blk.mlp.gate.weight.data,
+                blk.mlp.up.weight.data,
+                blk.mlp.down.weight.data,
+                None if blk.attn.hybrid_cfg is None else blk.attn.hybrid_cfg.arrays(),
+            )
+            for blk in model.blocks
+        ]
+        self.final_gain = model.final_norm.gain.data
+        self.head = model.head.data
+
+    def run(self, ids: np.ndarray, position: int, attend) -> np.ndarray:
+        """Advance over ids [b, n] at positions position onwards, to the
+        logits of the last one [b, vocab]. Per layer i, attend(i, q, k, v)
+        gets the rotary heads [b, h, n, d] and returns the heads output."""
+        c = self.config
+        ids = np.asarray(ids)
+        if (ids < 0).any() or (ids >= c.vocab_size).any():
+            raise UnknownId(f"token ids outside [0, {c.vocab_size})")
+        b, n = ids.shape
+        h, d = c.n_heads, c.head_dim
+        cos, sin = (t.astype(self.embed.dtype) for t in rope_angles(n, d, position, c.rope_base))
+        x = _finite(self.embed[ids], "embed", "embedding")
+        for i, layer in enumerate(self.layers):
+            at = f"layers.{i}"
+            u = _finite(_rms_norm_np(x, layer.norm1), at, "norm1")
+            qkv = _finite(u @ layer.wqkv, at, "attn.qkv").reshape(b, n, 3, h, d).transpose(2, 0, 3, 1, 4)
+            qk = _finite(_rope_np(qkv[:2], cos, sin), at, "attn.rope")
+            y = _finite(attend(i, qk[0], qk[1], qkv[2]), at, "attn.heads")
+            o = _finite(y.transpose(0, 2, 1, 3).reshape(b, n, h * d) @ layer.wo, at, "attn.wo")
+            x = _finite(x + o, at, "attn.residual")
+            u = _finite(_rms_norm_np(x, layer.norm2), at, "norm2")
+            g = _finite(u @ layer.gate, at, "mlp.gate")
+            up = _finite(u @ layer.up, at, "mlp.up")
+            act = _finite(g * (1.0 / (1.0 + np.exp(-g))) * up, at, "mlp.swiglu")
+            down = _finite(act @ layer.down, at, "mlp.down")
+            x = _finite(x + down, at, "mlp.residual")
+        last = _finite(_rms_norm_np(x[:, -1], self.final_gain), "final_norm", "norm")
+        return _finite(last @ self.head, "head", "logits")
+
+
 class _Session:
-    """Shared by the decode sessions: _advance runs the block stack with the
-    session's _attend over the next tokens, and the head on the last one."""
+    """Shared by the decode sessions: _advance runs the serving engine, built
+    once with the session, over the next tokens with the session's _attend,
+    and the head on the last one."""
 
     def __init__(self, model: Model, batch: int):
         self.model = model
+        self.engine = _Engine(model)
         self._reset(batch)
 
     def _advance(self, ids: np.ndarray) -> np.ndarray:
-        with T.no_grad():
-            x = self.model.run_blocks(ids, self._attend, start_pos=self.position)
-            logits = self.model.logits(x[:, -1:])
+        logits = self.engine.run(ids, self.position, self._attend)
         self.position += ids.shape[1]
-        return logits.data[:, 0]
+        return logits
 
 
 class HybridSession(_Session):
@@ -542,10 +649,9 @@ class HybridSession(_Session):
         """Advance one token; token_ids [b] -> logits [b, vocab]."""
         return self._advance(token_ids[:, None])
 
-    def _attend(self, i, x, q, k, v) -> Tensor:
-        cfg = self.model.blocks[i].attn.hybrid_cfg
-        y = attention.hybrid_decode_step(self.states[i], q.data, k.data, v.data, cfg, position=self.position)
-        return Tensor(y)
+    def _attend(self, i, q, k, v) -> np.ndarray:
+        hybrid = self.engine.layers[i].hybrid
+        return attention.hybrid_decode_step(self.states[i], q, k, v, hybrid, position=self.position)
 
 
 class SoftmaxSession(_Session):
@@ -570,13 +676,13 @@ class SoftmaxSession(_Session):
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         return self._advance(token_ids[:, None])
 
-    def _attend(self, i, x, q, k, v) -> Tensor:
-        keys = self.k_cache[i] = np.concatenate([self.k_cache[i], k.data], axis=2)
-        values = self.v_cache[i] = np.concatenate([self.v_cache[i], v.data], axis=2)
+    def _attend(self, i, q, k, v) -> np.ndarray:
+        keys = self.k_cache[i] = np.concatenate([self.k_cache[i], k], axis=2)
+        values = self.v_cache[i] = np.concatenate([self.v_cache[i], v], axis=2)
         s, n = q.shape[2], keys.shape[2]
-        scores = q.data @ keys.swapaxes(-1, -2) * (1.0 / float(np.sqrt(q.shape[-1])))
+        scores = q @ keys.swapaxes(-1, -2) * (1.0 / float(np.sqrt(q.shape[-1])))
         scores = np.where(np.triu(np.ones((s, n), dtype=bool), n - s + 1), MASK_VALUE, scores)
-        return Tensor(attention._softmax_np(scores) @ values)
+        return attention._softmax_np(scores) @ values
 
 
 def generate_greedy(model: Model, prompt_ids: np.ndarray, n_new: int, max_len: int | None = None) -> np.ndarray:

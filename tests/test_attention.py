@@ -56,6 +56,13 @@ def test_rope_matches_reference():
     np.testing.assert_allclose(out, ref, atol=1e-10)
 
 
+def test_serving_rope_matches_reference():
+    x = rand_f64((2, 2, 6, 8), 4)
+    cos, sin = A.rope_angles(6, 8, start_pos=3)
+    ref = oracles.rope_ref(x, start_pos=3, base=10000.0)
+    np.testing.assert_allclose(A._rope_np(x, cos, sin), ref, rtol=0, atol=1e-10)
+
+
 def test_rope_odd_dim_rejected():
     with pytest.raises(OddHeadDim):
         A.apply_rope(Tensor(np.zeros((1, 1, 2, 7))))

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from linswap.cli import main
@@ -173,3 +174,34 @@ def test_corpus_file_input(workdir, capsys, tmp_path):
     out = str(tmp_path / "run")
     assert main(["transfer", "--config", str(cfg), "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "transfer.lolc"))
+
+
+def test_bench_rejects_explicit_zero_sizes(workdir, capsys):
+    # an explicit 0 must reach the size check, not fall back to [bench]
+    cfg = str(workdir / "tiny.ini")
+    for flag in ("--batch", "--prompt-len", "--gen-len"):
+        assert main(["bench", "--config", cfg, "--gen-len", "2", "--batch", "1", "--prompt-len", "4", flag, "0"]) == 2
+        assert "BadConfig:" in capsys.readouterr().err, flag
+
+
+def test_adjust_corpus_falls_back_to_transfer_per_key(tmp_path):
+    from linswap.cli import _resolve_corpus
+    from linswap.config import load_config
+    from linswap.training import synthetic_corpus
+
+    def corpora(text):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        cfg = load_config(str(path))
+        return _resolve_corpus(cfg["transfer"]), _resolve_corpus(cfg["adjust"], fallback=cfg["transfer"])
+
+    transfer, adjust = corpora(TINY_CONFIG)
+    np.testing.assert_array_equal(adjust, transfer)
+    # a seed alone keeps [transfer]'s token count and changes the corpus
+    transfer, adjust = corpora(TINY_CONFIG.replace("rank = 2", "rank = 2\nsynthetic_seed = 7"))
+    np.testing.assert_array_equal(adjust, synthetic_corpus(4000, 7))
+    assert not np.array_equal(adjust, transfer)
+    # a token count alone keeps [transfer]'s seed
+    seeded = TINY_CONFIG.replace("synthetic_tokens = 4000", "synthetic_tokens = 4000\nsynthetic_seed = 3")
+    _, adjust = corpora(seeded.replace("rank = 2", "rank = 2\nsynthetic_tokens = 3000"))
+    np.testing.assert_array_equal(adjust, synthetic_corpus(3000, 3))

@@ -22,6 +22,7 @@ from linswap.errors import (
     DuplicateAdapter,
     InvalidConfig,
     IoFailure,
+    NonFiniteResult,
     NotConverted,
     PromptTooLong,
     UnknownId,
@@ -31,6 +32,7 @@ from linswap.model import (
     HybridSpec,
     ModelConfig,
     SoftmaxSession,
+    adapter_parameters,
     build_model,
     convert_model,
     detokenize,
@@ -477,3 +479,44 @@ def test_softmax_session_matches_forward():
     assert np.abs(session.prefill(ids[:, :4]) - ref[:, 3]).max() <= 1e-5
     for t in range(4, ids.shape[1]):
         assert np.abs(session.step(ids[:, t]) - ref[:, t]).max() <= 1e-5, f"position {t}"
+
+
+def with_nonzero_lora(model, seed=4):
+    lora_attach(model, rank=2, alpha=4.0, seed=seed)
+    g = np.random.default_rng(seed)
+    for name, t in adapter_parameters(model).items():
+        if name.endswith("lora_b"):
+            t.data = g.normal(0.0, 0.1, size=t.shape).astype(np.float32)
+    return model
+
+
+@pytest.mark.parametrize(
+    "mode,kind",
+    [("standard", "t2r"), ("standard", "hedgehog"), ("terraced", "t2r"), ("terraced", "hedgehog"), (None, None)],
+)
+def test_engine_serves_merged_lora_as_forward(mode, kind):
+    # the sessions' numpy engine (merged LoRA, fused qkv, numpy rope) against
+    # the Tensor forward; mode None is the softmax session on an unconverted model
+    w = 4
+    model = small_model()
+    if mode is not None:
+        convert_model(model, HybridSpec(window_size=w, window_mode=mode, feature_kind=kind))
+    ids = np.random.default_rng(5).integers(0, 258, size=(2, 3 * w + 3))
+    base = model.forward(ids).data
+    ref = with_nonzero_lora(model).forward(ids).data  # causal: row t is the last row of forward(ids[:, :t + 1])
+    assert np.abs(ref - base).max() > 1e-3  # the adapters matter
+    session = (SoftmaxSession if mode is None else HybridSession)(model, 2)
+    assert np.abs(session.prefill(ids[:, : w + 1]) - ref[:, w]).max() <= 1e-5
+    for t in range(w + 1, ids.shape[1]):
+        assert np.abs(session.step(ids[:, t]) - ref[:, t]).max() <= 1e-5, f"position {t}"
+
+
+@pytest.mark.parametrize("layer,param,op", [(0, "wq", "attn.qkv"), (1, "down", "mlp.down")])
+def test_engine_non_finite_result_names_layer_and_op(layer, param, op):
+    model = with_nonzero_lora(convert_model(small_model(), SPEC))
+    blk = model.blocks[layer]
+    proj = blk.attn.wq if param == "wq" else blk.mlp.down
+    proj.weight.data = np.full_like(proj.weight.data, np.inf)
+    session = HybridSession(model, 1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteResult, match=rf"layers\.{layer} {op}"):
+        session.step(np.array([65]))
