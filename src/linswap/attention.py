@@ -5,9 +5,12 @@ and the entropy / effective-sequence-length diagnostics.
 
 All batched operations take [batch, heads, seq, dim] arrays. The hybrid layer
 runs in w-aligned chunks (scratch grows with the window, not the sequence):
-training uses the tape-recorded Tensor kernel hybrid_attention_prefill, and
-serving the numpy hybrid_decode_step, which advances a constant-size state by
-a segment of any length; _hybrid_naive, the masked O(l^2) form, is the oracle.
+training uses the tape-recorded Tensor kernel hybrid_attention_prefill, the
+chunkwise parallel form, which batches CHUNK_GROUP chunks into one set of
+matmuls and carries the kv-state between groups by a cumsum over chunks, so
+its tape grows by a fixed number of nodes per group; serving uses the numpy
+hybrid_decode_step, which advances a constant-size state by a segment of any
+length. _hybrid_naive, the masked O(l^2) form, is the oracle of both.
 
 The numpy serving kernels (_rope_np, _phi_np, _softmax_np, hybrid_decode_step)
 read plain-array snapshots of the parameters (PhiArrays, HybridArrays), so the
@@ -374,6 +377,20 @@ def _window_masks(l: int, w: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     return win, lin
 
 
+# Chunks per group of hybrid_attention_prefill. A group's scratch is about
+# CHUNK_GROUP times a chunk's; 3 is the largest group that keeps it under 1/16
+# of a full masked pass's score matrices at l = 128, w = 8 (standard mode,
+# hedgehog, h2, d8, float64; 30,720 B, where 4 would need 40,960 B).
+CHUNK_GROUP = 3
+
+
+def _pad_seq(x: Tensor, front: int, back: int) -> Tensor:
+    """x [b, h, l, e] with front and back zero rows on the sequence axis."""
+    b, h, _, e = x.shape
+    zeros = [Tensor(np.zeros((b, h, n, e), dtype=x.dtype)) for n in (front, back)]
+    return T.concat([zeros[0], x, zeros[1]], axis=2)
+
+
 def hybrid_attention_prefill(
     q: Tensor,
     k: Tensor,
@@ -384,70 +401,104 @@ def hybrid_attention_prefill(
     """Hybrid attention over a full prompt, both window modes. RoPE must already
     be applied to q, k.
 
-    One pass over w-sized chunks with a running kv-state. Chunks start at
-    multiples of w, so every chunk sees the same window pattern: its queries
-    attend to keys [start - lag, stop), lag = w in standard mode and 0 in
-    terraced mode, with the window and linear masks of the last w rows of
-    _window_masks(lag + w, w, mode). Tokens before start - lag are folded into
-    the kv-state, which the linear term reads; in standard mode the linear term
-    also scores the previous chunk's tokens that fell out of the window. Peak
-    per-chunk scratch grows with w, not with the sequence length.
-    _hybrid_naive is the masked O(l^2) oracle it must agree with.
+    The chunkwise parallel form of the hybrid layer (cf. RetNet, Sun et al.
+    2023; GLA, Yang et al. 2023). The sequence is zero-padded to a multiple of
+    w and viewed as w-sized chunks [b, h, l/w, w, .], which run in groups of
+    CHUNK_GROUP chunks, each group as one batch of matmuls:
+    - window term: each chunk's queries attend to the chunk itself (terraced)
+      or to the previous chunk followed by the chunk (standard), under the
+      last w rows of _window_masks(lag + w, w, mode), lag = w in standard mode
+      and 0 in terraced mode. In standard mode a zero chunk stands before
+      chunk 0, masked from both terms.
+    - linear term: every chunk's phi(k)^T v and sum of phi(k) enter an
+      inclusive cumsum over the chunk axis that starts from the state carried
+      in from the previous group, so chunk c reads the sum over chunks < c
+      (terraced) or over chunks < c - 1 (standard); in standard mode it also
+      scores the previous chunk's tokens that fell out of the window.
+    The state sums chunk by chunk in sequence order, as a loop over chunks
+    would. The padding concats run even when they add no rows, so the tape
+    holds a fixed number of nodes per group, whatever l is. A group's scratch
+    grows with w, not with the sequence length. _hybrid_naive is the masked
+    O(l^2) oracle it must agree with.
     """
     _check_qkv(q, k, v)
     b, h, l, d = q.shape
     w = cfg.window_size
     lag = w if cfg.window_mode == "standard" else 0
+    n_chunks = -(-l // w)
+    pad = n_chunks * w - l
     scale = 1.0 / np.sqrt(d)
-    gamma = cfg.window_factor()
+    gamma = cfg.window_factor().reshape(1, h, 1, 1, 1)
     win_mask, lin_mask = (m[lag:] for m in _window_masks(lag + w, w, cfg.window_mode))
+    # the entries a group drops from each term (the linear term scores only
+    # the previous chunk's keys); in standard mode, the group starting at
+    # chunk 0 also drops the zero chunk before it
+    drop_win = np.broadcast_to(~win_mask, (CHUNK_GROUP,) + win_mask.shape)
+    drop_lin = np.broadcast_to(~lin_mask[:, :lag], (CHUNK_GROUP, w, lag))
+    first_win, first_lin = drop_win.copy(), drop_lin.copy()
+    first_win[0, :, :lag] = True
+    first_lin[0] = True
 
-    fq = feature_map_apply(cfg.phi_q, q)
-    fk = feature_map_apply(cfg.phi_k, k)
+    # queries [b, h, C, w, .]; keys and values [b, h, lag/w + C, w, .], the
+    # lag/w extra chunk being the zero chunk before chunk 0
+    qp = _pad_seq(q, 0, pad)
+    kp, vp = _pad_seq(k, lag, pad), _pad_seq(v, lag, pad)
+    fq = feature_map_apply(cfg.phi_q, qp)
+    fk = feature_map_apply(cfg.phi_k, kp)
+    if lag:  # phi of a zero key is not zero: keep it out of the state
+        fk = T.masked_fill(fk, (np.arange(lag + l + pad) < lag)[:, None], 0.0)
     f = fq.shape[-1]
+    qc, fqc = qp.reshape(b, h, n_chunks, w, d), fq.reshape(b, h, n_chunks, w, f)
+    kc, vc = kp.reshape(b, h, -1, w, d), vp.reshape(b, h, -1, w, d)
+    fkc = fk.reshape(b, h, -1, w, f)
+    if lag:  # window keys of chunk c: chunk c - 1, then chunk c
+        kw, vw = (T.concat([x[:, :, :-1], x[:, :, 1:]], axis=3) for x in (kc, vc))
+    else:
+        kw, vw = kc, vc
 
-    s_state = Tensor(np.zeros((b, h, f, d), dtype=q.dtype))
-    z_state = Tensor(np.zeros((b, h, f, 1), dtype=q.dtype))
-    folded = 0
+    s_state = Tensor(np.zeros((b, h, 1, f, d), dtype=q.dtype))
+    z_state = Tensor(np.zeros((b, h, 1, f, 1), dtype=q.dtype))
     outs = []
     peak_chunk_bytes = 0
-    for start in range(0, l, w):
-        stop = min(start + w, l)
-        lo = max(0, start - lag)
-        if lo > folded:
-            fk_old = T.swapaxes(fk[:, :, folded:lo], -1, -2)
-            s_state = s_state + T.matmul(fk_old, v[:, :, folded:lo])
-            z_state = z_state + fk_old.sum(-1, keepdims=True)
-            folded = lo
-        rows, cols = slice(0, stop - start), slice(lag + lo - start, lag + stop - start)
-        qc, fqc = q[:, :, start:stop], fq[:, :, start:stop]
-        kc, vc = k[:, :, lo:stop], v[:, :, lo:stop]
+    for g0 in range(0, n_chunks, CHUNK_GROUP):
+        n = min(CHUNK_GROUP, n_chunks - g0)
+        grp = (slice(None), slice(None), slice(g0, g0 + n))
+        dw, dl = (first_win, first_lin) if g0 == 0 else (drop_win, drop_lin)
+        qg, fqg, kg, vg = qc[grp], fqc[grp], kw[grp], vw[grp]
 
-        scores = T.matmul(qc, T.swapaxes(kc, -1, -2)) * scale
-        scores = T.masked_fill(scores, ~win_mask[rows, cols], MASK_VALUE)
+        scores = T.matmul(qg, T.swapaxes(kg, -1, -2)) * scale
+        scores = T.masked_fill(scores, dw[:n], MASK_VALUE)
         c = scores.max(-1, keepdims=True)
         weights = gamma * T.exp(scores - c)
         scratch = [scores, weights]
-        lin = lin_mask[rows, cols]
-        if lin.any():
-            lin_scores = T.matmul(fqc, T.swapaxes(fk[:, :, lo:stop], -1, -2))
-            weights = weights + T.masked_fill(lin_scores, ~lin, 0.0)
+        # the chunks each chunk's state gains: the chunk before it in
+        # standard mode (the zero chunk for chunk 0), the chunk in terraced
+        fk_old, v_old = T.swapaxes(fkc[grp], -1, -2), vg
+        if lag:
+            v_old = vc[grp]
+            lin_scores = T.matmul(fqg, fk_old)
+            lin = T.masked_fill(lin_scores, dl[:n], 0.0)
+            weights = weights + T.concat([lin, np.zeros_like(lin.data)], axis=-1)
             scratch += [lin_scores, weights]
-        span_num = T.matmul(weights, vc)
+        span_num = T.matmul(weights, vg)
         span_den = weights.sum(-1, keepdims=True)
-        state_num = T.matmul(fqc, s_state)
-        state_den = T.matmul(fqc, z_state)
+        s_all = T.cumsum(T.concat([s_state, T.matmul(fk_old, v_old)], axis=2), 2)
+        z_all = T.cumsum(T.concat([z_state, fk_old.sum(-1, keepdims=True)], axis=2), 2)
+        if g0 + n < n_chunks:
+            s_state, z_state = s_all[:, :, n:], z_all[:, :, n:]
+        state_num = T.matmul(fqg, s_all[:, :, :n])
+        state_den = T.matmul(fqg, z_all[:, :, :n])
 
         outs.append((span_num + state_num) / _floor_den(span_den + state_den))
         scratch += [span_num, state_num, outs[-1]]
         peak_chunk_bytes = max(peak_chunk_bytes, sum(t.data.nbytes for t in scratch))
 
-    y = T.concat(outs, axis=2) if len(outs) > 1 else outs[0]
+    y = T.concat(outs, axis=2).reshape(b, h, n_chunks * w, d)[:, :, :l]
     if with_stats:
         stats = {
             "peak_chunk_bytes": peak_chunk_bytes,
             "state_bytes": s_state.data.nbytes + z_state.data.nbytes,
-            "chunks": (l + w - 1) // w,
+            "chunks": n_chunks,
         }
         return y, stats
     return y

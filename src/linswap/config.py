@@ -10,7 +10,9 @@ pretraining, each stage's corpus and [bench].
 A value is parsed by its declared type; a tuple is a comma list, and an empty
 value means "use the default". Everything else fails closed with BadConfig:
 unknown sections (including [DEFAULT]) or keys, bytes that are not UTF-8,
-values that do not parse, and values outside a key's fixed choices (CHOICES).
+values that do not parse, values outside a key's fixed choices (CHOICES),
+keys that must be positive (POSITIVE), and a [model] section that ModelConfig
+refuses. So a config that loads has no range error left for a later stage.
 Stage-2 reuses stage-1's corpus settings unless [adjust] overrides them,
 matching the two-stage default of training both stages on the same data.
 """
@@ -25,10 +27,10 @@ from typing import Any
 
 from .attention import FEATURE_KINDS, WINDOW_MODES
 from .bench import BENCH_MODES
-from .errors import BadConfig
+from .errors import BadConfig, InvalidConfig
 from .model import LORA_TARGETS, HybridSpec, ModelConfig
 from .training import LOSS_KINDS, AttentionTransfer, LoraAdjust
-from .validation import check_choice
+from .validation import check_choice, check_positive
 
 # section -> the class its keys are passed to (None: read by the CLI only)
 CLASSES = {"model": ModelConfig, "attention": HybridSpec, "transfer": AttentionTransfer, "adjust": LoraAdjust, "bench": None}
@@ -67,6 +69,10 @@ CHOICES = {
     ("adjust", "targets"): LORA_TARGETS,
     ("bench", "mode"): BENCH_MODES,
 }
+
+# keys whose value must be >= 1; the layers that use them check it too, but
+# only when they are built, some after pretraining
+POSITIVE = (("attention", "window_size"), ("adjust", "rank"))
 
 
 def _declared(cls) -> dict[str, tuple[Any, Any]]:
@@ -157,4 +163,10 @@ def load_config(path: str | None) -> RunConfig:
         value = cfg[section][key]
         for item in value if isinstance(value, tuple) else (value,):
             check_choice(f"[{section}] {key}", item, choices)
+    for section, key in POSITIVE:
+        check_positive(f"[{section}] {key}", cfg[section][key])
+    try:
+        cfg.build("model")
+    except InvalidConfig as exc:
+        raise BadConfig(f"[model] {exc}") from exc
     return cfg

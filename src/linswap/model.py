@@ -45,6 +45,7 @@ from .errors import (
     NonFiniteResult,
     NotConverted,
     PromptTooLong,
+    ShapeMismatch,
     UnknownId,
 )
 from .tensor import MASK_VALUE, Tensor
@@ -568,13 +569,11 @@ class _Engine:
         self.head = model.head.data
 
     def run(self, ids: np.ndarray, position: int, attend) -> np.ndarray:
-        """Advance over ids [b, n] at positions position onwards, to the
-        logits of the last one [b, vocab]. Per layer i, attend(i, q, k, v)
-        gets the rotary heads [b, h, n, d] and returns the heads output."""
+        """Advance over ids [b, n] (checked by the session) at positions
+        position onwards, to the logits of the last one [b, vocab]. Per layer
+        i, attend(i, q, k, v) gets the rotary heads [b, h, n, d] and returns
+        the heads output."""
         c = self.config
-        ids = np.asarray(ids)
-        if (ids < 0).any() or (ids >= c.vocab_size).any():
-            raise UnknownId(f"token ids outside [0, {c.vocab_size})")
         b, n = ids.shape
         h, d = c.n_heads, c.head_dim
         cos, sin = (t.astype(self.embed.dtype) for t in rope_angles(n, d, position, c.rope_base))
@@ -598,16 +597,31 @@ class _Engine:
 
 
 class _Session:
-    """Shared by the decode sessions: _advance runs the serving engine, built
-    once with the session, over the next tokens with the session's _attend,
-    and the head on the last one."""
+    """Shared by the decode sessions: _advance checks the token ids (the
+    sessions' input boundary), then runs the serving engine, built once with
+    the session, over them with the session's _attend, and the head on the
+    last one; fresh=True (prefill) first resets the session's state."""
 
     def __init__(self, model: Model, batch: int):
         self.model = model
         self.engine = _Engine(model)
+        self.batch = batch
         self._reset(batch)
 
-    def _advance(self, ids: np.ndarray) -> np.ndarray:
+    def _advance(self, ids, fresh: bool = False) -> np.ndarray:
+        ids = np.asarray(ids)
+        vocab = self.engine.config.vocab_size
+        if ids.ndim != 2 or not ids.size:
+            raise ShapeMismatch(f"token ids must be a non-empty [batch, n] array, got shape {ids.shape}")
+        if ids.dtype.kind not in "iu":
+            raise UnknownId(f"token ids must be integers, got dtype {ids.dtype}")
+        if (ids < 0).any() or (ids >= vocab).any():
+            raise UnknownId(f"token ids outside [0, {vocab})")
+        if fresh:
+            self.batch = ids.shape[0]
+            self._reset(self.batch)
+        elif ids.shape[0] != self.batch:
+            raise ShapeMismatch(f"{ids.shape[0]} token rows for a session of batch {self.batch}")
         logits = self.engine.run(ids, self.position, self._attend)
         self.position += ids.shape[1]
         return logits
@@ -642,12 +656,11 @@ class HybridSession(_Session):
     def prefill(self, ids: np.ndarray) -> np.ndarray:
         """Advance fresh states over the prompt ids [b, n]; returns the
         final-position logits [b, vocab]."""
-        self._reset(ids.shape[0])
-        return self._advance(ids)
+        return self._advance(ids, fresh=True)
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Advance one token; token_ids [b] -> logits [b, vocab]."""
-        return self._advance(token_ids[:, None])
+        return self._advance(np.asarray(token_ids)[..., None])
 
     def _attend(self, i, q, k, v) -> np.ndarray:
         hybrid = self.engine.layers[i].hybrid
@@ -670,11 +683,10 @@ class SoftmaxSession(_Session):
         return sum(k.nbytes + v.nbytes for k, v in zip(self.k_cache, self.v_cache))
 
     def prefill(self, ids: np.ndarray) -> np.ndarray:
-        self._reset(ids.shape[0])
-        return self._advance(ids)
+        return self._advance(ids, fresh=True)
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
-        return self._advance(token_ids[:, None])
+        return self._advance(np.asarray(token_ids)[..., None])
 
     def _attend(self, i, q, k, v) -> np.ndarray:
         keys = self.k_cache[i] = np.concatenate([self.k_cache[i], k], axis=2)

@@ -138,6 +138,17 @@ def test_exit_codes(workdir, capsys, tmp_path):
         assert main(["transfer", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "BadConfig:" in err and "bogus" in err and "pretraining" not in err
+    # so are values out of range, which the layers that take them would only
+    # reject when built, some after pretraining
+    for name, text, key in (
+        ("window0.ini", TINY_CONFIG.replace("window_size = 4", "window_size = 0"), "window_size"),
+        ("layers0.ini", TINY_CONFIG.replace("n_layers = 2", "n_layers = 0"), "n_layers"),
+        ("rank0.ini", TINY_CONFIG.replace("rank = 2", "rank = 0"), "rank"),
+    ):
+        (tmp_path / name).write_text(text)
+        assert main(["transfer", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "BadConfig:" in err and key in err and "pretraining" not in err
     undecodable = tmp_path / "latin1.ini"
     undecodable.write_bytes(TINY_CONFIG.replace("seed = 5", "seed = 5\xff").encode("latin-1"))
     assert main(["transfer", "--config", str(undecodable), "--out", str(tmp_path)]) == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from linswap import attention as A
 from linswap import model as M
+from linswap import tensor as T
 from linswap.errors import OutOfOrderToken, ShapeMismatch, WindowTooSmall
 from linswap.tensor import Tensor
 
@@ -157,6 +158,26 @@ def test_chunked_scratch_scales_with_window_not_seq():
         assert stats16["peak_chunk_bytes"] < full_scores_bytes / 16, mode
 
 
+@pytest.mark.parametrize("mode", A.WINDOW_MODES)
+def test_kernel_tape_nodes_fixed_per_chunk_group(mode):
+    # the tape grows by whole chunk groups, never by chunks: equal inside one
+    # group (l = w+1 and l = G*w), then a fixed amount per extra group
+    w, groups = 4, A.CHUNK_GROUP
+
+    def nodes(l):
+        cfg = make_cfg(w, mode, kind="t2r", seed=40)
+        q, k, v = rand_qkv(1, 2, l, 8, 41)
+        for t in (q, k, v):
+            t.requires_grad = True
+        return len(T.topological_order(A.hybrid_attention_prefill(q, k, v, cfg)))
+
+    one = nodes(w + 1)
+    assert nodes(groups * w) == one
+    per_group = nodes(groups * w + 1) - one
+    assert per_group > 0
+    assert nodes(2 * groups * w + 1) - nodes(groups * w + 1) == per_group
+
+
 def test_chunked_requires_terraced_mode():
     cfg = make_cfg(4, "standard", seed=20)
     q, k, v = rand_qkv(1, 2, 8, 8, 21)
@@ -253,6 +274,37 @@ def hybrid_cases(draw):
         "cuts": sorted(draw(st.sets(st.integers(1, l), max_size=4)) | {l}),
         "seed": draw(st.integers(0, 2**16)),
     }
+
+
+def kernel_and_grads(fn, q, k, v, cfg, probe):
+    """fn(q, k, v, cfg)'s output and the gradients of <output, probe> for q,
+    k, v and every parameter of cfg."""
+    leaves = [q, k, v] + cfg.parameters()
+    for t in leaves:
+        t.requires_grad = True
+        t.grad = np.zeros_like(t.data)
+    y = fn(q, k, v, cfg)
+    T.backpropagate((y * Tensor(probe)).sum())
+    return y.data, [t.grad.copy() for t in leaves]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hybrid_cases())
+def test_kernel_matches_oracle_outputs_and_gradients(case):
+    # the chunk-group kernel against the masked O(l^2) oracle in float64, at
+    # any shape, window and padding: outputs, and gradients for q, k, v, the
+    # feature maps and gamma_raw
+    b, h, d, l = case["b"], case["h"], case["d"], case["l"]
+    cfg = make_cfg(case["w"], case["mode"], kind=case["kind"], heads=h, d=d, seed=case["seed"], gamma=case["gamma"])
+    q, k, v = rand_qkv(b, h, l, d, case["seed"] + 1)
+    probe = rng(case["seed"] + 2).normal(size=(b, h, l, d))
+    y, grads = kernel_and_grads(A.hybrid_attention_prefill, q, k, v, cfg, probe)
+    y_ref, grads_ref = kernel_and_grads(lambda *a: A._hybrid_naive(*a)[0], q, k, v, cfg, probe)
+    np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
+    for g, g_ref in zip(grads, grads_ref):
+        # relative to the largest entry; gamma's gradient is 0 in exact
+        # arithmetic when the window covers the sequence, so floored at 1
+        assert np.abs(g - g_ref).max() <= 1e-10 * max(np.abs(g_ref).max(), 1.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,6 +25,7 @@ from linswap.errors import (
     NonFiniteResult,
     NotConverted,
     PromptTooLong,
+    ShapeMismatch,
     UnknownId,
 )
 from linswap.model import (
@@ -469,6 +470,31 @@ def test_session_prefill_replaces_state():
     fresh = HybridSession(model, 1)
     fresh.prefill(ids)
     np.testing.assert_array_equal(reused.step(ids[:, 0]), fresh.step(ids[:, 0]))
+
+
+@pytest.mark.parametrize("session", ["hybrid", "softmax"])
+@pytest.mark.parametrize(
+    "ids, error",
+    [
+        (np.zeros((1, 0), dtype=np.int64), ShapeMismatch),  # empty prompt
+        (np.array([[1.5, 2.0]]), UnknownId),  # float ids
+        (np.array([1, 2]), ShapeMismatch),  # 1-D ids
+    ],
+    ids=["empty", "float", "1d"],
+)
+def test_session_rejects_malformed_ids(session, ids, error):
+    # the sessions' input boundary raises typed errors, not numpy's
+    if session == "hybrid":
+        model = convert_model(small_model(), SPEC)
+        cls = HybridSession
+    else:
+        model, cls = small_model(), SoftmaxSession
+    with pytest.raises(error):
+        cls(model, 1).prefill(ids)
+    primed = cls(model, 2)
+    primed.prefill(np.ones((2, 3), dtype=np.int64))
+    with pytest.raises(ShapeMismatch):
+        primed.step(np.ones(3, dtype=np.int64))  # batch differs from the prompt's
 
 
 def test_softmax_session_matches_forward():

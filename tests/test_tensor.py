@@ -38,6 +38,17 @@ def test_cumsum_exp_analytic():
     np.testing.assert_allclose(T.exp(T.Tensor([0.0, np.log(2.0)])).data, [1.0, 2.0], rtol=1e-6)
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_cumsum_sums_in_numpy_order(axis):
+    # forward and backward equal numpy's cumsum bit for bit along every axis
+    x = T.Tensor(rng(5).normal(size=(4, 3, 5)).astype(np.float32), requires_grad=True)
+    g = rng(6).normal(size=(4, 3, 5)).astype(np.float32)
+    out = T.cumsum(x, axis)
+    T.backpropagate((out * T.Tensor(g)).sum())
+    np.testing.assert_array_equal(out.data, np.cumsum(x.data, axis=axis))
+    np.testing.assert_array_equal(x.grad, np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis))
+
+
 def test_backward_linear_and_square():
     x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
     T.backpropagate(x.sum())
@@ -111,6 +122,16 @@ def test_concat_backward_splits_exactly():
     # upstream grad norm is exactly partitioned
     total = np.sum(w**2)
     np.testing.assert_allclose(np.sum(a.grad**2) + np.sum(b.grad**2), total)
+
+
+def test_first_gradient_is_not_shared():
+    # add hands one upstream gradient to both parents: each must store its own
+    # copy, or a later accumulation into one leaks into the other
+    x = T.Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+    a = x * 2.0
+    s = a + x * 3.0
+    T.backpropagate((s + a).sum())
+    np.testing.assert_array_equal(x.grad, [7.0, 7.0])
 
 
 def test_tape_is_topologically_ordered():
