@@ -12,9 +12,9 @@ its tape grows by a fixed number of nodes per group; serving uses the numpy
 hybrid_decode_step, which advances a constant-size state by a segment of any
 length. _hybrid_naive, the masked O(l^2) form, is the oracle of both.
 
-The numpy serving kernels (_rope_np, _phi_np, _softmax_np, hybrid_decode_step)
-read plain-array snapshots of the parameters (PhiArrays, HybridArrays), so the
-serving engine in model.py takes them from the model once per session.
+The numpy serving kernels (_phi_np, hybrid_decode_step; rope and softmax are
+T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array snapshots of
+the parameters (PhiArrays, HybridArrays), which model.py's engine takes once.
 """
 
 from __future__ import annotations
@@ -66,24 +66,7 @@ def rope_angles(seq_len: int, head_dim: int, start_pos: int = 0, base: float = 1
 
 def apply_rope(x: Tensor, start_pos: int = 0, base: float = 10000.0) -> Tensor:
     """Rotate each (2i, 2i+1) pair of the last axis by angle pos * base^(-2i/d); seq is axis -2."""
-    shape = x.shape
-    cos, sin = rope_angles(shape[-2], shape[-1], start_pos, base)
-    cos = Tensor(cos, dtype=x.dtype)
-    sin = Tensor(sin, dtype=x.dtype)
-    xe, xo = x[..., 0::2], x[..., 1::2]
-    re = xe * cos - xo * sin
-    ro = xe * sin + xo * cos
-    return T.stack([re, ro], axis=-1).reshape(shape)
-
-
-def _rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """numpy twin of apply_rope for serving: x [..., S, d] rotated by the
-    rope_angles tables cos/sin [S, d/2] of its positions."""
-    xe, xo = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = xe * cos - xo * sin
-    out[..., 1::2] = xe * sin + xo * cos
-    return out
+    return T.rope(x, *rope_angles(x.shape[-2], x.shape[-1], start_pos, base))
 
 
 # --------------------------------------------------------------------------
@@ -186,12 +169,7 @@ def _phi_np(params: PhiArrays, x: np.ndarray) -> np.ndarray:
     proj = np.einsum("bhnd,hdf->bhnf", x, params.weight)
     if params.kind == "t2r":
         return np.maximum(proj + params.bias[:, None], 0.0)
-    return np.concatenate([_softmax_np(proj), _softmax_np(-proj)], axis=-1)
-
-
-def _softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    return np.concatenate([T.softmax_np(proj), T.softmax_np(-proj)], axis=-1)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .attention import (
     HybridArrays,
     HybridAttnConfig,
     HybridDecodeState,
-    _rope_np,
     apply_rope,
     hybrid_attention_prefill,
     hybrid_attention_weights,
@@ -156,8 +155,7 @@ class RMSNorm:
         self.name = name
 
     def forward(self, x: Tensor) -> Tensor:
-        scale = T.power((x * x).mean(-1, keepdims=True) + RMS_EPS, -0.5)
-        return x * scale * self.gain
+        return T.rms_norm(x, self.gain, RMS_EPS)
 
 
 class AttentionLayer:
@@ -217,6 +215,19 @@ class Block:
 # --------------------------------------------------------------------------
 # model
 # --------------------------------------------------------------------------
+
+
+def _check_ids(ids, vocab: int) -> np.ndarray:
+    """The model's one token-id check, for the Tensor forward paths and the
+    serving ones alike: a non-empty [batch, n] array of integers in [0, vocab)."""
+    ids = np.asarray(ids)
+    if ids.ndim != 2 or not ids.size:
+        raise ShapeMismatch(f"token ids must be a non-empty [batch, n] array, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise UnknownId(f"token ids must be integers, got dtype {ids.dtype}")
+    if (ids < 0).any() or (ids >= vocab).any():
+        raise UnknownId(f"token ids outside [0, {vocab})")
+    return ids
 
 
 class Model:
@@ -282,10 +293,7 @@ class Model:
     # -- forward paths --------------------------------------------------------
 
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids)
-        if (ids < 0).any() or (ids >= self.config.vocab_size).any():
-            raise UnknownId(f"token ids outside [0, {self.config.vocab_size})")
-        return T.embedding(self.embed, ids)
+        return T.embedding(self.embed, _check_ids(ids, self.config.vocab_size))
 
     def run_blocks(self, ids: np.ndarray, attend) -> Tensor:
         """The residual stack of the Tensor forward paths, to the final
@@ -529,11 +537,6 @@ def _finite(a: np.ndarray, where: str, op: str) -> np.ndarray:
     return a
 
 
-def _rms_norm_np(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    # sum / n is what ndarray.mean computes, without its Python-level wrapper
-    return x * ((x * x).sum(-1, keepdims=True) / x.shape[-1] + RMS_EPS) ** -0.5 * gain
-
-
 class _Engine:
     """The plain numpy arrays a session serves, taken from the model once, and
     the block loop over them; the Tensor path keeps training and
@@ -546,8 +549,9 @@ class _Engine:
     replace rather than write into. So a session serves the weights as they
     were when it was built: build a new one after an update.
 
-    As _make does for every Tensor op, every array the loop computes is
-    checked finite, and NonFiniteResult names the layer and the op."""
+    Norm, rope and softmax run the Tensor ops' numpy kernels (T.*_np). As
+    _make does for every Tensor op, every array the loop computes is checked
+    finite, and NonFiniteResult names the layer and the op."""
 
     def __init__(self, model: Model):
         self.config = model.config
@@ -580,19 +584,19 @@ class _Engine:
         x = _finite(self.embed[ids], "embed", "embedding")
         for i, layer in enumerate(self.layers):
             at = f"layers.{i}"
-            u = _finite(_rms_norm_np(x, layer.norm1), at, "norm1")
+            u = _finite(T.rms_norm_np(x, layer.norm1, RMS_EPS), at, "norm1")
             qkv = _finite(u @ layer.wqkv, at, "attn.qkv").reshape(b, n, 3, h, d).transpose(2, 0, 3, 1, 4)
-            qk = _finite(_rope_np(qkv[:2], cos, sin), at, "attn.rope")
+            qk = _finite(T.rope_np(qkv[:2], cos, sin), at, "attn.rope")
             y = _finite(attend(i, qk[0], qk[1], qkv[2]), at, "attn.heads")
             o = _finite(y.transpose(0, 2, 1, 3).reshape(b, n, h * d) @ layer.wo, at, "attn.wo")
             x = _finite(x + o, at, "attn.residual")
-            u = _finite(_rms_norm_np(x, layer.norm2), at, "norm2")
+            u = _finite(T.rms_norm_np(x, layer.norm2, RMS_EPS), at, "norm2")
             g = _finite(u @ layer.gate, at, "mlp.gate")
             up = _finite(u @ layer.up, at, "mlp.up")
             act = _finite(g * (1.0 / (1.0 + np.exp(-g))) * up, at, "mlp.swiglu")
             down = _finite(act @ layer.down, at, "mlp.down")
             x = _finite(x + down, at, "mlp.residual")
-        last = _finite(_rms_norm_np(x[:, -1], self.final_gain), "final_norm", "norm")
+        last = _finite(T.rms_norm_np(x[:, -1], self.final_gain, RMS_EPS), "final_norm", "norm")
         return _finite(last @ self.head, "head", "logits")
 
 
@@ -608,15 +612,16 @@ class _Session:
         self.batch = batch
         self._reset(batch)
 
+    def prefill(self, ids: np.ndarray) -> np.ndarray:
+        """Advance fresh state over the prompt ids [b, n] -> last logits [b, vocab]."""
+        return self._advance(ids, fresh=True)
+
+    def step(self, token_ids: np.ndarray) -> np.ndarray:
+        """Advance one token; token_ids [b] -> logits [b, vocab]."""
+        return self._advance(np.asarray(token_ids)[..., None])
+
     def _advance(self, ids, fresh: bool = False) -> np.ndarray:
-        ids = np.asarray(ids)
-        vocab = self.engine.config.vocab_size
-        if ids.ndim != 2 or not ids.size:
-            raise ShapeMismatch(f"token ids must be a non-empty [batch, n] array, got shape {ids.shape}")
-        if ids.dtype.kind not in "iu":
-            raise UnknownId(f"token ids must be integers, got dtype {ids.dtype}")
-        if (ids < 0).any() or (ids >= vocab).any():
-            raise UnknownId(f"token ids outside [0, {vocab})")
+        ids = _check_ids(ids, self.engine.config.vocab_size)
         if fresh:
             self.batch = ids.shape[0]
             self._reset(self.batch)
@@ -631,6 +636,10 @@ class HybridSession(_Session):
     """Per-layer recurrent decode states for a converted model. Prefill and
     step are the same advance through attention.hybrid_decode_step; prefill
     starts it from fresh states."""
+
+    # the shared methods, bound here too for benchmarks/spans.py to wrap
+    prefill = _Session.prefill
+    step = _Session.step
 
     def __init__(self, model: Model, batch: int):
         if not model.converted:
@@ -653,15 +662,6 @@ class HybridSession(_Session):
     def cache_bytes(self) -> int:
         return sum(s.cache_bytes for s in self.states)
 
-    def prefill(self, ids: np.ndarray) -> np.ndarray:
-        """Advance fresh states over the prompt ids [b, n]; returns the
-        final-position logits [b, vocab]."""
-        return self._advance(ids, fresh=True)
-
-    def step(self, token_ids: np.ndarray) -> np.ndarray:
-        """Advance one token; token_ids [b] -> logits [b, vocab]."""
-        return self._advance(np.asarray(token_ids)[..., None])
-
     def _attend(self, i, q, k, v) -> np.ndarray:
         hybrid = self.engine.layers[i].hybrid
         return attention.hybrid_decode_step(self.states[i], q, k, v, hybrid, position=self.position)
@@ -682,28 +682,21 @@ class SoftmaxSession(_Session):
     def cache_bytes(self) -> int:
         return sum(k.nbytes + v.nbytes for k, v in zip(self.k_cache, self.v_cache))
 
-    def prefill(self, ids: np.ndarray) -> np.ndarray:
-        return self._advance(ids, fresh=True)
-
-    def step(self, token_ids: np.ndarray) -> np.ndarray:
-        return self._advance(np.asarray(token_ids)[..., None])
-
     def _attend(self, i, q, k, v) -> np.ndarray:
         keys = self.k_cache[i] = np.concatenate([self.k_cache[i], k], axis=2)
         values = self.v_cache[i] = np.concatenate([self.v_cache[i], v], axis=2)
         s, n = q.shape[2], keys.shape[2]
         scores = q @ keys.swapaxes(-1, -2) * (1.0 / float(np.sqrt(q.shape[-1])))
         scores = np.where(np.triu(np.ones((s, n), dtype=bool), n - s + 1), MASK_VALUE, scores)
-        return attention._softmax_np(scores) @ values
+        return T.softmax_np(scores) @ values
 
 
 def generate_greedy(model: Model, prompt_ids: np.ndarray, n_new: int, max_len: int | None = None) -> np.ndarray:
     """Greedy decoding: the prompt as one session segment, then one per token."""
-    prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
+    prompt_ids = np.asarray(prompt_ids)
     if prompt_ids.ndim == 1:
         prompt_ids = prompt_ids[None, :]
-    if prompt_ids.shape[1] == 0:
-        raise InvalidConfig("prompt must be non-empty")
+    prompt_ids = _check_ids(prompt_ids, model.config.vocab_size).astype(np.int64)
     cap = max_len if max_len is not None else model.config.max_seq_len
     if prompt_ids.shape[1] + n_new > cap:
         raise PromptTooLong(f"prompt {prompt_ids.shape[1]} + {n_new} new tokens exceeds cap {cap}")

@@ -352,18 +352,6 @@ def log(a) -> Tensor:
     return _make(data, (a,), _bw, "log")
 
 
-def power(a, p: float) -> Tensor:
-    """Elementwise a**p for a scalar exponent (covers sqrt / rsqrt)."""
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data ** p
-
-    def _bw(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
-
-    return _make(data, (a,), _bw, "power")
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     data = np.maximum(a.data, 0.0)
@@ -384,14 +372,17 @@ def sigmoid(a) -> Tensor:
     return _make(data, (a,), _bw, "sigmoid")
 
 
+def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax (max subtraction always applied)."""
     a = as_tensor(a)
     if a.shape == () or a.shape[axis] == 0:
         raise EmptyReduction("softmax over empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = softmax_np(a.data, axis)
 
     def _bw(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
@@ -565,25 +556,16 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     return _make(data, parts, _bw, "concat")
 
 
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    """Stack along a new axis (concat of unsqueezed parts)."""
-    unsq = []
-    for t in tensors:
-        t = as_tensor(t)
-        ax = axis % (t.ndim + 1)
-        unsq.append(reshape(t, t.shape[:ax] + (1,) + t.shape[ax:]))
-    return concat(unsq, axis=axis)
-
-
 def narrow(a, key) -> Tensor:
     """Basic slicing with gradient support (ints, slices, tuples thereof)."""
     a = as_tensor(a)
     data = a.data[key]
 
     def _bw(g):
-        buf = np.zeros_like(a.data)
-        buf[key] += g
-        _accum(a, buf)
+        # into the source's gradient, not a zeros array of its size per slice
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += g
 
     return _make(data.copy(), (a,), _bw, "slice")
 
@@ -614,21 +596,71 @@ def embedding(weight, ids: np.ndarray) -> Tensor:
     return _make(data, (weight,), _bw, "embedding")
 
 
-def take_along_last(a, idx: np.ndarray) -> Tensor:
-    """Gather one entry per row along the last axis (cross-entropy target pick)."""
-    a = as_tensor(a)
-    idx = np.asarray(idx)
-    if idx.shape != a.shape[:-1]:
-        raise ShapeMismatch(f"take_along_last: idx {idx.shape} vs {a.shape}")
-    expanded = np.expand_dims(idx, -1)
-    data = np.take_along_axis(a.data, expanded, axis=-1)[..., 0]
+# -- fused block ops: one tape node each; the serving engine runs their kernels
+
+
+def rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate each (2i, 2i+1) pair of x [..., S, d] by the angles of the tables cos/sin [S, d/2]."""
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = xe * cos - xo * sin
+    out[..., 1::2] = xe * sin + xo * cos
+    return out
+
+
+def rope(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """rope_np on a Tensor; the backward rotates by the opposite angle (Su et al. 2021)."""
+    x = as_tensor(x)
+    cos, sin = np.asarray(cos, dtype=x.dtype), np.asarray(sin, dtype=x.dtype)
+    if x.shape[-1] % 2 or cos.shape != sin.shape or cos.shape != (x.shape[-2], x.shape[-1] // 2):
+        raise ShapeMismatch(f"rope: x {x.shape} vs tables {cos.shape} {sin.shape}")
+    return _make(rope_np(x.data, cos, sin), (x,), lambda g: _accum(x, rope_np(g, cos, -sin)), "rope")
+
+
+def _rms_scale(x: np.ndarray, eps: float) -> np.ndarray:
+    # sum / n is what ndarray.mean computes, without its Python-level wrapper
+    return ((x * x).sum(-1, keepdims=True) / x.shape[-1] + eps) ** -0.5
+
+
+def rms_norm_np(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
+    return x * _rms_scale(x, eps) * gain
+
+
+def rms_norm(x, gain, eps: float) -> Tensor:
+    """x / sqrt(mean(x^2) + eps) * gain over the last axis, gain [D]."""
+    x, gain = _coerce_pair(x, gain, "rms_norm")
+    if gain.shape != x.shape[-1:]:
+        raise ShapeMismatch(f"rms_norm: gain {gain.shape} vs x {x.shape}")
 
     def _bw(g):
-        buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, expanded, np.expand_dims(g, -1), axis=-1)
-        _accum(a, buf)
+        r = _rms_scale(x.data, eps)
+        u, gu = x.data * r, g * gain.data
+        if gain.requires_grad:
+            _accum(gain, _unbroadcast(g * u, gain.shape))
+        if x.requires_grad:
+            _accum(x, r * (gu - u * ((gu * u).sum(-1, keepdims=True) / x.shape[-1])))
 
-    return _make(data, (a,), _bw, "take_along_last")
+    return _make(rms_norm_np(x.data, gain.data, eps), (x, gain), _bw, "rms_norm")
+
+
+def cross_entropy(logits, targets: np.ndarray) -> Tensor:
+    """Mean of -log softmax(logits)[target] over the rows of logits [..., V], in
+    log-sum-exp form: never the log of a probability, which can underflow to 0."""
+    logits = as_tensor(logits)
+    idx = np.expand_dims(np.asarray(targets), -1)
+    if idx.shape[:-1] != logits.shape[:-1] or not idx.size:
+        raise ShapeMismatch(f"cross_entropy: targets {idx.shape[:-1]} vs logits {logits.shape}")
+    shifted = logits.data - logits.data.max(-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(-1, keepdims=True)
+    nll = np.log(total) - np.take_along_axis(shifted, idx, axis=-1)
+
+    def _bw(g):
+        grad = e / total
+        np.put_along_axis(grad, idx, np.take_along_axis(grad, idx, axis=-1) - 1.0, axis=-1)
+        _accum(logits, grad * (g / idx.size))
+
+    return _make(np.asarray(nll.mean(), dtype=logits.dtype), (logits,), _bw, "cross_entropy")
 
 
 # -- tape / backward --------------------------------------------------------------

@@ -101,16 +101,10 @@ def hedgehog_weight_xent_loss(a, a_hat) -> Tensor:
 
 
 def next_token_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean next-token cross-entropy with log-softmax stabilization.
-
-    logits [b, l, vocab]; targets [b, l] already shifted by one.
-    """
-    targets = np.asarray(targets)
-    if logits.ndim != 3 or targets.shape != logits.shape[:-1]:
-        raise ShapeMismatch(f"logits {logits.shape} vs targets {targets.shape}")
-    shifted = logits - logits.max(-1, keepdims=True)
-    logp = shifted - T.log(T.exp(shifted).sum(-1, keepdims=True))
-    return -T.take_along_last(logp, targets.astype(np.int64)).mean()
+    """Mean next-token cross-entropy; logits [b, l, vocab], targets [b, l] already shifted by one."""
+    if logits.ndim != 3:
+        raise ShapeMismatch(f"logits {logits.shape} must be [b, l, vocab]")
+    return T.cross_entropy(logits, targets)
 
 
 # --------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 These transcribe the attention definitions as per-position loops over plain
 numpy arrays and never call the library's vectorized paths, so agreement is a
-two-route check rather than a tautology.
+two-route check rather than a tautology. The *_composite functions are the
+other kind of oracle: the fused Tensor ops (rope, rms_norm, cross_entropy)
+written out as chains of elementary Tensor ops, whose gradients the tape
+derives op by op.
 """
 
 import numpy as np
+
+from linswap import tensor as T
 
 EPS = 1e-6
 
@@ -102,3 +107,26 @@ def rope_ref(x, start_pos, base):
             out[..., n, 2 * i] = xe * c - xo * s
             out[..., n, 2 * i + 1] = xe * s + xo * c
     return out
+
+
+def rope_composite(x, cos, sin):
+    """T.rope from elementwise ops: x [..., S, d], tables [S, d/2]."""
+    cos, sin = T.Tensor(cos, dtype=x.dtype), T.Tensor(sin, dtype=x.dtype)
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    pairs = [xe * cos - xo * sin, xe * sin + xo * cos]
+    half = pairs[0].shape
+    return T.concat([p.reshape(half + (1,)) for p in pairs], axis=-1).reshape(x.shape)
+
+
+def rms_norm_composite(x, gain, eps):
+    """T.rms_norm from elementwise ops; the rsqrt is exp(-log(.) / 2)."""
+    mean_square = (x * x).mean(-1, keepdims=True) + eps
+    return x * T.exp(T.log(mean_square) * -0.5) * gain
+
+
+def cross_entropy_composite(logits, targets):
+    """T.cross_entropy as log-softmax, a one-hot target pick and a mean."""
+    shifted = logits - logits.max(-1, keepdims=True)
+    logp = shifted - T.log(T.exp(shifted).sum(-1, keepdims=True))
+    onehot = np.eye(logits.shape[-1])[np.asarray(targets)]
+    return -(logp * T.Tensor(onehot, dtype=logits.dtype)).sum(-1).mean()

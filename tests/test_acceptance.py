@@ -158,25 +158,28 @@ def _fd_cases():
     g = rng(50)
     w4 = g.normal(size=(4, 3))
     probe24 = Tensor(g.normal(size=(2, 4)), dtype=np.float64)
+    probe234 = Tensor(g.normal(size=(2, 3, 4)), dtype=np.float64)
+    ang = g.normal(size=(3, 2))
     cases = [
         ("add/mul/sub", lambda t: ((t + t * 2.0 - 0.5) * t).sum(), g.normal(size=(3, 4))),
         ("div", lambda t: (t / (t * t + 2.0)).sum(), g.normal(size=(5,))),
         ("matmul", lambda t: T.matmul(t, Tensor(w4, dtype=np.float64)).sum(), g.normal(size=(2, 4))),
         ("exp", lambda t: T.exp(t).sum(), g.normal(size=(4,))),
         ("log", lambda t: T.log(t * t + 1.5).sum(), g.normal(size=(4,))),
-        ("power", lambda t: T.power(t * t + 1.0, -0.5).sum(), g.normal(size=(4,))),
+        ("rms_norm", lambda t: (T.rms_norm(t[:2], t[2], 1e-6) * probe24).sum(), g.normal(size=(3, 4))),
+        ("rope", lambda t: (T.rope(t, np.cos(ang), np.sin(ang)) * probe234).sum(), g.normal(size=(2, 3, 4))),
         ("relu", lambda t: (T.relu(t) * T.relu(t)).sum(), g.normal(size=(6,)) + np.sign(g.normal(size=(6,))) * 0.3),
         ("sigmoid", lambda t: (T.sigmoid(t) * T.sigmoid(t)).sum(), g.normal(size=(5,))),
         ("softmax", lambda t: (T.softmax(t) * probe24).sum(), g.normal(size=(2, 4))),
         ("sum/mean", lambda t: (t.sum(0) * t.mean(0)).sum(), g.normal(size=(3, 3))),
         ("max", lambda t: (t.max(-1) * t.max(-1)).sum(), np.sort(g.normal(size=(3, 4)), -1) + np.arange(4) * 0.3),
         ("cumsum", lambda t: (T.cumsum(t, 0) * T.cumsum(t, 0)).sum(), g.normal(size=(5, 2))),
-        ("concat/stack", lambda t: (T.concat([t, t * 2.0], -1) * T.stack([t, t], -1).reshape(3, 4)).sum(), g.normal(size=(3, 2))),
+        ("concat", lambda t: (T.concat([t, t * 2.0], -1) * T.concat([t * 3.0, t], -1)).sum(), g.normal(size=(3, 2))),
         ("slice", lambda t: (t[1:, ::2] * t[:-1, ::2]).sum(), g.normal(size=(4, 4))),
         ("masked_fill", lambda t: (T.masked_fill(t, np.eye(3, dtype=bool), 0.25) * t).sum(), g.normal(size=(3, 3))),
         ("transpose/reshape", lambda t: (t.transpose() * t.transpose()).reshape(6).sum(), g.normal(size=(2, 3))),
         ("embedding", lambda t: (T.embedding(t, np.array([0, 2, 2, 1])) * T.embedding(t, np.array([2, 0, 1, 1]))).sum(), g.normal(size=(3, 3))),
-        ("take_along_last", lambda t: (T.take_along_last(t, np.array([1, 0, 2])) * T.take_along_last(t, np.array([2, 2, 0]))).sum(), g.normal(size=(3, 3))),
+        ("cross_entropy", lambda t: T.cross_entropy(t * 3.0, np.array([[1, 0, 2], [2, 2, 0]])), g.normal(size=(2, 3, 3))),
     ]
     return cases
 

@@ -388,6 +388,19 @@ def test_generate_prompt_too_long():
         generate_greedy(model, np.arange(100) % 256, 100)
 
 
+def test_generate_rejects_float_ids():
+    # ids are checked as given, not truncated to integers first
+    model = convert_model(small_model(), SPEC)
+    with pytest.raises(UnknownId):
+        generate_greedy(model, [[1.7, 2.2, 3.9]], 3)
+
+
+def test_generate_rejects_out_of_range_ids_without_new_tokens():
+    model = convert_model(small_model(), SPEC)
+    with pytest.raises(UnknownId):
+        generate_greedy(model, [[999]], 0)
+
+
 @pytest.mark.parametrize("mode", ["standard", "terraced"])
 def test_generate_decode_matches_full_prefill(mode):
     model = convert_model(

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from linswap import tensor as T
+
+import oracles
 from linswap.errors import (
     DetachedLoss,
     EmptyReduction,
@@ -171,14 +173,40 @@ def test_embedding_and_gather_backward():
         counts[i] += 1
     np.testing.assert_allclose(w.grad, counts[:, None] * np.ones((6, 3)))
 
+    # cross_entropy's target pick: the gradient is (softmax - onehot) / rows
     logits = T.Tensor(rng(6).normal(size=(2, 4)), requires_grad=True, dtype=np.float64)
     idx = np.array([3, 0])
-    picked = T.take_along_last(logits, idx)
-    T.backpropagate(picked.sum())
-    expect = np.zeros((2, 4))
-    expect[0, 3] = 1
-    expect[1, 0] = 1
-    np.testing.assert_allclose(logits.grad, expect)
+    T.backpropagate(T.cross_entropy(logits, idx))
+    expect = T.softmax_np(logits.data)
+    expect[0, 3] -= 1
+    expect[1, 0] -= 1
+    np.testing.assert_allclose(logits.grad, expect / 2, rtol=0, atol=1e-15)
+
+
+def test_slice_backward_adds_into_the_source_gradient():
+    # several slices of one source, some overlapping, against the form that
+    # scatters each slice's gradient into a zeros array of the source's size;
+    # equal up to the sign of zeros (that form turns a -0.0 into +0.0)
+    def zeros_then_add(a, key):
+        def _bw(g):
+            buf = np.zeros_like(a.data)
+            buf[key] += g
+            T._accum(a, buf)
+
+        return T._make(a.data[key].copy(), (a,), _bw, "slice")
+
+    keys = [(slice(0, 4), slice(None)), (slice(2, 6), slice(1, 4)), (3, slice(None, None, 2)), (slice(None), 4)]
+    probes = [T.Tensor(rng(10 + i).normal(size=np.zeros((6, 5))[key].shape), dtype=np.float64) for i, key in enumerate(keys)]
+    grads = []
+    for take in (T.narrow, zeros_then_add):
+        x = T.Tensor(rng(9).normal(size=(6, 5)), requires_grad=True, dtype=np.float64)
+        src = x * 1.0  # an intermediate: its gradient starts unallocated
+        loss = (take(src, keys[0]) * probes[0]).sum()
+        for key, probe in zip(keys[1:], probes[1:]):
+            loss = loss + (take(src, key) * probe).sum()
+        T.backpropagate(loss)
+        grads.append(x.grad)
+    np.testing.assert_array_equal(grads[0], grads[1])
 
 
 # --- finite-difference oracle suite -------------------------------------------
@@ -194,10 +222,17 @@ def test_fd_softmax_sum_of_squares():
     assert err <= 1e-4
 
 
+_ANG_32 = rng(20).normal(size=(3, 2))
+_PROBE_34 = T.Tensor(rng(22).normal(size=(3, 4)), dtype=np.float64)
+_PROBE_234 = T.Tensor(rng(23).normal(size=(2, 3, 4)), dtype=np.float64)
+
 UNARY_CASES = [
     ("exp", lambda t: T.exp(t).sum(), (4,)),
     ("log", lambda t: T.log(t * t + 1.0).sum(), (4,)),
-    ("power", lambda t: T.power(t * t + 1.0, -0.5).sum(), (4,)),
+    # rows 0-2 are x, row 3 the gain
+    ("rms_norm", lambda t: (T.rms_norm(t[:3], t[3], 1e-6) * _PROBE_34).sum(), (4, 4)),
+    ("rope", lambda t: (T.rope(t, np.cos(_ANG_32), np.sin(_ANG_32)) * _PROBE_234).sum(), (2, 3, 4)),
+    ("cross_entropy", lambda t: T.cross_entropy(t, np.array([[2, 0, 1], [3, 3, 0]])), (2, 3, 4)),
     ("relu", lambda t: (T.relu(t) * T.relu(t)).sum(), (6,)),
     ("sigmoid", lambda t: (T.sigmoid(t) * T.sigmoid(t)).sum(), (5,)),
     ("softmax", lambda t: (T.softmax(t) * T.Tensor(np.arange(6.0).reshape(2, 3), dtype=np.float64)).sum(), (2, 3)),
@@ -209,7 +244,6 @@ UNARY_CASES = [
     ("slice", lambda t: (t[1:, ::2] * t[1:, ::2]).sum(), (3, 4)),
     ("div", lambda t: (t / (t * t + 2.0)).sum(), (4,)),
     ("concat", lambda t: (T.concat([t, t * 2.0], -1) * T.concat([t * 3.0, t], -1)).sum(), (2, 3)),
-    ("stack", lambda t: (T.stack([t, t * 2.0], 0) * T.stack([t * 3.0, t], 0)).sum(), (2, 3)),
     ("masked_fill", lambda t: (T.masked_fill(t, np.eye(3, dtype=bool), 0.5) * T.masked_fill(t, np.eye(3, dtype=bool), 0.5)).sum(), (3, 3)),
 ]
 
@@ -273,3 +307,54 @@ def test_nondeterministic_f_detected():
 
     with pytest.raises(NonDeterministicF):
         T.finite_difference_check(flaky, np.array([1.0, 2.0]))
+
+
+def _grads_of(fn, *arrays):
+    """fn's output and the gradients of (output * probe).sum() w.r.t. each
+    float64 input, the probe fixed per output shape."""
+    leaves = [T.Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+    out = fn(*leaves)
+    probe = T.Tensor(rng(30).normal(size=out.shape), dtype=np.float64)
+    T.backpropagate((out * probe).sum())
+    return out.data, [t.grad for t in leaves]
+
+
+_X = rng(31).normal(size=(2, 3, 5, 8))
+_ANGLES = rng(32).normal(size=(5, 4)) * 3.0
+_TARGETS = rng(33).integers(0, 8, size=(2, 3, 5))
+
+# name, fused op, its composite oracle, float64 inputs
+FUSED_CASES = [
+    ("rope", lambda t: T.rope(t, np.cos(_ANGLES), np.sin(_ANGLES)),
+     lambda t: oracles.rope_composite(t, np.cos(_ANGLES), np.sin(_ANGLES)), (_X,)),
+    ("rms_norm", lambda t, gain: T.rms_norm(t, gain, 1e-6),
+     lambda t, gain: oracles.rms_norm_composite(t, gain, 1e-6), (_X * 0.1, rng(34).normal(size=8))),
+    ("cross_entropy", lambda t: T.cross_entropy(t, _TARGETS),
+     lambda t: oracles.cross_entropy_composite(t, _TARGETS), (_X * 4.0,)),
+]
+
+
+@pytest.mark.parametrize("name,op,composite,inputs", FUSED_CASES, ids=[c[0] for c in FUSED_CASES])
+def test_fused_op_matches_its_composite(name, op, composite, inputs):
+    out, grads = _grads_of(op, *inputs)
+    out_ref, grads_ref = _grads_of(composite, *inputs)
+    assert np.abs(out - out_ref).max() <= 1e-12
+    for got, want in zip(grads, grads_ref):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_cross_entropy_stays_finite_over_a_wide_logit_spread():
+    # float32 probabilities of the low targets underflow to 0: a log of the
+    # softmax would be -inf, the log-sum-exp form is not
+    logits = np.zeros((2, 3, 6), dtype=np.float32)
+    logits[..., 0] = 200.0
+    targets = np.array([[1, 0, 5], [2, 3, 0]])
+    assert (T.softmax_np(logits)[..., 1:] == 0).all()
+    x = T.Tensor(logits, requires_grad=True)
+    loss = T.cross_entropy(x, targets)
+    T.backpropagate(loss)
+    ref = oracles.cross_entropy_composite(T.Tensor(logits), targets)
+    exact = np.mean(np.where(targets == 0, 0.0, 200.0) + np.log1p(5 * np.exp(-200.0)))
+    assert np.isfinite(loss.item()) and np.isfinite(x.grad).all()
+    np.testing.assert_allclose(loss.item(), ref.item(), rtol=1e-6)
+    np.testing.assert_allclose(loss.item(), exact, rtol=1e-6)

@@ -2,8 +2,9 @@
 ``owner.__dict__[attr]``; a refactor that moves or renames one of them breaks
 ``benchmarks/run.py``, so both are checked here, with the benchmark files
 loaded read-only. The serving sessions are pinned to the names the tracer
-attributes their attention time to, and every bundled config is built into
-the classes it configures."""
+attributes their attention time to, every bundled config is built into the
+classes it configures, and a stage-2 loss records rope, RMS normalisation and
+the loss as one tape node each."""
 
 import ast
 import importlib
@@ -14,8 +15,9 @@ import numpy as np
 
 from linswap import attention
 from linswap import model as M
+from linswap import tensor as T
 from linswap.config import load_config
-from linswap.training import AttentionTransfer, LoraAdjust
+from linswap.training import AttentionTransfer, LoraAdjust, next_token_loss, sample_batch, synthetic_corpus
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -97,3 +99,24 @@ def test_bundled_configs_build_every_section():
         assert isinstance(cfg.build("attention"), M.HybridSpec)
         assert isinstance(cfg.build("transfer"), AttentionTransfer)
         assert isinstance(cfg.build("adjust"), LoraAdjust)
+
+
+def test_stage2_loss_records_one_node_per_fused_op(monkeypatch):
+    # rope, RMS normalisation and the loss are one node each, not composites
+    made = []
+    make = T._make
+
+    def counted(data, parents, backward, op):
+        made.append(op)
+        return make(data, parents, backward, op)
+
+    cfg = M.ModelConfig(n_layers=3, n_heads=2, head_dim=8, seed=6)
+    model = M.convert_model(M.build_model(cfg), M.HybridSpec(window_size=4, window_mode="terraced", feature_kind="t2r"))
+    M.freeze_feature_maps(model)
+    M.lora_attach(model, rank=2, alpha=4.0, seed=6)
+    inputs, targets = sample_batch(synthetic_corpus(2000, seed=6), 2, 12, np.random.default_rng(6))
+    monkeypatch.setattr(T, "_make", counted)
+    next_token_loss(model.forward(inputs), targets)
+    assert made.count("rope") == 2 * cfg.n_layers
+    assert made.count("rms_norm") == 2 * cfg.n_layers + 1
+    assert made.count("cross_entropy") == 1
