@@ -4,13 +4,13 @@ hybrid linear + sliding-window layer in standard and terraced window modes,
 and the entropy / effective-sequence-length diagnostics.
 
 All batched operations take [batch, heads, seq, dim] arrays. The hybrid layer
-runs in w-aligned chunks (scratch grows with the window, not the sequence):
-training uses the tape-recorded Tensor kernel hybrid_attention_prefill, the
-chunkwise parallel form, which batches CHUNK_GROUP chunks into one set of
-matmuls and carries the kv-state between groups by a cumsum over chunks, so
-its tape grows by a fixed number of nodes per group; serving uses the numpy
-hybrid_decode_step, which advances a constant-size state by a segment of any
-length. _hybrid_naive, the masked O(l^2) form, is the oracle of both.
+has one forward, the numpy _hybrid_walk: it walks w-aligned chunks (scratch
+grows with the window, not the sequence) from a kv-state over a cached tail.
+Training and Model.forward run it from a fresh state as one tape node,
+hybrid_attention_prefill, whose backward walks the chunks in reverse; the
+serving sessions run it through hybrid_decode_step, which advances a
+constant-size state by a segment of any length. _hybrid_naive, the masked
+O(l^2) form, is the oracle of both.
 
 The numpy serving kernels (_phi_np, hybrid_decode_step; rope and softmax are
 T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array snapshots of
@@ -301,10 +301,6 @@ class HybridAttnConfig:
     def heads(self) -> int:
         return self.phi_q.heads
 
-    def window_factor(self) -> Tensor:
-        """sigmoid(gamma_raw) as [1, h, 1, 1]."""
-        return T.sigmoid(self.gamma_raw).reshape(1, self.heads, 1, 1)
-
     def parameters(self) -> list[Tensor]:
         return [self.gamma_raw] + self.phi_q.parameters() + self.phi_k.parameters()
 
@@ -314,8 +310,8 @@ class HybridAttnConfig:
 
 
 class HybridArrays(NamedTuple):
-    """A HybridAttnConfig as hybrid_decode_step reads it: plain arrays, with the
-    window factor sigmoid(gamma_raw) computed once."""
+    """A HybridAttnConfig as the numpy hybrid kernels read it: plain arrays,
+    with the window factor sigmoid(gamma_raw) computed once."""
 
     window_size: int
     window_mode: str
@@ -355,18 +351,146 @@ def _window_masks(l: int, w: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     return win, lin
 
 
-# Chunks per group of hybrid_attention_prefill. A group's scratch is about
-# CHUNK_GROUP times a chunk's; 3 is the largest group that keeps it under 1/16
-# of a full masked pass's score matrices at l = 128, w = 8 (standard mode,
-# hedgehog, h2, d8, float64; 30,720 B, where 4 would need 40,960 B).
-CHUNK_GROUP = 3
+def _window_start(n_seen, w: int, mode: str):
+    """First window token after n_seen tokens (int or array; see HybridDecodeState)."""
+    if mode == "standard":
+        return np.maximum(0, n_seen - w)
+    return np.maximum(0, (n_seen - 1) // w * w)
 
 
-def _pad_seq(x: Tensor, front: int, back: int) -> Tensor:
-    """x [b, h, l, e] with front and back zero rows on the sequence axis."""
-    b, h, _, e = x.shape
-    zeros = [Tensor(np.zeros((b, h, n, e), dtype=x.dtype)) for n in (front, back)]
-    return T.concat([zeros[0], x, zeros[1]], axis=2)
+def _chunk(cfg: HybridArrays, qc, fqc, kc, vc, fkc, s, z, start: int, lo: int):
+    """Queries qc, fqc at positions [start, stop) against keys kc, vc at
+    [lo, stop), fkc = phi(k) from lo on, and the kv-state s, z of the keys
+    before lo. Returns the window scores (MASK_VALUE off each query's window),
+    ex = exp(scores - row max), the weights (gamma ex, plus in standard mode
+    phi(q) phi(k)^T over the keys [lo, hi) that left a later query's window),
+    that linear mask [stop - start, hi - lo] or None, and y's num and den."""
+    n = np.arange(start, start + qc.shape[2])[:, None]
+    j = np.arange(lo, start + qc.shape[2])[None, :]
+    first = _window_start(n + 1, cfg.window_size, cfg.window_mode)
+    hi = int(first[-1, 0])
+    scores = np.where((j >= first) & (j <= n), qc @ kc.swapaxes(-1, -2) * (1.0 / float(np.sqrt(qc.shape[3]))), MASK_VALUE)
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = cfg.gamma * ex
+    lin = j[:, : hi - lo] < first if hi > lo else None
+    if lin is not None:
+        weights[..., : hi - lo] += np.where(lin, fqc @ fkc[:, :, : hi - lo].swapaxes(-1, -2), 0.0)
+    num = weights @ vc + fqc @ s
+    den = weights.sum(axis=-1, keepdims=True) + fqc @ z[..., None]
+    return scores, ex, weights, lin, num, den
+
+
+def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: int, stats: dict | None = None):
+    """The hybrid forward, for training and serving alike: queries q [b, h, S, d]
+    at positions p onwards, with feature maps fq, over keys and values
+    [b, h, end - off, d] at positions off onwards (end = p + S), where the
+    kv-state s [b, h, f, d], z [b, h, f] sums every key before off. fk holds
+    phi(k) of the keys from off on, at least to _window_start(end), the ones
+    that leave the window by the end.
+
+    Chunks end at multiples of w. Before each, the keys outside its first
+    query's window are folded into the kv-state. Returns y [b, h, S, d], the
+    kv-state with every key of fk folded in, and the (s, z) each chunk read.
+    stats, when given, records a chunk's peak scratch in bytes."""
+    w, end = cfg.window_size, p + q.shape[2]
+    folded = off
+    outs, reads = [], []
+
+    def fold(upto):
+        nonlocal s, z, folded
+        if upto > folded:
+            fkc = fk[:, :, folded - off : upto - off]
+            s = s + fkc.swapaxes(-1, -2) @ values[:, :, folded - off : upto - off]
+            z = z + fkc.sum(axis=2)
+            folded = upto
+
+    for start in [p, *range((p // w + 1) * w, end, w)]:
+        stop = min(end, (start // w + 1) * w)
+        lo = int(_window_start(start + 1, w, cfg.window_mode))
+        fold(lo)
+        reads.append((s, z))
+        qs, ks = slice(start - p, stop - p), slice(lo - off, stop - off)
+        chunk = _chunk(cfg, q[:, :, qs], fq[:, :, qs], keys[:, :, ks], values[:, :, ks], fk[:, :, lo - off :], s, z, start, lo)
+        scores, ex, weights, _, num, den = chunk
+        outs.append(num / np.maximum(den, EPS))
+        if stats is not None:
+            scratch = sum(a.nbytes for a in (scores, ex, weights, num, den, outs[-1]))
+            stats["peak_chunk_bytes"] = max(stats.get("peak_chunk_bytes", 0), scratch)
+    fold(off + fk.shape[2])
+    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)), s, z, reads
+
+
+def _hybrid_walk_grads(cfg: HybridArrays, g, q, fq, k, v, fk, reads, qkv: bool):
+    """Gradients of the y of _hybrid_walk from a fresh state (p = off = 0)
+    for the upstream g [b, h, l, d]: (dq, dk, dv, dfq, dfk, dgamma [h]).
+    Without qkv, dq, dk and dv are left incomplete, for a caller needing none.
+
+    The chunks run in reverse, carrying the gradient of the kv-state they read
+    (ds, dz) back to the keys folded into it, as the chunkwise backward of GLA
+    does (Yang et al. 2023); each chunk's scores are recomputed from the
+    inputs rather than stored (FlashAttention, Dao et al. 2022)."""
+    w, l = cfg.window_size, q.shape[2]
+    scale = 1.0 / float(np.sqrt(q.shape[3]))
+    dq, dk, dv, dfq, dfk = (np.zeros_like(a) for a in (q, k, v, fq, fk))
+    dgamma = np.zeros(q.shape[1], dtype=q.dtype)
+    ds, dz = np.zeros_like(reads[0][0]), np.zeros_like(reads[0][1])
+    los = [int(_window_start(start + 1, w, cfg.window_mode)) for start in range(0, l, w)]
+    for c in reversed(range(len(los))):
+        start, stop, lo = c * w, min(l, c * w + w), los[c]
+        # the keys folded in before chunk c + 1 get the state gradient of every later chunk
+        nxt = los[c + 1] if c + 1 < len(los) else lo
+        if nxt > lo:
+            dfk[:, :, lo:nxt] += v[:, :, lo:nxt] @ ds.swapaxes(-1, -2) + dz[:, :, None]
+            dv[:, :, lo:nxt] += fk[:, :, lo:nxt] @ ds
+        s, z = reads[c]
+        qc, fqc, kc, vc = q[:, :, start:stop], fq[:, :, start:stop], k[:, :, lo:stop], v[:, :, lo:stop]
+        scores, ex, weights, lin, num, den = _chunk(cfg, qc, fqc, kc, vc, fk[:, :, lo:], s, z, start, lo)
+        floor = np.maximum(den, EPS)
+        dnum = g[:, :, start:stop] / floor
+        dden = np.where(den < EPS, 0.0, -(dnum * num).sum(axis=-1, keepdims=True) / floor)
+
+        dweights = dnum @ vc.swapaxes(-1, -2) + dden
+        dfq[:, :, start:stop] += dnum @ s.swapaxes(-1, -2) + dden * z[:, :, None]
+        ds += fqc.swapaxes(-1, -2) @ dnum
+        dz += (dden * fqc).sum(axis=2)
+        if lin is not None:
+            hi = lo + lin.shape[1]
+            dlin = np.where(lin, dweights[..., : hi - lo], 0.0)
+            dfq[:, :, start:stop] += dlin @ fk[:, :, lo:hi]
+            dfk[:, :, lo:hi] += dlin.swapaxes(-1, -2) @ fqc
+        # the window term gamma exp(scores - row max). Only the window term
+        # is shifted, so the output depends on the max, and its gradient goes
+        # to the row's first argmax, as T.max routes it.
+        dex = dweights * ex
+        dgamma += dex.sum(axis=(0, 2, 3))
+        if qkv:
+            dv[:, :, lo:stop] += weights.swapaxes(-1, -2) @ dnum
+            dscores = cfg.gamma * dex
+            rows = dscores.reshape(-1, dscores.shape[-1])
+            rows[np.arange(len(rows)), scores.argmax(axis=-1).ravel()] -= rows.sum(axis=1)
+            dq[:, :, start:stop] += scale * (dscores @ kc)
+            dk[:, :, lo:stop] += scale * (dscores.swapaxes(-1, -2) @ qc)
+    return dq, dk, dv, dfq, dfk, dgamma
+
+
+def _hybrid_op(q: Tensor, k: Tensor, v: Tensor, fq: Tensor, fk: Tensor, cfg: HybridAttnConfig, stats=None) -> Tensor:
+    """The hybrid layer as one tape node over q, k, v, their feature maps fq,
+    fk and cfg.gamma_raw: forward, _hybrid_walk from a fresh state, keeping
+    only the kv-state each chunk read; backward, _hybrid_walk_grads."""
+    arrays = cfg.arrays()
+    b, h, _, d = q.shape
+    s, z = np.zeros((b, h, fq.shape[-1], d), dtype=q.dtype), np.zeros((b, h, fq.shape[-1]), dtype=q.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite y raises NonFiniteResult in T.fused
+        y, s, z, reads = _hybrid_walk(arrays, s, z, q.data, fq.data, k.data, v.data, fk.data, 0, 0, stats)
+    if stats is not None:
+        stats.update(state_bytes=s.nbytes + z.nbytes, chunks=len(reads))
+
+    def grads(g):  # stage 1 needs no dq, dk, dv
+        qkv = q.requires_grad or k.requires_grad or v.requires_grad
+        *rest, dgamma = _hybrid_walk_grads(arrays, g, q.data, fq.data, k.data, v.data, fk.data, reads, qkv)
+        return (*rest, dgamma * arrays.gamma[:, 0, 0] * (1.0 - arrays.gamma[:, 0, 0]))
+
+    return T.fused(y, (q, k, v, fq, fk, cfg.gamma_raw), grads, "hybrid_attention")
 
 
 def hybrid_attention_prefill(
@@ -376,117 +500,24 @@ def hybrid_attention_prefill(
     cfg: HybridAttnConfig,
     with_stats: bool = False,
 ):
-    """Hybrid attention over a full prompt, both window modes. RoPE must already
-    be applied to q, k.
-
-    The chunkwise parallel form of the hybrid layer (cf. RetNet, Sun et al.
-    2023; GLA, Yang et al. 2023). The sequence is zero-padded to a multiple of
-    w and viewed as w-sized chunks [b, h, l/w, w, .], which run in groups of
-    CHUNK_GROUP chunks, each group as one batch of matmuls:
-    - window term: each chunk's queries attend to the chunk itself (terraced)
-      or to the previous chunk followed by the chunk (standard), under the
-      last w rows of _window_masks(lag + w, w, mode), lag = w in standard mode
-      and 0 in terraced mode. In standard mode a zero chunk stands before
-      chunk 0, masked from both terms.
-    - linear term: every chunk's phi(k)^T v and sum of phi(k) enter an
-      inclusive cumsum over the chunk axis that starts from the state carried
-      in from the previous group, so chunk c reads the sum over chunks < c
-      (terraced) or over chunks < c - 1 (standard); in standard mode it also
-      scores the previous chunk's tokens that fell out of the window.
-    The state sums chunk by chunk in sequence order, as a loop over chunks
-    would. The padding concats run even when they add no rows, so the tape
-    holds a fixed number of nodes per group, whatever l is. A group's scratch
-    grows with w, not with the sequence length. _hybrid_naive is the masked
-    O(l^2) oracle it must agree with.
-    """
+    """Hybrid attention over a full prompt, both window modes, post-RoPE q, k:
+    the feature maps, as Tensor ops, then one tape node (_hybrid_op) whose
+    forward is _hybrid_walk, the chunk walk the decode sessions run too, from
+    a fresh state. with_stats also returns the peak scratch of one chunk in
+    bytes (it grows with w, not with the sequence), the kv-state's bytes and
+    the chunk count. _hybrid_naive is the masked O(l^2) oracle it must agree
+    with."""
     _check_qkv(q, k, v)
-    b, h, l, d = q.shape
-    w = cfg.window_size
-    lag = w if cfg.window_mode == "standard" else 0
-    n_chunks = -(-l // w)
-    pad = n_chunks * w - l
-    scale = 1.0 / np.sqrt(d)
-    gamma = cfg.window_factor().reshape(1, h, 1, 1, 1)
-    win_mask, lin_mask = (m[lag:] for m in _window_masks(lag + w, w, cfg.window_mode))
-    # the entries a group drops from each term (the linear term scores only
-    # the previous chunk's keys); in standard mode, the group starting at
-    # chunk 0 also drops the zero chunk before it
-    drop_win = np.broadcast_to(~win_mask, (CHUNK_GROUP,) + win_mask.shape)
-    drop_lin = np.broadcast_to(~lin_mask[:, :lag], (CHUNK_GROUP, w, lag))
-    first_win, first_lin = drop_win.copy(), drop_lin.copy()
-    first_win[0, :, :lag] = True
-    first_lin[0] = True
-
-    # queries [b, h, C, w, .]; keys and values [b, h, lag/w + C, w, .], the
-    # lag/w extra chunk being the zero chunk before chunk 0
-    qp = _pad_seq(q, 0, pad)
-    kp, vp = _pad_seq(k, lag, pad), _pad_seq(v, lag, pad)
-    fq = feature_map_apply(cfg.phi_q, qp)
-    fk = feature_map_apply(cfg.phi_k, kp)
-    if lag:  # phi of a zero key is not zero: keep it out of the state
-        fk = T.masked_fill(fk, (np.arange(lag + l + pad) < lag)[:, None], 0.0)
-    f = fq.shape[-1]
-    qc, fqc = qp.reshape(b, h, n_chunks, w, d), fq.reshape(b, h, n_chunks, w, f)
-    kc, vc = kp.reshape(b, h, -1, w, d), vp.reshape(b, h, -1, w, d)
-    fkc = fk.reshape(b, h, -1, w, f)
-    if lag:  # window keys of chunk c: chunk c - 1, then chunk c
-        kw, vw = (T.concat([x[:, :, :-1], x[:, :, 1:]], axis=3) for x in (kc, vc))
-    else:
-        kw, vw = kc, vc
-
-    s_state = Tensor(np.zeros((b, h, 1, f, d), dtype=q.dtype))
-    z_state = Tensor(np.zeros((b, h, 1, f, 1), dtype=q.dtype))
-    outs = []
-    peak_chunk_bytes = 0
-    for g0 in range(0, n_chunks, CHUNK_GROUP):
-        n = min(CHUNK_GROUP, n_chunks - g0)
-        grp = (slice(None), slice(None), slice(g0, g0 + n))
-        dw, dl = (first_win, first_lin) if g0 == 0 else (drop_win, drop_lin)
-        qg, fqg, kg, vg = qc[grp], fqc[grp], kw[grp], vw[grp]
-
-        scores = T.matmul(qg, T.swapaxes(kg, -1, -2)) * scale
-        scores = T.masked_fill(scores, dw[:n], MASK_VALUE)
-        c = scores.max(-1, keepdims=True)
-        weights = gamma * T.exp(scores - c)
-        scratch = [scores, weights]
-        # the chunks each chunk's state gains: the chunk before it in
-        # standard mode (the zero chunk for chunk 0), the chunk in terraced
-        fk_old, v_old = T.swapaxes(fkc[grp], -1, -2), vg
-        if lag:
-            v_old = vc[grp]
-            lin_scores = T.matmul(fqg, fk_old)
-            lin = T.masked_fill(lin_scores, dl[:n], 0.0)
-            weights = weights + T.concat([lin, np.zeros_like(lin.data)], axis=-1)
-            scratch += [lin_scores, weights]
-        span_num = T.matmul(weights, vg)
-        span_den = weights.sum(-1, keepdims=True)
-        s_all = T.cumsum(T.concat([s_state, T.matmul(fk_old, v_old)], axis=2), 2)
-        z_all = T.cumsum(T.concat([z_state, fk_old.sum(-1, keepdims=True)], axis=2), 2)
-        if g0 + n < n_chunks:
-            s_state, z_state = s_all[:, :, n:], z_all[:, :, n:]
-        state_num = T.matmul(fqg, s_all[:, :, :n])
-        state_den = T.matmul(fqg, z_all[:, :, :n])
-
-        outs.append((span_num + state_num) / _floor_den(span_den + state_den))
-        scratch += [span_num, state_num, outs[-1]]
-        peak_chunk_bytes = max(peak_chunk_bytes, sum(t.data.nbytes for t in scratch))
-
-    y = T.concat(outs, axis=2).reshape(b, h, n_chunks * w, d)[:, :, :l]
-    if with_stats:
-        stats = {
-            "peak_chunk_bytes": peak_chunk_bytes,
-            "state_bytes": s_state.data.nbytes + z_state.data.nbytes,
-            "chunks": n_chunks,
-        }
-        return y, stats
-    return y
+    stats = {} if with_stats else None
+    y = _hybrid_op(q, k, v, feature_map_apply(cfg.phi_q, q), feature_map_apply(cfg.phi_k, k), cfg, stats)
+    return (y, stats) if with_stats else y
 
 
 def _hybrid_naive(q, k, v, cfg):
     """Reference path: full masked score matrices, both modes; returns (y, weights)."""
     b, h, l, d = q.shape
     scale = 1.0 / np.sqrt(d)
-    gamma = cfg.window_factor()
+    gamma = T.sigmoid(cfg.gamma_raw).reshape(1, h, 1, 1)
     win_mask, lin_mask = _window_masks(l, cfg.window_size, cfg.window_mode)
 
     scores = T.matmul(q, T.swapaxes(k, -1, -2)) * scale
@@ -526,13 +557,6 @@ def terraced_prefill_chunked(
 # --------------------------------------------------------------------------
 # constant-memory decoding
 # --------------------------------------------------------------------------
-
-
-def _window_start(n_seen, w: int, mode: str):
-    """First window token after n_seen tokens (int or array; see HybridDecodeState)."""
-    if mode == "standard":
-        return np.maximum(0, n_seen - w)
-    return np.maximum(0, (n_seen - 1) // w * w)
 
 
 class HybridDecodeState:
@@ -575,31 +599,26 @@ def hybrid_decode_step(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
-    cfg: HybridAttnConfig | HybridArrays,
+    cfg: HybridArrays,
     position: int | None = None,
 ) -> np.ndarray:
     """Hybrid attention over the next S >= 1 tokens, post-RoPE q, k, v
     [b, h, S, d] at positions state.position onwards: returns y [b, h, S, d]
-    and advances the state. Chunks end at multiples of w; before each, the
-    tokens outside its first query's window are folded into the kv-state, then
-    its queries attend over the cached tail plus the segment so far under the
-    masks of _window_start (in standard mode later queries also score span keys
-    that left their window by the linear term). The state ends folded to
-    _window_start(end) with the tail in the fixed-size cache. A segment that
-    fits in the cache beside the tail evicts nothing, so it is written into the
-    cache and attends over a view of it."""
+    and advances the state, by _hybrid_walk over the cached tail plus the
+    segment. phi(k) is computed once, for the keys that leave the window by
+    the segment's end, so a decode token computes it only for those. The
+    state ends folded to _window_start(end) with the tail in the fixed-size
+    cache. A segment that fits in the cache beside the tail evicts nothing,
+    so it is written into the cache and attends over a view of it."""
     b, h, f, d = state.s.shape
     if not q.shape == k.shape == v.shape or q.ndim != 4 or q.shape[:2] != (b, h) or q.shape[3] != d or not q.shape[2]:
         raise StateDimMismatch(f"segment shapes {q.shape} {k.shape} {v.shape} vs state {state.s.shape}")
     if position is not None and position != state.position:
         raise OutOfOrderToken(f"expected position {state.position}, got {position}")
-    if isinstance(cfg, HybridAttnConfig):
-        cfg = cfg.arrays()
-    w, mode = cfg.window_size, cfg.window_mode
     p, filled = state.position, state.filled
     end = p + q.shape[2]
-    off = folded = p - filled  # position of keys[:, :, 0]
-    in_place = end - off <= w
+    off = p - filled  # position of keys[:, :, 0]
+    in_place = end - off <= cfg.window_size
     if in_place:
         state.k_cache[:, :, filled : end - off] = k
         state.v_cache[:, :, filled : end - off] = v
@@ -608,46 +627,17 @@ def hybrid_decode_step(
         keys = np.concatenate([state.k_cache[:, :, :filled], k], axis=2)
         values = np.concatenate([state.v_cache[:, :, :filled], v], axis=2)
 
-    def fold(upto):
-        nonlocal folded
-        if upto > folded:
-            fk = _phi_np(cfg.phi_k, keys[:, :, folded - off : upto - off])
-            state.s += np.einsum("bhnf,bhnd->bhfd", fk, values[:, :, folded - off : upto - off])
-            state.z += fk.sum(axis=2)
-            folded = upto
-
-    scale = 1.0 / float(np.sqrt(d))
-    fq = _phi_np(cfg.phi_q, q)
-    outs = []
-    for start in [p, *range((p // w + 1) * w, end, w)]:
-        stop = min(end, (start // w + 1) * w)
-        lo = int(_window_start(start + 1, w, mode))
-        fold(lo)
-        n = np.arange(start, stop)[:, None]
-        j = np.arange(lo, stop)[None, :]
-        first = _window_start(n + 1, w, mode)
-        win, lin = (j >= first) & (j <= n), j < first
-        qc, fqc = q[:, :, start - p : stop - p], fq[:, :, start - p : stop - p]
-        kc, vc = keys[:, :, lo - off : stop - off], values[:, :, lo - off : stop - off]
-
-        scores = np.where(win, qc @ kc.swapaxes(-1, -2) * scale, MASK_VALUE)
-        weights = cfg.gamma * np.exp(scores - scores.max(axis=-1, keepdims=True))
-        if lin.any():
-            weights += np.where(lin, fqc @ _phi_np(cfg.phi_k, kc).swapaxes(-1, -2), 0.0)
-        num = weights @ vc + fqc @ state.s
-        den = weights.sum(axis=-1, keepdims=True) + fqc @ state.z[..., None]
-        outs.append(num / np.maximum(den, EPS))
-
+    tail = int(_window_start(end, cfg.window_size, cfg.window_mode))
+    fk = _phi_np(cfg.phi_k, keys[:, :, : tail - off]) if tail > off else np.empty((b, h, 0, f), dtype=q.dtype)
+    y, state.s, state.z, _ = _hybrid_walk(cfg, state.s, state.z, q, _phi_np(cfg.phi_q, q), keys, values, fk, p, off)
     # the window never moves past keys[:, :, 0] while the segment fits beside
     # the tail, so an in-place segment is already where the cache keeps it
-    tail = int(_window_start(end, w, mode))
-    fold(tail)
     if not in_place:
         state.k_cache[:, :, : end - tail] = keys[:, :, tail - off :]
         state.v_cache[:, :, : end - tail] = values[:, :, tail - off :]
     state.filled = end - tail
     state.position = end
-    return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)
+    return y
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .attention import (
     HybridArrays,
     HybridAttnConfig,
     HybridDecodeState,
-    apply_rope,
     hybrid_attention_prefill,
     hybrid_attention_weights,
     make_hybrid_config,
@@ -178,12 +177,10 @@ class AttentionLayer:
         def split(t):
             return T.swapaxes(t.reshape(b, l, self.n_heads, self.head_dim), 1, 2)
 
-        q = split(self.wq.forward(x))
-        k = split(self.wk.forward(x))
-        v = split(self.wv.forward(x))
-        q = apply_rope(q, base=self.rope_base)
-        k = apply_rope(k, base=self.rope_base)
-        return q, k, v
+        cos, sin = (t.astype(x.dtype) for t in rope_angles(l, self.head_dim, base=self.rope_base))
+        q = T.rope(split(self.wq.forward(x)), cos, sin)
+        k = T.rope(split(self.wk.forward(x)), cos, sin)
+        return q, k, split(self.wv.forward(x))
 
     def merge_heads(self, y: Tensor) -> Tensor:
         b, h, l, d = y.shape

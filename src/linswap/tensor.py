@@ -663,6 +663,18 @@ def cross_entropy(logits, targets: np.ndarray) -> Tensor:
     return _make(np.asarray(nll.mean(), dtype=logits.dtype), (logits,), _bw, "cross_entropy")
 
 
+def fused(data: np.ndarray, parents: Sequence[Tensor], grads: Callable, op: str) -> Tensor:
+    """One tape node over a numpy kernel of another module: grads(g) returns
+    the gradient of each parent, in order, for the upstream gradient g."""
+
+    def _bw(g):
+        for p, gp in zip(parents, grads(g)):
+            if p.requires_grad:
+                _accum(p, gp)
+
+    return _make(data, parents, _bw, op)
+
+
 # -- tape / backward --------------------------------------------------------------
 
 

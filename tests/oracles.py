@@ -5,11 +5,13 @@ numpy arrays and never call the library's vectorized paths, so agreement is a
 two-route check rather than a tautology. The *_composite functions are the
 other kind of oracle: the fused Tensor ops (rope, rms_norm, cross_entropy)
 written out as chains of elementary Tensor ops, whose gradients the tape
-derives op by op.
+derives op by op. hybrid_op_packed sets the hybrid op up for the
+finite-difference suites.
 """
 
 import numpy as np
 
+from linswap import attention as A
 from linswap import tensor as T
 
 EPS = 1e-6
@@ -130,3 +132,22 @@ def cross_entropy_composite(logits, targets):
     logp = shifted - T.log(T.exp(shifted).sum(-1, keepdims=True))
     onehot = np.eye(logits.shape[-1])[np.asarray(targets)]
     return -(logp * T.Tensor(onehot, dtype=logits.dtype)).sum(-1).mean()
+
+
+HYBRID_PACKED = (1, 2, 7, 2)  # b, h, l, d of hybrid_op_packed, window 2
+HYBRID_PACKED_SIZE = 5 * int(np.prod(HYBRID_PACKED)) + HYBRID_PACKED[1]
+
+
+def hybrid_op_packed(t, mode):
+    """The hybrid op as a scalar function of one float64 Tensor t that packs
+    q, k, v, the feature-map outputs and gamma_raw [h]: the feature maps are
+    exp of their slices, so they stay positive, and the output is summed
+    against a fixed probe."""
+    b, h, l, d = HYBRID_PACKED
+    n = b * h * l * d
+    q, k, v, fq, fk = (t[i * n : (i + 1) * n].reshape(b, h, l, d) for i in range(5))
+    cfg = A.make_hybrid_config(2, mode, "t2r", h, d, dtype=np.float64)
+    cfg.gamma_raw = t[5 * n :]
+    y = A._hybrid_op(q, k, v, T.exp(fq), T.exp(fk), cfg)
+    probe = np.random.default_rng(n).normal(size=y.shape)
+    return (y * T.Tensor(probe, dtype=np.float64)).sum()

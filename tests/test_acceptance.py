@@ -36,6 +36,8 @@ from linswap.training import (
     eval_next_token_loss,
 )
 
+import oracles
+
 
 def report(criterion: int, detail: str):
     print(f"\nACCEPTANCE {criterion}: PASS - {detail}")
@@ -143,7 +145,7 @@ def test_criterion_04_decode_prefill_consistency():
             state = A.HybridDecodeState(2, 2, cfg, 8)
             for n in range(seq):
                 step = A.hybrid_decode_step(
-                    state, q.data[:, :, n : n + 1], k.data[:, :, n : n + 1], v.data[:, :, n : n + 1], cfg, position=n
+                    state, q.data[:, :, n : n + 1], k.data[:, :, n : n + 1], v.data[:, :, n : n + 1], cfg.arrays(), position=n
                 )
                 worst = max(worst, np.abs(step - ref[:, :, n : n + 1]).max())
     assert worst <= 1e-5
@@ -181,6 +183,9 @@ def _fd_cases():
         ("embedding", lambda t: (T.embedding(t, np.array([0, 2, 2, 1])) * T.embedding(t, np.array([2, 0, 1, 1]))).sum(), g.normal(size=(3, 3))),
         ("cross_entropy", lambda t: T.cross_entropy(t * 3.0, np.array([[1, 0, 2], [2, 2, 0]])), g.normal(size=(2, 3, 3))),
     ]
+    # the hybrid op: q, k, v, phi(q), phi(k) and gamma_raw, packed
+    cases += [(f"hybrid/{mode}", lambda t, mode=mode: oracles.hybrid_op_packed(t, mode), g.normal(size=oracles.HYBRID_PACKED_SIZE))
+              for mode in A.WINDOW_MODES]
     return cases
 
 

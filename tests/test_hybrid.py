@@ -159,23 +159,24 @@ def test_chunked_scratch_scales_with_window_not_seq():
 
 
 @pytest.mark.parametrize("mode", A.WINDOW_MODES)
-def test_kernel_tape_nodes_fixed_per_chunk_group(mode):
-    # the tape grows by whole chunk groups, never by chunks: equal inside one
-    # group (l = w+1 and l = G*w), then a fixed amount per extra group
-    w, groups = 4, A.CHUNK_GROUP
-
-    def nodes(l):
+def test_kernel_is_one_tape_node_above_its_inputs(mode):
+    # at every length the kernel's output is one node whose parents are q, k,
+    # v, the two feature-map outputs and gamma_raw, so the tape holds the same
+    # number of nodes however many chunks the walk takes
+    w = 4
+    totals = set()
+    for l in (1, w, w + 1, 4 * w + 3):
         cfg = make_cfg(w, mode, kind="t2r", seed=40)
         q, k, v = rand_qkv(1, 2, l, 8, 41)
         for t in (q, k, v):
             t.requires_grad = True
-        return len(T.topological_order(A.hybrid_attention_prefill(q, k, v, cfg)))
-
-    one = nodes(w + 1)
-    assert nodes(groups * w) == one
-    per_group = nodes(groups * w + 1) - one
-    assert per_group > 0
-    assert nodes(2 * groups * w + 1) - nodes(groups * w + 1) == per_group
+        y = A.hybrid_attention_prefill(q, k, v, cfg)
+        assert y._parents[:3] == (q, k, v) and y._parents[5] is cfg.gamma_raw
+        below = {id(n) for p in y._parents for n in T.topological_order(p)}
+        nodes = T.topological_order(y)
+        assert len(nodes) == len(below) + 1, l
+        totals.add(len(nodes))
+    assert len(totals) == 1
 
 
 def test_chunked_requires_terraced_mode():
@@ -200,7 +201,7 @@ def test_decode_reproduces_prefill_everywhere(mode, kind):
     out = np.zeros_like(ref)
     for n in range(seq):
         out[:, :, n : n + 1] = A.hybrid_decode_step(
-            state, q.data[:, :, n : n + 1], k.data[:, :, n : n + 1], v.data[:, :, n : n + 1], cfg, position=n
+            state, q.data[:, :, n : n + 1], k.data[:, :, n : n + 1], v.data[:, :, n : n + 1], cfg.arrays(), position=n
         )
     np.testing.assert_allclose(out, ref, atol=1e-6)
 
@@ -210,7 +211,7 @@ def test_decode_first_token_is_value():
     state = A.HybridDecodeState(1, 2, cfg, 8, dtype=np.float64)
     g = rng(26)
     v1 = g.normal(size=(1, 2, 1, 8))
-    y1 = A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), v1, cfg)
+    y1 = A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), v1, cfg.arrays())
     np.testing.assert_allclose(y1, v1, atol=1e-5)
 
 
@@ -222,7 +223,7 @@ def test_decode_state_bytes_constant_past_window(mode):
     g = rng(28)
     sizes = []
     for n in range(3 * w):
-        A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), cfg)
+        A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), cfg.arrays())
         sizes.append(state.nbytes)
     assert len(set(sizes)) == 1  # fixed allocation from the start
 
@@ -231,9 +232,9 @@ def test_decode_out_of_order_rejected():
     cfg = make_cfg(4, "standard", seed=29)
     state = A.HybridDecodeState(1, 2, cfg, 8, dtype=np.float64)
     g = rng(30)
-    A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), cfg, position=0)
+    A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), cfg.arrays(), position=0)
     with pytest.raises(OutOfOrderToken):
-        A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), cfg, position=3)
+        A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), cfg.arrays(), position=3)
 
 
 def test_decode_state_matches_spec_partition():
@@ -245,7 +246,7 @@ def test_decode_state_matches_spec_partition():
     vs = g.normal(size=(8, 1, 1, 8))
     state = A.HybridDecodeState(1, 1, cfg, 8, dtype=np.float64)
     for n in range(8):
-        A.hybrid_decode_step(state, g.normal(size=(1, 1, 1, 8)), ks[n, :, :, None], vs[n, :, :, None], cfg)
+        A.hybrid_decode_step(state, g.normal(size=(1, 1, 1, 8)), ks[n, :, :, None], vs[n, :, :, None], cfg.arrays())
     fk_old = oracles.phi_ref(cfg.phi_k.kind, cfg.phi_k.weight.data, None,
                              ks[: 8 - w].transpose(1, 2, 0, 3))
     s_expect = np.einsum("bhnf,bhnd->bhfd", fk_old, vs[: 8 - w].transpose(1, 2, 0, 3))
@@ -291,7 +292,7 @@ def kernel_and_grads(fn, q, k, v, cfg, probe):
 @settings(max_examples=60, deadline=None)
 @given(hybrid_cases())
 def test_kernel_matches_oracle_outputs_and_gradients(case):
-    # the chunk-group kernel against the masked O(l^2) oracle in float64, at
+    # the kernel against the masked O(l^2) oracle in float64, at
     # any shape, window and padding: outputs, and gradients for q, k, v, the
     # feature maps and gamma_raw
     b, h, d, l = case["b"], case["h"], case["d"], case["l"]
@@ -307,6 +308,23 @@ def test_kernel_matches_oracle_outputs_and_gradients(case):
         assert np.abs(g - g_ref).max() <= 1e-10 * max(np.abs(g_ref).max(), 1.0)
 
 
+@pytest.mark.parametrize("mode", A.WINDOW_MODES)
+def test_kernel_parameter_gradients_do_not_need_qkv_gradients(mode):
+    # stage 1 freezes q, k and v, so the kernel's backward skips their
+    # gradients; the feature maps' and gamma_raw's must match the oracle's
+    cfg = make_cfg(3, mode, kind="t2r", seed=42, gamma=0.5)
+    q, k, v = rand_qkv(2, 2, 11, 8, 43)
+    probe = rng(44).normal(size=(2, 2, 11, 8))
+    grads = []
+    for fn in (A.hybrid_attention_prefill, lambda *a: A._hybrid_naive(*a)[0]):
+        for t in cfg.parameters():
+            t.grad = np.zeros_like(t.data)
+        T.backpropagate((fn(q, k, v, cfg) * Tensor(probe)).sum())
+        grads.append([t.grad.copy() for t in cfg.parameters()])
+    for g, g_ref in zip(*grads):
+        assert np.abs(g - g_ref).max() <= 1e-10 * max(np.abs(g_ref).max(), 1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(hybrid_cases())
 def test_segment_steps_match_oracle_and_session_matches_fresh_prefill(case):
@@ -319,7 +337,7 @@ def test_segment_steps_match_oracle_and_session_matches_fresh_prefill(case):
     ref = A._hybrid_naive(q, k, v, cfg)[0].data
     state = A.HybridDecodeState(b, h, cfg, d, dtype=np.float64)
     outs = [
-        A.hybrid_decode_step(state, q.data[:, :, lo:hi], k.data[:, :, lo:hi], v.data[:, :, lo:hi], cfg, position=lo)
+        A.hybrid_decode_step(state, q.data[:, :, lo:hi], k.data[:, :, lo:hi], v.data[:, :, lo:hi], cfg.arrays(), position=lo)
         for lo, hi in zip([0] + cuts[:-1], cuts)
     ]
     np.testing.assert_allclose(np.concatenate(outs, axis=2), ref, rtol=0, atol=1e-12)

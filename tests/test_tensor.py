@@ -1,6 +1,8 @@
 """Tensor/autograd contract tests: analytic trivials, finite-difference oracles,
 tape ordering, and determinism."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -245,12 +247,15 @@ UNARY_CASES = [
     ("div", lambda t: (t / (t * t + 2.0)).sum(), (4,)),
     ("concat", lambda t: (T.concat([t, t * 2.0], -1) * T.concat([t * 3.0, t], -1)).sum(), (2, 3)),
     ("masked_fill", lambda t: (T.masked_fill(t, np.eye(3, dtype=bool), 0.5) * T.masked_fill(t, np.eye(3, dtype=bool), 0.5)).sum(), (3, 3)),
+    # q, k, v, phi(q), phi(k) and gamma_raw, packed
+    ("hybrid_standard", lambda t: oracles.hybrid_op_packed(t, "standard"), (oracles.HYBRID_PACKED_SIZE,)),
+    ("hybrid_terraced", lambda t: oracles.hybrid_op_packed(t, "terraced"), (oracles.HYBRID_PACKED_SIZE,)),
 ]
 
 
 @pytest.mark.parametrize("name,fn,shape", UNARY_CASES, ids=[c[0] for c in UNARY_CASES])
 def test_fd_each_op(name, fn, shape):
-    x = rng(hash(name) % 2**32).normal(size=shape)
+    x = rng(zlib.crc32(name.encode())).normal(size=shape)
     if name == "relu":  # keep away from the kink
         x = x + np.sign(x) * 0.2
     if name == "max":  # keep argmax unique and FD-stable
