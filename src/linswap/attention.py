@@ -7,14 +7,16 @@ All batched operations take [batch, heads, seq, dim] arrays. The hybrid layer
 has one forward, the numpy _hybrid_walk: it walks w-aligned chunks (scratch
 grows with the window, not the sequence) from a kv-state over a cached tail.
 Training and Model.forward run it from a fresh state as one tape node,
-hybrid_attention_prefill, whose backward walks the chunks in reverse; the
-serving sessions run it through hybrid_decode_step, which advances a
-constant-size state by a segment of any length. _hybrid_naive, the masked
-O(l^2) form, is the oracle of both.
+hybrid_attention_prefill, which keeps each chunk's scores (O(l w) bytes per
+layer) so that its backward walks the chunks in reverse without recomputing
+them; the serving sessions run it through hybrid_decode_step, which keeps
+nothing per chunk and advances a constant-size state by a segment of any
+length. _hybrid_naive, the masked O(l^2) form, is the oracle of both.
 
-The numpy serving kernels (_phi_np, hybrid_decode_step; rope and softmax are
-T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array snapshots of
-the parameters (PhiArrays, HybridArrays), which model.py's engine takes once.
+The numpy kernels (_phi_np, softmax_attention_np, hybrid_decode_step; rope and
+softmax are T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array
+snapshots of the parameters (PhiArrays, HybridArrays), which model.py's
+engine takes once for the sessions and the stage-1 teacher.
 """
 
 from __future__ import annotations
@@ -196,6 +198,15 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = Fa
     a = T.softmax(scores, -1)
     y = T.matmul(a, v)
     return y, (a if return_weights else None)
+
+
+def softmax_attention_np(q: np.ndarray, keys: np.ndarray, values: np.ndarray):
+    """numpy twin of softmax_attention, bit for bit: queries q [b, h, S, d] at
+    the last S positions of keys, values [b, h, n, d] -> (y, weights)."""
+    s, n = q.shape[2], keys.shape[2]
+    scores = q @ keys.swapaxes(-1, -2) * (1.0 / float(np.sqrt(q.shape[-1])))
+    a = T.softmax_np(np.where(np.triu(np.ones((s, n), dtype=bool), n - s + 1), MASK_VALUE, scores))
+    return a @ values, a
 
 
 def linear_attention_parallel(
@@ -380,7 +391,7 @@ def _chunk(cfg: HybridArrays, qc, fqc, kc, vc, fkc, s, z, start: int, lo: int):
     return scores, ex, weights, lin, num, den
 
 
-def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: int, stats: dict | None = None):
+def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: int, chunks: list | None = None):
     """The hybrid forward, for training and serving alike: queries q [b, h, S, d]
     at positions p onwards, with feature maps fq, over keys and values
     [b, h, end - off, d] at positions off onwards (end = p + S), where the
@@ -389,12 +400,12 @@ def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: 
     that leave the window by the end.
 
     Chunks end at multiples of w. Before each, the keys outside its first
-    query's window are folded into the kv-state. Returns y [b, h, S, d], the
-    kv-state with every key of fk folded in, and the (s, z) each chunk read.
-    stats, when given, records a chunk's peak scratch in bytes."""
+    query's window are folded into the kv-state. Returns y [b, h, S, d] and
+    the kv-state with every key of fk folded in. chunks, when given (the
+    training op), receives each chunk's (s, z) followed by its _chunk result."""
     w, end = cfg.window_size, p + q.shape[2]
     folded = off
-    outs, reads = [], []
+    outs = []
 
     def fold(upto):
         nonlocal s, z, folded
@@ -408,32 +419,31 @@ def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: 
         stop = min(end, (start // w + 1) * w)
         lo = int(_window_start(start + 1, w, cfg.window_mode))
         fold(lo)
-        reads.append((s, z))
         qs, ks = slice(start - p, stop - p), slice(lo - off, stop - off)
         chunk = _chunk(cfg, q[:, :, qs], fq[:, :, qs], keys[:, :, ks], values[:, :, ks], fk[:, :, lo - off :], s, z, start, lo)
-        scores, ex, weights, _, num, den = chunk
-        outs.append(num / np.maximum(den, EPS))
-        if stats is not None:
-            scratch = sum(a.nbytes for a in (scores, ex, weights, num, den, outs[-1]))
-            stats["peak_chunk_bytes"] = max(stats.get("peak_chunk_bytes", 0), scratch)
+        outs.append(chunk[-2] / np.maximum(chunk[-1], EPS))
+        if chunks is not None:
+            chunks.append((s, z, *chunk))
     fold(off + fk.shape[2])
-    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)), s, z, reads
+    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)), s, z
 
 
-def _hybrid_walk_grads(cfg: HybridArrays, g, q, fq, k, v, fk, reads, qkv: bool):
+def _hybrid_walk_grads(cfg: HybridArrays, g, q, fq, k, v, fk, chunks, qkv: bool):
     """Gradients of the y of _hybrid_walk from a fresh state (p = off = 0)
     for the upstream g [b, h, l, d]: (dq, dk, dv, dfq, dfk, dgamma [h]).
     Without qkv, dq, dk and dv are left incomplete, for a caller needing none.
 
     The chunks run in reverse, carrying the gradient of the kv-state they read
     (ds, dz) back to the keys folded into it, as the chunkwise backward of GLA
-    does (Yang et al. 2023); each chunk's scores are recomputed from the
-    inputs rather than stored (FlashAttention, Dao et al. 2022)."""
+    does (Yang et al. 2023). Each chunk's scores, weights, num and den are the
+    ones the forward kept in chunks (O(l w) bytes per layer, the order of the
+    q, k, v on the tape), not recomputed as FlashAttention does (Dao et al.
+    2022) to save memory at long lengths."""
     w, l = cfg.window_size, q.shape[2]
     scale = 1.0 / float(np.sqrt(q.shape[3]))
     dq, dk, dv, dfq, dfk = (np.zeros_like(a) for a in (q, k, v, fq, fk))
     dgamma = np.zeros(q.shape[1], dtype=q.dtype)
-    ds, dz = np.zeros_like(reads[0][0]), np.zeros_like(reads[0][1])
+    ds, dz = np.zeros_like(chunks[0][0]), np.zeros_like(chunks[0][1])
     los = [int(_window_start(start + 1, w, cfg.window_mode)) for start in range(0, l, w)]
     for c in reversed(range(len(los))):
         start, stop, lo = c * w, min(l, c * w + w), los[c]
@@ -442,9 +452,8 @@ def _hybrid_walk_grads(cfg: HybridArrays, g, q, fq, k, v, fk, reads, qkv: bool):
         if nxt > lo:
             dfk[:, :, lo:nxt] += v[:, :, lo:nxt] @ ds.swapaxes(-1, -2) + dz[:, :, None]
             dv[:, :, lo:nxt] += fk[:, :, lo:nxt] @ ds
-        s, z = reads[c]
+        s, z, scores, ex, weights, lin, num, den = chunks[c]
         qc, fqc, kc, vc = q[:, :, start:stop], fq[:, :, start:stop], k[:, :, lo:stop], v[:, :, lo:stop]
-        scores, ex, weights, lin, num, den = _chunk(cfg, qc, fqc, kc, vc, fk[:, :, lo:], s, z, start, lo)
         floor = np.maximum(den, EPS)
         dnum = g[:, :, start:stop] / floor
         dden = np.where(den < EPS, 0.0, -(dnum * num).sum(axis=-1, keepdims=True) / floor)
@@ -476,18 +485,19 @@ def _hybrid_walk_grads(cfg: HybridArrays, g, q, fq, k, v, fk, reads, qkv: bool):
 def _hybrid_op(q: Tensor, k: Tensor, v: Tensor, fq: Tensor, fk: Tensor, cfg: HybridAttnConfig, stats=None) -> Tensor:
     """The hybrid layer as one tape node over q, k, v, their feature maps fq,
     fk and cfg.gamma_raw: forward, _hybrid_walk from a fresh state, keeping
-    only the kv-state each chunk read; backward, _hybrid_walk_grads."""
-    arrays = cfg.arrays()
+    its chunks; backward, _hybrid_walk_grads over them."""
+    arrays, chunks = cfg.arrays(), []
     b, h, _, d = q.shape
     s, z = np.zeros((b, h, fq.shape[-1], d), dtype=q.dtype), np.zeros((b, h, fq.shape[-1]), dtype=q.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite y raises NonFiniteResult in T.fused
-        y, s, z, reads = _hybrid_walk(arrays, s, z, q.data, fq.data, k.data, v.data, fk.data, 0, 0, stats)
-    if stats is not None:
-        stats.update(state_bytes=s.nbytes + z.nbytes, chunks=len(reads))
+        y, s, z = _hybrid_walk(arrays, s, z, q.data, fq.data, k.data, v.data, fk.data, 0, 0, chunks)
+    if stats is not None:  # a chunk's scratch: scores, ex, weights, num, den and its y (num's size)
+        peak = max(sc.nbytes + ex.nbytes + wt.nbytes + 2 * num.nbytes + den.nbytes for _, _, sc, ex, wt, _, num, den in chunks)
+        stats.update(peak_chunk_bytes=peak, state_bytes=s.nbytes + z.nbytes, chunks=len(chunks))
 
     def grads(g):  # stage 1 needs no dq, dk, dv
         qkv = q.requires_grad or k.requires_grad or v.requires_grad
-        *rest, dgamma = _hybrid_walk_grads(arrays, g, q.data, fq.data, k.data, v.data, fk.data, reads, qkv)
+        *rest, dgamma = _hybrid_walk_grads(arrays, g, q.data, fq.data, k.data, v.data, fk.data, chunks, qkv)
         return (*rest, dgamma * arrays.gamma[:, 0, 0] * (1.0 - arrays.gamma[:, 0, 0]))
 
     return T.fused(y, (q, k, v, fq, fk, cfg.gamma_raw), grads, "hybrid_attention")
@@ -501,12 +511,10 @@ def hybrid_attention_prefill(
     with_stats: bool = False,
 ):
     """Hybrid attention over a full prompt, both window modes, post-RoPE q, k:
-    the feature maps, as Tensor ops, then one tape node (_hybrid_op) whose
-    forward is _hybrid_walk, the chunk walk the decode sessions run too, from
-    a fresh state. with_stats also returns the peak scratch of one chunk in
-    bytes (it grows with w, not with the sequence), the kv-state's bytes and
-    the chunk count. _hybrid_naive is the masked O(l^2) oracle it must agree
-    with."""
+    the feature maps, as Tensor ops, then _hybrid_op. with_stats also returns
+    the peak scratch of one chunk in bytes (it grows with w, not with the
+    sequence), the kv-state's bytes and the chunk count. _hybrid_naive is the
+    masked O(l^2) oracle it must agree with."""
     _check_qkv(q, k, v)
     stats = {} if with_stats else None
     y = _hybrid_op(q, k, v, feature_map_apply(cfg.phi_q, q), feature_map_apply(cfg.phi_k, k), cfg, stats)
@@ -629,7 +637,7 @@ def hybrid_decode_step(
 
     tail = int(_window_start(end, cfg.window_size, cfg.window_mode))
     fk = _phi_np(cfg.phi_k, keys[:, :, : tail - off]) if tail > off else np.empty((b, h, 0, f), dtype=q.dtype)
-    y, state.s, state.z, _ = _hybrid_walk(cfg, state.s, state.z, q, _phi_np(cfg.phi_q, q), keys, values, fk, p, off)
+    y, state.s, state.z = _hybrid_walk(cfg, state.s, state.z, q, _phi_np(cfg.phi_q, q), keys, values, fk, p, off)
     # the window never moves past keys[:, :, 0] while the segment fits beside
     # the tail, so an in-place segment is already where the cache keeps it
     if not in_place:

@@ -3,11 +3,12 @@ rotary attention, gated MLP, untied head), whose softmax attention layers can
 be swapped for hybrid linear + sliding-window layers, plus LoRA adapters and a
 byte-level tokenizer.
 
-Training and Model.forward run on the autograd Tensor path. Generation runs
-on a numpy serving engine that each decode session builds once from the
-model: LoRA merged into its base weights, wq|wk|wv fused into one matrix, the
-norm gains, MLP weights and head as arrays, and sigmoid(gamma) cached. A
-session therefore serves the weights as they were when it was built.
+Model.forward and the stage-1 student run on the autograd Tensor path.
+Generation and the frozen stage-1 teacher run on a numpy engine built from
+the model: LoRA merged into its base weights, wq|wk|wv fused into one matrix,
+the norm gains, MLP weights and head as arrays, and sigmoid(gamma) cached. A
+session builds it once, so it serves the weights as they were when it was
+built.
 
 Parameter count closed form (asserted in tests):
 
@@ -46,7 +47,7 @@ from .errors import (
     ShapeMismatch,
     UnknownId,
 )
-from .tensor import MASK_VALUE, Tensor
+from .tensor import Tensor
 
 RMS_EPS = 1e-6
 
@@ -292,62 +293,49 @@ class Model:
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
         return T.embedding(self.embed, _check_ids(ids, self.config.vocab_size))
 
-    def run_blocks(self, ids: np.ndarray, attend) -> Tensor:
-        """The residual stack of the Tensor forward paths, to the final
-        residual stream [b, l, D]. Per block i, attend(i, x, q, k, v) gets the
-        block input x and the rotary heads [b, h, l, d] of norm1(x), and
-        returns the heads output that wo adds back to x; the MLP residual
-        follows."""
+    def forward(self, ids: np.ndarray) -> Tensor:
+        """Full forward on the tape to logits [b, l, vocab]; hybrid layers use
+        the chunked prefill once converted."""
         x = self.embed_tokens(ids)
-        for i, blk in enumerate(self.blocks):
-            q, k, v = blk.attn.project_qkv(blk.norm1.forward(x))
-            y = attend(i, x, q, k, v)
-            x = x + blk.attn.wo.forward(blk.attn.merge_heads(y))
+        for blk in self.blocks:
+            attn = blk.attn
+            q, k, v = attn.project_qkv(blk.norm1.forward(x))
+            y = attn.heads_softmax(q, k, v)[0] if attn.hybrid_cfg is None else attn.heads_hybrid(q, k, v)
+            x = x + attn.wo.forward(attn.merge_heads(y))
             x = x + blk.mlp.forward(blk.norm2.forward(x))
-        return x
-
-    def logits(self, x: Tensor) -> Tensor:
-        """Final norm and vocab head: residual stream [b, l, D] -> [b, l, vocab]."""
         return T.matmul(self.final_norm.forward(x), self.head)
 
-    def forward(self, ids: np.ndarray) -> Tensor:
-        """Full forward to logits [b, l, vocab]; hybrid layers use the chunked
-        prefill once converted."""
-
-        def attend(i, x, q, k, v):
-            attn = self.blocks[i].attn
-            if attn.hybrid_cfg is None:
-                return attn.heads_softmax(q, k, v)[0]
-            return attn.heads_hybrid(q, k, v)
-
-        return self.logits(self.run_blocks(ids, attend))
-
-    def forward_teacher_forced(self, ids: np.ndarray, return_weights: bool = False):
-        """Per-layer records for attention transfer: both attentions computed on
-        the same (q, k, v); only the softmax output feeds the next layer, so
-        gradients reach feature-map parameters exclusively through y_hat.
-
-        Returns (records, logits): records[m] has keys x (block input), y
-        (softmax heads output, no tape), y_hat (hybrid heads output), and,
-        when requested, a / a_hat (materialized attention weights).
-        """
+    def forward_teacher_forced(self, ids: np.ndarray, return_weights: bool = False) -> list[dict]:
+        """Per-layer records for attention transfer. The frozen softmax teacher
+        runs once, off the tape, through the engine's block loop, and stops
+        after the last layer's attention (the last MLP, final norm and head
+        feed nothing here); a non-finite array raises NonFiniteResult naming
+        its layer and op. The student then runs on the tape from each layer's
+        q, k, v as plain Tensors, so gradients reach the feature maps and
+        gamma through y_hat alone; its hybrid op keeps each chunk's scores
+        for the backward, O(l w) bytes per layer. records[m] holds the arrays
+        q, k, v (post-rope heads [b, h, l, d]) and y (softmax heads output),
+        the Tensor y_hat (hybrid heads output) and, on request, the weights a
+        and a_hat."""
         if not self.converted:
             raise NotConverted("attention transfer needs a converted model")
+        ids = _check_ids(ids, self.config.vocab_size)
         records = []
 
-        def attend(i, x, q, k, v):
-            attn = self.blocks[i].attn
-            with T.no_grad():
-                y, a = attn.heads_softmax(q.detach(), k.detach(), v.detach(), return_weights)
-            rec = {"x": x, "y": y, "y_hat": attn.heads_hybrid(q, k, v)}
-            if return_weights:
-                rec["a"] = a
-                rec["a_hat"] = hybrid_attention_weights(q, k, v, attn.hybrid_cfg)
-            records.append(rec)
+        def attend(i, q, k, v):
+            y, a = attention.softmax_attention_np(q, k, v)
+            records.append({"q": q, "k": k, "v": v, "y": y} | ({"a": a} if return_weights else {}))
             return y
 
-        logits = self.logits(self.run_blocks(ids, attend))
-        return records, logits
+        steps = _Engine(self).steps(ids, 0, attend)
+        for _ in self.blocks:
+            next(steps)  # through the layer's attention
+        for rec, blk in zip(records, self.blocks):
+            q, k, v = Tensor(rec["q"]), Tensor(rec["k"]), Tensor(rec["v"])
+            rec["y_hat"] = blk.attn.heads_hybrid(q, k, v)
+            if return_weights:
+                rec["a_hat"] = hybrid_attention_weights(q, k, v, blk.attn.hybrid_cfg)
+        return records
 
 
 def build_model(cfg: ModelConfig) -> Model:
@@ -536,10 +524,10 @@ def _finite(a: np.ndarray, where: str, op: str) -> np.ndarray:
 
 class _Engine:
     """The plain numpy arrays a session serves, taken from the model once, and
-    the block loop over them; the Tensor path keeps training and
-    Model.forward. LoRA is merged into its base projection, W + (alpha/r)
-    A^T B^T (Hu et al. 2021), wq|wk|wv is one [D, 3D] matrix, and a hybrid
-    layer's window factor sigmoid(gamma_raw) is computed once (HybridArrays).
+    the one numpy block loop over them, for the sessions and the stage-1
+    teacher. LoRA is merged into its base projection, W + (alpha/r) A^T B^T
+    (Hu et al. 2021), wq|wk|wv is one [D, 3D] matrix, and a hybrid layer's
+    window factor sigmoid(gamma_raw) is computed once (HybridArrays).
 
     Merged and fused matrices are the engine's own arrays; the others are the
     parameter arrays themselves, which the optimizer and load_checkpoint
@@ -569,11 +557,13 @@ class _Engine:
         self.final_gain = model.final_norm.gain.data
         self.head = model.head.data
 
-    def run(self, ids: np.ndarray, position: int, attend) -> np.ndarray:
-        """Advance over ids [b, n] (checked by the session) at positions
-        position onwards, to the logits of the last one [b, vocab]. Per layer
-        i, attend(i, q, k, v) gets the rotary heads [b, h, n, d] and returns
-        the heads output."""
+    def steps(self, ids: np.ndarray, position: int, attend):
+        """The block loop over ids [b, n] (checked by the caller) at positions
+        position onwards, as a generator. Per layer i, attend(i, q, k, v) gets
+        the rotary heads [b, h, n, d] and returns the heads output; the loop
+        yields after each attention residual, then the last id's logits
+        [b, vocab]. A caller that stops after the last layer's attention (the
+        stage-1 teacher) never runs the last MLP, final norm or head."""
         c = self.config
         b, n = ids.shape
         h, d = c.n_heads, c.head_dim
@@ -587,6 +577,7 @@ class _Engine:
             y = _finite(attend(i, qk[0], qk[1], qkv[2]), at, "attn.heads")
             o = _finite(y.transpose(0, 2, 1, 3).reshape(b, n, h * d) @ layer.wo, at, "attn.wo")
             x = _finite(x + o, at, "attn.residual")
+            yield
             u = _finite(T.rms_norm_np(x, layer.norm2, RMS_EPS), at, "norm2")
             g = _finite(u @ layer.gate, at, "mlp.gate")
             up = _finite(u @ layer.up, at, "mlp.up")
@@ -594,14 +585,15 @@ class _Engine:
             down = _finite(act @ layer.down, at, "mlp.down")
             x = _finite(x + down, at, "mlp.residual")
         last = _finite(T.rms_norm_np(x[:, -1], self.final_gain, RMS_EPS), "final_norm", "norm")
-        return _finite(last @ self.head, "head", "logits")
+        yield _finite(last @ self.head, "head", "logits")
 
 
 class _Session:
     """Shared by the decode sessions: _advance checks the token ids (the
-    sessions' input boundary), then runs the serving engine, built once with
-    the session, over them with the session's _attend, and the head on the
-    last one; fresh=True (prefill) first resets the session's state."""
+    sessions' input boundary), then runs the steps of the serving engine,
+    built once with the session, over them to the end with the session's
+    _attend: the logits of the last one. fresh=True (prefill) first resets the
+    session's state."""
 
     def __init__(self, model: Model, batch: int):
         self.model = model
@@ -624,7 +616,7 @@ class _Session:
             self._reset(self.batch)
         elif ids.shape[0] != self.batch:
             raise ShapeMismatch(f"{ids.shape[0]} token rows for a session of batch {self.batch}")
-        logits = self.engine.run(ids, self.position, self._attend)
+        *_, logits = self.engine.steps(ids, self.position, self._attend)
         self.position += ids.shape[1]
         return logits
 
@@ -682,10 +674,7 @@ class SoftmaxSession(_Session):
     def _attend(self, i, q, k, v) -> np.ndarray:
         keys = self.k_cache[i] = np.concatenate([self.k_cache[i], k], axis=2)
         values = self.v_cache[i] = np.concatenate([self.v_cache[i], v], axis=2)
-        s, n = q.shape[2], keys.shape[2]
-        scores = q @ keys.swapaxes(-1, -2) * (1.0 / float(np.sqrt(q.shape[-1])))
-        scores = np.where(np.triu(np.ones((s, n), dtype=bool), n - s + 1), MASK_VALUE, scores)
-        return T.softmax_np(scores) @ values
+        return attention.softmax_attention_np(q, keys, values)[0]
 
 
 def generate_greedy(model: Model, prompt_ids: np.ndarray, n_new: int, max_len: int | None = None) -> np.ndarray:

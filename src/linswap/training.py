@@ -254,15 +254,14 @@ def layerwise_diagnostics(model: Model, eval_tokens: np.ndarray, batch_size: int
     rng = np.random.default_rng(seed)
     inputs, _ = sample_batch(np.asarray(eval_tokens), batch_size, seq_len, rng)
     with T.no_grad():
-        records, _ = model.forward_teacher_forced(inputs, return_weights=True)
+        records = model.forward_teacher_forced(inputs, return_weights=True)
     heads = records[0]["y"].shape[1]
     report = TransferReport()
     weight_list = []
     for rec in records:
         report.layer_mse.append(per_layer_mse(rec["y"], rec["y_hat"]).item() / heads)
-        entropy = attention_entropy(rec["a"].data)
-        report.layer_entropy.append(float(entropy.mean()))
-        weight_list.append(rec["a"].data)
+        report.layer_entropy.append(float(attention_entropy(rec["a"]).mean()))
+        weight_list.append(rec["a"])
     report.mean_esl = sample_esl(weight_list)
     return report
 
@@ -384,7 +383,7 @@ class AttentionTransfer(ParamsMixin):
             raise BadConfig("loss weights must be non-negative")
         b = self._resolve_block_size(model)
         m = model.config.n_layers
-        records, _ = model.forward_teacher_forced(inputs, return_weights=kind != "output_mse")
+        records = model.forward_teacher_forced(inputs, return_weights=kind != "output_mse")
         ys = [r["y"] for r in records]
         y_hats = [r["y_hat"] for r in records]
 

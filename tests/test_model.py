@@ -29,6 +29,7 @@ from linswap.errors import (
     UnknownId,
 )
 from linswap.model import (
+    AttentionLayer,
     HybridSession,
     HybridSpec,
     ModelConfig,
@@ -107,14 +108,43 @@ def test_convert_trainable_set_is_exactly_feature_maps():
     assert names2 == expect2
 
 
-def test_convert_preserves_teacher_path_bitwise():
+def test_convert_preserves_teacher_path_bitwise(monkeypatch):
     model = small_model()
     ids = np.array([[256, 65, 66, 67, 68, 69]])
-    before = model.forward(ids).data.copy()
+    before = []
+    heads_softmax = AttentionLayer.heads_softmax
+
+    def recorded(self, q, k, v, return_weights=False):
+        y, a = heads_softmax(self, q, k, v, return_weights)
+        before.append([t.data.copy() for t in (q, k, v, y)])
+        return y, a
+
+    monkeypatch.setattr(AttentionLayer, "heads_softmax", recorded)
+    model.forward(ids)
     convert_model(model, SPEC)
-    # the teacher-forced stream replays the original softmax model bit-exactly
-    _, logits = model.forward_teacher_forced(ids)
-    assert logits.data.tobytes() == before.tobytes()
+    # the teacher replays the original softmax model's layers bit-exactly
+    records = model.forward_teacher_forced(ids)
+    assert len(records) == len(before)
+    for rec, arrays in zip(records, before):
+        for name, want in zip("qkvy", arrays):
+            assert rec[name].tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", ["standard", "terraced"])
+def test_teacher_records_match_tensor_softmax_stack(mode):
+    # the engine's teacher against the Tensor softmax stack of the same
+    # weights, bit for bit: outputs y and the weights a
+    model = convert_model(small_model(seed=5), HybridSpec(window_size=4, window_mode=mode, feature_kind="t2r"))
+    ids = np.random.default_rng(5).integers(0, 258, size=(3, 13))
+    x = model.embed_tokens(ids)
+    records = model.forward_teacher_forced(ids, return_weights=True)
+    for rec, blk in zip(records, model.blocks):
+        q, k, v = blk.attn.project_qkv(blk.norm1.forward(x))
+        y, a = blk.attn.heads_softmax(q, k, v, return_weights=True)
+        assert rec["y"].tobytes() == y.data.tobytes()
+        assert rec["a"].tobytes() == a.data.tobytes()
+        x = x + blk.attn.wo.forward(blk.attn.merge_heads(y))
+        x = x + blk.mlp.forward(blk.norm2.forward(x))
 
 
 def test_convert_twice_rejected():
@@ -140,14 +170,14 @@ def test_feature_map_trainable_count_matches_formula():
 def test_teacher_forcing_isolates_stream_from_feature_maps():
     model = convert_model(small_model(), SPEC)
     ids = np.array([[256, 72, 73, 74, 75, 76, 77]])
-    records1, logits1 = model.forward_teacher_forced(ids)
-    # perturb a feature map; the propagated stream and teacher outputs must not move
+    records1 = model.forward_teacher_forced(ids)
+    # perturb a feature map; the propagated stream (every layer's q, k, v)
+    # and the teacher outputs must not move
     model.blocks[0].attn.hybrid_cfg.phi_q.weight.data += 0.37
-    records2, logits2 = model.forward_teacher_forced(ids)
-    assert logits1.data.tobytes() == logits2.data.tobytes()
+    records2 = model.forward_teacher_forced(ids)
     for r1, r2 in zip(records1, records2):
-        assert r1["x"].data.tobytes() == r2["x"].data.tobytes()
-        assert r1["y"].data.tobytes() == r2["y"].data.tobytes()
+        for name in "qkvy":
+            assert r1[name].tobytes() == r2[name].tobytes(), name
     # but the student outputs do move
     assert not np.array_equal(records1[0]["y_hat"].data, records2[0]["y_hat"].data)
 
@@ -157,9 +187,9 @@ def test_hybrid_equals_softmax_when_window_covers_seq():
         small_model(), HybridSpec(window_size=64, window_mode="standard", feature_kind="hedgehog")
     )
     ids = np.array([[256, 65, 66, 67, 65, 66, 67, 68]])
-    records, _ = model.forward_teacher_forced(ids)
+    records = model.forward_teacher_forced(ids)
     for rec in records:
-        assert np.abs(rec["y"].data - rec["y_hat"].data).max() <= 1e-5
+        assert np.abs(rec["y"] - rec["y_hat"].data).max() <= 1e-5
 
 
 # --- LoRA ----------------------------------------------------------------------

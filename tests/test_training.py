@@ -257,7 +257,7 @@ def test_block_gradients_decouple_and_match_joint():
             assert rel.max() <= 1e-6, f"block_size {b}, {n}: {rel.max()}"
 
     # a single block's loss must not touch other blocks' parameters
-    records, _ = model.forward_teacher_forced(inputs)
+    records = model.forward_teacher_forced(inputs)
     blocks = blockwise_loss([r["y"] for r in records], [r["y_hat"] for r in records], 2)
     model.zero_grad()
     T.backpropagate(blocks[0])
@@ -275,13 +275,13 @@ def test_zeroing_later_layer_loss_leaves_earlier_grads():
     inputs, _ = sample_batch(corpus, 2, 16, rng(13))
     params = feature_map_parameters(model)
 
-    records, _ = model.forward_teacher_forced(inputs)
+    records = model.forward_teacher_forced(inputs)
     per_layer = blockwise_loss([r["y"] for r in records], [r["y_hat"] for r in records], 1)
     model.zero_grad()
     T.backpropagate(per_layer[0] + per_layer[1])
     with_both = {n: t.grad.copy() for n, t in params.items() if n.startswith("layers.0")}
 
-    records, _ = model.forward_teacher_forced(inputs)
+    records = model.forward_teacher_forced(inputs)
     per_layer = blockwise_loss([r["y"] for r in records], [r["y_hat"] for r in records], 1)
     model.zero_grad()
     T.backpropagate(per_layer[0])  # layer-1 loss zeroed out
@@ -409,6 +409,22 @@ def test_diverged_loss_is_reported():
     opt = AdamW(feature_map_parameters(model), lr=1e-2)
     with pytest.raises(DivergedLoss):
         AttentionTransfer().step(model, inputs, opt)
+
+
+def test_non_finite_teacher_is_diverged_loss_before_any_update():
+    model = tiny_model(seed=80, kind="t2r")
+    # query and key weights of layer 1 whose products overflow f32 in the
+    # teacher's attention scores
+    params = model.parameters()
+    params["layers.1.attn.wq.weight"].data[:] = 1e30
+    params["layers.1.attn.wk.weight"].data[:] = 1e30
+    before = {n: t.data.copy() for n, t in params.items()}
+    inputs, _ = sample_batch(synthetic_corpus(2000, seed=80), 2, 16, rng(80))
+    opt = AdamW(feature_map_parameters(model), lr=1e-2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedLoss, match=r"layers\.1 attn\.heads"):
+        AttentionTransfer().step(model, inputs, opt)
+    for n, t in model.parameters().items():
+        assert t.data.tobytes() == before[n].tobytes(), n
 
 
 @pytest.mark.parametrize("stage", ["transfer", "adjust"])
