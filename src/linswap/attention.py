@@ -16,7 +16,10 @@ length. _hybrid_naive, the masked O(l^2) form, is the oracle of both.
 The numpy kernels (_phi_np, softmax_attention_np, hybrid_decode_step; rope and
 softmax are T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array
 snapshots of the parameters (PhiArrays, HybridArrays), which model.py's
-engine takes once for the sessions and the stage-1 teacher.
+engine takes once for the sessions and the stage-1 teacher. _phi_np's t2r is
+the Tensor op's own matmul, bit for bit; its hedgehog runs the softmax
+feature-major, along the sequence and not the short feature axis, within
+float32 rounding of the Tensor form.
 """
 
 from __future__ import annotations
@@ -132,6 +135,11 @@ class PhiArrays(NamedTuple):
     bias: np.ndarray | None  # [heads, feature_dim], t2r only
 
 
+def default_feature_dim(kind: str, head_dim: int) -> int:
+    """d' = d for t2r and d/2 for hedgehog, whose output is 2d' wide."""
+    return head_dim if kind == "t2r" else max(1, head_dim // 2)
+
+
 def init_feature_map(
     kind: str,
     n_heads: int,
@@ -140,11 +148,11 @@ def init_feature_map(
     rng: np.random.Generator | None = None,
     dtype=np.float32,
 ) -> FeatureMapParams:
-    """Fresh trainable feature map. Default widths keep the effective output
-    dimension equal to head_dim: d' = d for t2r, d' = d/2 for hedgehog."""
+    """Fresh trainable feature map. The default width, default_feature_dim,
+    keeps the effective output dimension equal to head_dim."""
     rng = rng or np.random.default_rng(0)
     if feature_dim is None:
-        feature_dim = head_dim if kind == "t2r" else max(1, head_dim // 2)
+        feature_dim = default_feature_dim(kind, head_dim)
     bound = 1.0 / np.sqrt(head_dim)
     weight = Tensor(
         rng.uniform(-bound, bound, size=(n_heads, head_dim, feature_dim)).astype(dtype),
@@ -167,11 +175,17 @@ def feature_map_apply(params: FeatureMapParams, x: Tensor) -> Tensor:
 
 
 def _phi_np(params: PhiArrays, x: np.ndarray) -> np.ndarray:
-    """numpy twin of feature_map_apply for inference; x [b, h, n, d]."""
-    proj = np.einsum("bhnd,hdf->bhnf", x, params.weight)
+    """numpy twin of feature_map_apply for inference; x [b, h, n, d] -> [b, h, n, out].
+
+    t2r runs the Tensor op's own matmul, so it matches feature_map_apply bit for
+    bit. hedgehog projects feature-major, W^T x^T as [b, h, f, n], so that
+    both softmaxes reduce over rows of length n rather than along the short
+    feature axis; it returns a [b, h, n, 2f] view of that layout, within
+    float32 rounding of feature_map_apply (the matmul's summation order)."""
     if params.kind == "t2r":
-        return np.maximum(proj + params.bias[:, None], 0.0)
-    return np.concatenate([T.softmax_np(proj), T.softmax_np(-proj)], axis=-1)
+        return np.maximum(x @ params.weight + params.bias[:, None], 0.0)
+    proj = params.weight.swapaxes(-1, -2) @ x.swapaxes(-1, -2)
+    return np.concatenate([T.softmax_np(proj, -2), T.softmax_np(-proj, -2)], axis=-2).swapaxes(-1, -2)
 
 
 # --------------------------------------------------------------------------
@@ -631,6 +645,8 @@ def hybrid_decode_step(
         state.k_cache[:, :, filled : end - off] = k
         state.v_cache[:, :, filled : end - off] = v
         keys, values = state.k_cache[:, :, : end - off], state.v_cache[:, :, : end - off]
+    elif not filled:  # a fresh prefill: nothing cached to put before the segment
+        keys, values = k, v
     else:
         keys = np.concatenate([state.k_cache[:, :, :filled], k], axis=2)
         values = np.concatenate([state.v_cache[:, :, :filled], v], axis=2)

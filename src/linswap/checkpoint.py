@@ -20,21 +20,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import zlib
 
 import numpy as np
 
 from .errors import CorruptPayload, FormatVersionMismatch, IoFailure
-from .model import (
-    HybridSpec,
-    Model,
-    ModelConfig,
-    build_model,
-    convert_model,
-    expected_parameter_count,
-    lora_attach,
-)
+from .model import HybridSpec, Model, ModelConfig, _assemble, expected_parameter_count
 
 MAGIC = b"LOLC"
 FORMAT_VERSION = 1
@@ -120,7 +113,7 @@ def load_checkpoint(path: str) -> Model:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptPayload(f"{path}: bad header: {exc}") from exc
     try:
-        return _restore(header, blob[16 + header_len : -4], path)
+        return _restore(header, memoryview(blob)[16 + header_len : -4], path)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptPayload(f"{path}: malformed header: {exc!r}") from exc
 
@@ -137,8 +130,9 @@ def _declared_parameter_count(cfg: ModelConfig, hybrid: HybridSpec | None, lora:
     return count
 
 
-def _restore(header: dict, payload: bytes, path: str) -> Model:
-    """Build the model a decoded header describes and fill it from the payload."""
+def _restore(header: dict, payload: memoryview, path: str) -> Model:
+    """Build the model a decoded header describes, each parameter read from
+    the payload: nothing is drawn at random to be overwritten."""
     cfg = ModelConfig(**header["config"])
     hybrid = None if header["hybrid"] is None else HybridSpec(**header["hybrid"])
     lora = header["lora"]
@@ -146,33 +140,30 @@ def _restore(header: dict, payload: bytes, path: str) -> Model:
     # is rejected before anything is allocated for it
     if _declared_parameter_count(cfg, hybrid, lora) * 4 > len(payload):
         raise CorruptPayload(f"{path}: header declares more parameters than a {len(payload)}-byte payload holds")
-    model = build_model(cfg)
-    if hybrid is not None:
-        convert_model(model, hybrid)
-    if lora is not None:
-        lora_attach(model, rank=lora["rank"], alpha=lora["alpha"], targets=tuple(lora["targets"]))
-    params = model.parameters()
-    seen = set()
-    for entry in header["tensors"]:
-        name = entry["name"]
-        if name not in params:
-            raise CorruptPayload(f"{path}: unknown tensor {name}")
-        t = params[name]
-        if tuple(entry["shape"]) != t.shape:
-            raise CorruptPayload(f"{path}: {name} has shape {entry['shape']}, the model expects {list(t.shape)}")
-        dtype = _DTYPE_TAGS[entry["dtype"]]
-        nbytes = t.size * np.dtype(dtype).itemsize
+    entries = {entry["name"]: entry for entry in header["tensors"]}
+
+    def read(name: str, shape: tuple) -> np.ndarray:
+        entry = entries.get(name)
+        if entry is None:
+            raise CorruptPayload(f"{path}: checkpoint missing tensor {name}")
+        if tuple(entry["shape"]) != shape:
+            raise CorruptPayload(f"{path}: {name} has shape {entry['shape']}, the model expects {list(shape)}")
+        dtype = np.dtype(_DTYPE_TAGS[entry["dtype"]])
+        nbytes = math.prod(shape) * dtype.itemsize
         start = entry["offset"]
         raw = payload[start : start + nbytes]
         if len(raw) != nbytes:
             raise CorruptPayload(f"{path}: truncated payload for {name}")
-        t.data = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).astype(dtype).reshape(t.shape).copy()
-        t.requires_grad = bool(entry.get("trainable", False))
+        return np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
+
+    model = _assemble(cfg, read, hybrid, lora)
+    params = model.parameters()
+    unknown = entries.keys() - params.keys()
+    if unknown:
+        raise CorruptPayload(f"{path}: unknown tensors {sorted(unknown)[:4]}")
+    for name, t in params.items():
+        t.requires_grad = bool(entries[name].get("trainable", False))
         t.grad = np.zeros_like(t.data) if t.requires_grad else None
-        seen.add(name)
-    missing = set(params) - seen
-    if missing:
-        raise CorruptPayload(f"{path}: checkpoint missing tensors {sorted(missing)[:4]}...")
     return model
 
 

@@ -19,6 +19,7 @@ with D = n_heads * head_dim and Dh = round(mlp_hidden_mult * D).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,9 +28,11 @@ import numpy as np
 from . import attention
 from . import tensor as T
 from .attention import (
+    FeatureMapParams,
     HybridArrays,
     HybridAttnConfig,
     HybridDecodeState,
+    default_feature_dim,
     hybrid_attention_prefill,
     hybrid_attention_weights,
     make_hybrid_config,
@@ -52,6 +55,8 @@ from .tensor import Tensor
 RMS_EPS = 1e-6
 
 LORA_TARGETS = ("wq", "wk", "wv", "wo")  # the attention projections an adapter can wrap
+
+ROPE_SPAN = 256  # positions per cached rope table at least (_rope_at)
 
 BOS_ID = 256
 EOS_ID = 257
@@ -341,47 +346,64 @@ class Model:
 def build_model(cfg: ModelConfig) -> Model:
     """Deterministic initialization from cfg.seed (same seed, same bits)."""
     rng = np.random.default_rng(cfg.seed)
-    D, Dh, V = cfg.model_dim, cfg.mlp_hidden, cfg.vocab_size
+    std = 1.0 / np.sqrt(cfg.model_dim)
+    # the projections into the residual stream are scaled down by the depth
+    stds = {"wo": std / np.sqrt(2 * cfg.n_layers), "down": 1.0 / np.sqrt(cfg.mlp_hidden) / np.sqrt(2 * cfg.n_layers)}
 
-    def mat(rows, cols, std):
-        return Tensor(rng.normal(0.0, std, size=(rows, cols)).astype(np.float32))
+    def draw(name, shape):
+        if name.endswith(".gain"):
+            return np.ones(shape, dtype=np.float32)
+        return rng.normal(0.0, stds.get(name.split(".")[-2], std), size=shape).astype(np.float32)
 
-    std = 1.0 / np.sqrt(D)
-    embed = mat(V, D, std)
+    return _assemble(cfg, draw)
+
+
+def _assemble(cfg: ModelConfig, take, hybrid: HybridSpec | None = None, lora: dict | None = None) -> Model:
+    """The model that cfg, hybrid and lora describe, with each parameter the
+    array take(name, shape) returns, asked for in a fixed order under its
+    Model.parameters() name: build_model draws them, load_checkpoint reads
+    them from the payload."""
+    D, Dh, H, d = cfg.model_dim, cfg.mlp_hidden, cfg.n_heads, cfg.head_dim
+
+    def param(name, *shape):
+        return Tensor(take(name, shape))
+
+    def proj(name, rows, cols):
+        return Projection(param(f"{name}.weight", rows, cols), name)
+
+    embed = param("embed.weight", cfg.vocab_size, D)
     blocks = []
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
-        wq = Projection(mat(D, D, std), f"{p}.attn.wq")
-        wk = Projection(mat(D, D, std), f"{p}.attn.wk")
-        wv = Projection(mat(D, D, std), f"{p}.attn.wv")
-        wo = Projection(mat(D, D, std / np.sqrt(2 * cfg.n_layers)), f"{p}.attn.wo")
-        attn = AttentionLayer(wq, wk, wv, wo, cfg.n_heads, cfg.head_dim, cfg.rope_base)
-        norm1 = RMSNorm(Tensor(np.ones(D, dtype=np.float32)), f"{p}.norm1")
-        gate = Projection(mat(D, Dh, std), f"{p}.mlp.gate")
-        up = Projection(mat(D, Dh, std), f"{p}.mlp.up")
-        down = Projection(mat(Dh, D, 1.0 / np.sqrt(Dh) / np.sqrt(2 * cfg.n_layers)), f"{p}.mlp.down")
-        norm2 = RMSNorm(Tensor(np.ones(D, dtype=np.float32)), f"{p}.norm2")
-        blocks.append(Block(norm1, attn, norm2, Mlp(gate, up, down)))
-    final_norm = RMSNorm(Tensor(np.ones(D, dtype=np.float32)), "final_norm")
-    head = mat(D, V, std)
-    return Model(cfg, embed, blocks, final_norm, head)
+        attn = AttentionLayer(*(proj(f"{p}.attn.{n}", D, D) for n in ("wq", "wk", "wv", "wo")), H, d, cfg.rope_base)
+        norm1 = RMSNorm(param(f"{p}.norm1.gain", D), f"{p}.norm1")
+        mlp = Mlp(proj(f"{p}.mlp.gate", D, Dh), proj(f"{p}.mlp.up", D, Dh), proj(f"{p}.mlp.down", Dh, D))
+        blocks.append(Block(norm1, attn, RMSNorm(param(f"{p}.norm2.gain", D), f"{p}.norm2"), mlp))
+    final_norm = RMSNorm(param("final_norm.gain", D), "final_norm")
+    model = Model(cfg, embed, blocks, final_norm, param("head.weight", D, cfg.vocab_size))
+    if hybrid is not None:
+        kind = hybrid.feature_kind
+        f = default_feature_dim(kind, d) if hybrid.feature_dim is None else hybrid.feature_dim
+
+        def phi(name):
+            bias = param(f"{name}.bias", H, f) if kind == "t2r" else None
+            return FeatureMapParams(kind, param(f"{name}.weight", H, d, f), bias)
+
+        for i, blk in enumerate(blocks):
+            p = f"layers.{i}.attn"
+            gamma_raw = param(f"{p}.gamma_raw", H)
+            blk.attn.hybrid_cfg = HybridAttnConfig(hybrid.window_size, hybrid.window_mode, gamma_raw, phi(f"{p}.phi_q"), phi(f"{p}.phi_k"))
+        model.hybrid_spec = hybrid
+    if lora is not None:
+        _attach_lora(model, lora["rank"], lora["alpha"], tuple(lora["targets"]), take)
+    return model
 
 
 def clone_model(model: Model) -> Model:
-    """Independent copy: rebuild from config, replay convert/attach, copy data."""
-    new = build_model(model.config)
-    if model.hybrid_spec is not None:
-        convert_model(new, model.hybrid_spec)
-    if model.lora_meta is not None:
-        lora_attach(
-            new,
-            rank=model.lora_meta["rank"],
-            alpha=model.lora_meta["alpha"],
-            targets=tuple(model.lora_meta["targets"]),
-        )
+    """Independent copy: the same structure, copies of the data."""
     src = model.parameters()
+    new = _assemble(model.config, lambda name, shape: src[name].data.copy(), model.hybrid_spec, model.lora_meta)
     for name, t in new.parameters().items():
-        t.data = src[name].data.copy()
         t.requires_grad = src[name].requires_grad
         t.grad = np.zeros_like(t.data) if t.requires_grad else None
     return new
@@ -439,20 +461,31 @@ def lora_attach(
     """Attach rank-r adapters to the targeted attention projections of every
     layer. B is zero-initialized, so the model function is bit-identical at
     attach time; only A/B are trainable afterwards."""
+    rng = np.random.default_rng(seed)
+
+    def draw(name, shape):  # A ~ N(0, 1 / in_dim), B = 0
+        if name.endswith("lora_b"):
+            return np.zeros(shape, dtype=np.float32)
+        return rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape).astype(np.float32)
+
+    return _attach_lora(model, rank, alpha, targets, draw)
+
+
+def _attach_lora(model: Model, rank: int, alpha: float, targets: tuple[str, ...], take) -> Model:
+    """lora_attach with the A and B arrays that take(name, shape) returns."""
     if rank < 1:
         raise InvalidConfig("LoRA rank must be >= 1")
     bad = [t for t in targets if t not in LORA_TARGETS]
     if bad or not targets:
         raise InvalidConfig(f"LoRA targets must be non-empty drawn from wq/wk/wv/wo, got {targets}")
-    rng = np.random.default_rng(seed)
-    for i, blk in enumerate(model.blocks):
+    for blk in model.blocks:
         for name in targets:
             proj: Projection = getattr(blk.attn, name)
             if proj.adapter is not None:
                 raise DuplicateAdapter(f"{proj.name} already has an adapter")
             in_dim, out_dim = proj.weight.shape
-            a = Tensor(rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(rank, in_dim)).astype(np.float32), requires_grad=True)
-            b = Tensor(np.zeros((out_dim, rank), dtype=np.float32), requires_grad=True)
+            a = Tensor(take(f"{proj.name}.lora_a", (rank, in_dim)), requires_grad=True)
+            b = Tensor(take(f"{proj.name}.lora_b", (out_dim, rank)), requires_grad=True)
             proj.adapter = LoraAdapter(a=a, b=b, rank=rank, alpha=alpha, target=proj.name)
     model.lora_meta = {"rank": rank, "alpha": alpha, "targets": list(targets)}
     return model
@@ -522,6 +555,38 @@ def _finite(a: np.ndarray, where: str, op: str) -> np.ndarray:
     return a
 
 
+def _swiglu_np(g: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Mlp's g * sigmoid(g) * up in one scratch array: the same operations in
+    the same order as the Tensor ops, so bit for bit the same result."""
+    act = np.negative(g)
+    np.exp(act, out=act)
+    act += 1.0
+    np.divide(1.0, act, out=act)
+    act *= g
+    act *= up
+    return act
+
+
+def _rope_at(position: int, n: int, head_dim: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """rope_angles(n, head_dim, position, base) cast to dtype, bit for bit, as
+    read-only views of a cached table (each row is computed on its own). The
+    table spans 2 * span positions from a multiple of span, span = max(
+    ROPE_SPAN, n rounded up to a power of two): a decode step reads a table
+    made once per ROPE_SPAN tokens, and no table outgrows twice the segment,
+    however long a session runs."""
+    span = max(ROPE_SPAN, 1 << (n - 1).bit_length())
+    start = position // span * span
+    return tuple(t[position - start : position - start + n] for t in _rope_table(start, 2 * span, head_dim, base, dtype))
+
+
+@functools.lru_cache(maxsize=16)
+def _rope_table(start: int, size: int, head_dim: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    tables = tuple(t.astype(dtype) for t in rope_angles(size, head_dim, start, base))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 class _Engine:
     """The plain numpy arrays a session serves, taken from the model once, and
     the one numpy block loop over them, for the sessions and the stage-1
@@ -567,7 +632,7 @@ class _Engine:
         c = self.config
         b, n = ids.shape
         h, d = c.n_heads, c.head_dim
-        cos, sin = (t.astype(self.embed.dtype) for t in rope_angles(n, d, position, c.rope_base))
+        cos, sin = _rope_at(position, n, d, c.rope_base, self.embed.dtype)
         x = _finite(self.embed[ids], "embed", "embedding")
         for i, layer in enumerate(self.layers):
             at = f"layers.{i}"
@@ -581,7 +646,7 @@ class _Engine:
             u = _finite(T.rms_norm_np(x, layer.norm2, RMS_EPS), at, "norm2")
             g = _finite(u @ layer.gate, at, "mlp.gate")
             up = _finite(u @ layer.up, at, "mlp.up")
-            act = _finite(g * (1.0 / (1.0 + np.exp(-g))) * up, at, "mlp.swiglu")
+            act = _finite(_swiglu_np(g, up), at, "mlp.swiglu")
             down = _finite(act @ layer.down, at, "mlp.down")
             x = _finite(x + down, at, "mlp.residual")
         last = _finite(T.rms_norm_np(x[:, -1], self.final_gain, RMS_EPS), "final_norm", "norm")

@@ -114,6 +114,29 @@ def test_feature_map_shape_errors():
         A.feature_map_apply(fmap, Tensor(np.zeros((1, 2, 3, 5))))
 
 
+@pytest.mark.parametrize("kind", ["t2r", "hedgehog"])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("n", [1, 64, 1000])
+def test_serving_phi_matches_feature_map_apply(kind, b, n):
+    # the serving engine's phi against the Tensor op's forward, on k as the
+    # engine slices it from its fused qkv (not contiguous): t2r runs the same
+    # matmul, hedgehog its softmaxes feature-major (criterion 1's bound)
+    h, d = 4, 32
+    g = rng(n + b)
+    fmap = A.init_feature_map(kind, h, d, None, g)
+    if kind == "t2r":
+        fmap.bias.data = g.normal(size=fmap.bias.shape).astype(np.float32)
+    k = g.normal(size=(b, n, 3, h, d)).astype(np.float32).transpose(2, 0, 3, 1, 4)[1]
+    assert n == 1 or not k.flags.c_contiguous
+    out = A._phi_np(fmap.arrays(), k)
+    ref = A.feature_map_apply(fmap, Tensor(k)).data
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    if kind == "t2r":
+        np.testing.assert_array_equal(out, ref)
+    else:
+        assert np.abs(out - ref).max() <= 1e-5
+
+
 # --- softmax attention --------------------------------------------------------
 
 def test_softmax_attention_single_token():

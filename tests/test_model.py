@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from linswap import checkpoint
+from linswap import model as M
 from linswap import tensor as T
+from linswap.attention import rope_angles
 from linswap.checkpoint import (
     load_checkpoint,
     load_corpus,
@@ -276,6 +278,28 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     for (n1, t1), (n2, t2) in zip(model.parameters().items(), loaded.parameters().items()):
         assert n1 == n2 and t1.data.tobytes() == t2.data.tobytes()
         assert t1.requires_grad == t2.requires_grad
+
+
+def test_checkpoint_load_draws_no_random_weights(tmp_path, monkeypatch):
+    # the loader builds every array from the payload: trained feature maps,
+    # t2r biases and adapters alike, with their trainable flags
+    model = lora_attach(convert_model(small_model(), HybridSpec(4, "terraced", "t2r")), rank=2, seed=5)
+    for t in model.parameters().values():
+        t.data = t.data + np.float32(0.5)
+    path = str(tmp_path / "model.lolc")
+    save_checkpoint(model, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = load_checkpoint(path)
+    assert (loaded.hybrid_spec, loaded.lora_meta) == (model.hybrid_spec, model.lora_meta)
+    assert loaded.parameters().keys() == model.parameters().keys()
+    for name, t in loaded.parameters().items():
+        src = model.parameters()[name]
+        assert t.data.tobytes() == src.data.tobytes() and t.data.flags.writeable, name
+        assert t.requires_grad == src.requires_grad and (t.grad is None) == (src.grad is None), name
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -548,6 +572,47 @@ def test_softmax_session_matches_forward():
     assert np.abs(session.prefill(ids[:, :4]) - ref[:, 3]).max() <= 1e-5
     for t in range(4, ids.shape[1]):
         assert np.abs(session.step(ids[:, t]) - ref[:, t]).max() <= 1e-5, f"position {t}"
+
+
+def test_engine_swiglu_is_mlp_forward_bitwise():
+    # the engine's in-place SwiGLU against Mlp.forward on the same weights
+    mlp = small_model().blocks[1].mlp
+    u = np.random.default_rng(6).normal(size=(3, 7, 16)).astype(np.float32) * 4
+    act = M._swiglu_np(u @ mlp.gate.weight.data, u @ mlp.up.weight.data)
+    assert (act @ mlp.down.weight.data).tobytes() == mlp.forward(Tensor(u)).data.tobytes()
+
+
+def test_engine_rope_tables_are_rope_angles_bitwise():
+    # slices of the cached tables, at positions up to and past max_seq_len
+    # (sessions do not cap there) and segment lengths around the table span
+    span = M.ROPE_SPAN
+    for position in (0, 1, 5, span - 1, span, 3 * span - 2, 4095, 4096, CFG.max_seq_len + 3, 70001):
+        for n in (1, 3, span - 1, span + 1, 1000):
+            cos, sin = M._rope_at(position, n, 32, 10000.0, np.dtype(np.float32))
+            ref = [t.astype(np.float32) for t in rope_angles(n, 32, position, 10000.0)]
+            assert cos.tobytes() == ref[0].tobytes() and sin.tobytes() == ref[1].tobytes(), (position, n)
+            assert not cos.flags.writeable and not sin.flags.writeable
+
+
+@pytest.mark.parametrize("mode", ["standard", "terraced"])
+def test_fresh_prefill_state_matches_split_prefill(mode):
+    # a prompt longer than the window, prefilled at once (its segment is not
+    # copied after an empty cache), leaves the state and cache that the same
+    # prompt leaves in two segments
+    w = 4
+    model = with_nonzero_lora(convert_model(small_model(), HybridSpec(window_size=w, window_mode=mode, feature_kind="t2r")))
+    ids = np.random.default_rng(7).integers(0, 258, size=(2, 5 * w + 3))
+    for cut in (1, w - 1, w + 2, 3 * w):
+        whole, split = HybridSession(model, 2), HybridSession(model, 2)
+        whole.prefill(ids)
+        split.prefill(ids[:, :cut])
+        split._advance(ids[:, cut:])
+        for a, b in zip(whole.states, split.states):
+            assert (a.filled, a.position) == (b.filled, b.position)
+            pairs = {"s": (a.s, b.s), "z": (a.z, b.z)}
+            pairs |= {name: (getattr(a, name)[:, :, : a.filled], getattr(b, name)[:, :, : b.filled]) for name in ("k_cache", "v_cache")}
+            for name, (x, y) in pairs.items():
+                assert np.abs(x - y).max() <= 1e-5 * max(1.0, np.abs(y).max()), (cut, name)
 
 
 def with_nonzero_lora(model, seed=4):
