@@ -13,7 +13,6 @@ from .attention import (
     HybridAttnConfig,
     HybridDecodeState,
     LinearAttentionState,
-    apply_rope,
     attention_entropy,
     effective_sequence_length,
     feature_map_apply,

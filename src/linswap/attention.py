@@ -16,10 +16,10 @@ length. _hybrid_naive, the masked O(l^2) form, is the oracle of both.
 The numpy kernels (_phi_np, softmax_attention_np, hybrid_decode_step; rope and
 softmax are T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array
 snapshots of the parameters (PhiArrays, HybridArrays), which model.py's
-engine takes once for the sessions and the stage-1 teacher. _phi_np's t2r is
-the Tensor op's own matmul, bit for bit; its hedgehog runs the softmax
-feature-major, along the sequence and not the short feature axis, within
-float32 rounding of the Tensor form.
+engine takes once for the sessions and the stage-1 teacher. _phi_np runs the
+Tensor op's own operations in the same order, bit for bit: t2r one matmul,
+hedgehog both softmaxes feature-major, along the sequence and not the short
+feature axis.
 """
 
 from __future__ import annotations
@@ -62,16 +62,11 @@ def rope_angles(seq_len: int, head_dim: int, start_pos: int = 0, base: float = 1
     if head_dim % 2:
         raise OddHeadDim(f"head_dim {head_dim} must be even for rotary pairs")
     if start_pos < 0:
-        raise ValueError("start_pos must be >= 0")
+        raise OutOfOrderToken(f"start_pos {start_pos} must be >= 0")
     pos = np.arange(start_pos, start_pos + seq_len, dtype=np.float64)
     inv_freq = base ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
     ang = pos[:, None] * inv_freq[None, :]
     return np.cos(ang), np.sin(ang)
-
-
-def apply_rope(x: Tensor, start_pos: int = 0, base: float = 10000.0) -> Tensor:
-    """Rotate each (2i, 2i+1) pair of the last axis by angle pos * base^(-2i/d); seq is axis -2."""
-    return T.rope(x, *rope_angles(x.shape[-2], x.shape[-1], start_pos, base))
 
 
 # --------------------------------------------------------------------------
@@ -165,23 +160,22 @@ def init_feature_map(
 
 
 def feature_map_apply(params: FeatureMapParams, x: Tensor) -> Tensor:
-    """Apply phi to x [..., heads, seq, head_dim] -> [..., heads, seq, out_dim]."""
+    """Apply phi to x [..., heads, seq, head_dim] -> [..., heads, seq, out_dim].
+    hedgehog projects feature-major, W^T x^T as [..., heads, f, seq], so that
+    both softmaxes reduce over rows of length seq rather than along the short
+    feature axis, and returns a [..., seq, 2f] view of that layout."""
     if x.shape[-1] != params.head_dim or x.shape[-3] != params.heads:
         raise ShapeMismatch(f"feature map expects [..., {params.heads}, l, {params.head_dim}], got {x.shape}")
-    proj = T.matmul(x, params.weight)
     if params.kind == "t2r":
-        return T.relu(proj + params.bias.reshape(params.heads, 1, params.feature_dim))
-    return T.concat([T.softmax(proj, -1), T.softmax(-proj, -1)], axis=-1)
+        return T.relu(T.matmul(x, params.weight) + params.bias.reshape(params.heads, 1, params.feature_dim))
+    proj = T.matmul(T.swapaxes(params.weight, -1, -2), T.swapaxes(x, -1, -2))
+    return T.swapaxes(T.concat([T.softmax(proj, -2), T.softmax(-proj, -2)], axis=-2), -1, -2)
 
 
 def _phi_np(params: PhiArrays, x: np.ndarray) -> np.ndarray:
     """numpy twin of feature_map_apply for inference; x [b, h, n, d] -> [b, h, n, out].
-
-    t2r runs the Tensor op's own matmul, so it matches feature_map_apply bit for
-    bit. hedgehog projects feature-major, W^T x^T as [b, h, f, n], so that
-    both softmaxes reduce over rows of length n rather than along the short
-    feature axis; it returns a [b, h, n, 2f] view of that layout, within
-    float32 rounding of feature_map_apply (the matmul's summation order)."""
+    It runs the Tensor op's operations in the same order and layout, so it
+    matches feature_map_apply bit for bit, for both kinds."""
     if params.kind == "t2r":
         return np.maximum(x @ params.weight + params.bias[:, None], 0.0)
     proj = params.weight.swapaxes(-1, -2) @ x.swapaxes(-1, -2)
@@ -198,9 +192,10 @@ def _check_qkv(q, k, v):
         raise ShapeMismatch(f"q/k/v must share a [b, h, l, d] shape: {q.shape} {k.shape} {v.shape}")
 
 
-def causal_mask(seq_len: int) -> np.ndarray:
-    """True above the diagonal (the positions to mask out)."""
-    return np.triu(np.ones((seq_len, seq_len), dtype=bool), k=1)
+def causal_mask(s: int, n: int) -> np.ndarray:
+    """[s, n], True where a key follows its query (the positions to mask out),
+    for the last s queries over n keys."""
+    return np.triu(np.ones((s, n), dtype=bool), k=n - s + 1)
 
 
 def softmax_attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
@@ -208,7 +203,7 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = Fa
     _check_qkv(q, k, v)
     l, d = q.shape[-2], q.shape[-1]
     scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d))
-    scores = T.masked_fill(scores, causal_mask(l), MASK_VALUE)
+    scores = T.masked_fill(scores, causal_mask(l, l), MASK_VALUE)
     a = T.softmax(scores, -1)
     y = T.matmul(a, v)
     return y, (a if return_weights else None)
@@ -219,7 +214,7 @@ def softmax_attention_np(q: np.ndarray, keys: np.ndarray, values: np.ndarray):
     the last S positions of keys, values [b, h, n, d] -> (y, weights)."""
     s, n = q.shape[2], keys.shape[2]
     scores = q @ keys.swapaxes(-1, -2) * (1.0 / float(np.sqrt(q.shape[-1])))
-    a = T.softmax_np(np.where(np.triu(np.ones((s, n), dtype=bool), n - s + 1), MASK_VALUE, scores))
+    a = T.softmax_np(np.where(causal_mask(s, n), MASK_VALUE, scores))
     return a @ values, a
 
 
@@ -236,7 +231,7 @@ def linear_attention_parallel(
     l = q.shape[-2]
     fq = feature_map_apply(phi_q, q)
     fk = feature_map_apply(phi_k, k)
-    scores = T.masked_fill(T.matmul(fq, T.swapaxes(fk, -1, -2)), causal_mask(l), 0.0)
+    scores = T.masked_fill(T.matmul(fq, T.swapaxes(fk, -1, -2)), causal_mask(l, l), 0.0)
     den = scores.sum(-1, keepdims=True) + EPS
     y = T.matmul(scores, v) / den
     return y, (scores / den if return_weights else None)
@@ -321,10 +316,6 @@ class HybridAttnConfig:
             raise ShapeMismatch(f"window_mode must be one of {WINDOW_MODES}")
         if self.gamma_raw.ndim != 1 or self.gamma_raw.shape[0] != self.phi_q.heads:
             raise ShapeMismatch(f"gamma_raw must be [heads], got {self.gamma_raw.shape}")
-
-    @property
-    def heads(self) -> int:
-        return self.phi_q.heads
 
     def parameters(self) -> list[Tensor]:
         return [self.gamma_raw] + self.phi_q.parameters() + self.phi_k.parameters()
@@ -695,9 +686,10 @@ def esl_per_query(weights) -> np.ndarray:
 
 def effective_sequence_length(weights, i: int) -> np.ndarray:
     """ESL of query index i (1-based; i=1 attends only to itself, so 0)."""
-    if i < 1:
-        raise ValueError(f"query index {i} must be >= 1")
-    return esl_per_query(weights)[..., i - 1]
+    esl = esl_per_query(weights)
+    if not 1 <= i <= esl.shape[-1]:
+        raise ShapeMismatch(f"query index {i} outside [1, {esl.shape[-1]}]")
+    return esl[..., i - 1]
 
 
 def sample_esl(per_layer_weights: list) -> float:

@@ -28,17 +28,17 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _log_config(cfg: RunConfig) -> None:
+def _run_config(args) -> RunConfig:
+    """The run's config, with --seed (when given) as every section's seed,
+    logged to stderr line by line."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        for section in cfg.values.values():
+            if "seed" in section:
+                section["seed"] = args.seed
     for line in cfg.resolved_lines():
         _log(line)
-
-
-def _apply_seed_override(cfg: RunConfig, seed: int | None) -> None:
-    if seed is None:
-        return
-    for section in cfg.values.values():
-        if "seed" in section:
-            section["seed"] = seed
+    return cfg
 
 
 def _load_model(args, cfg: RunConfig, require_checkpoint: bool = False):
@@ -83,9 +83,7 @@ def _write_diag_csv(path: str, report) -> None:
 
 
 def cmd_transfer(args) -> int:
-    cfg = load_config(args.config)
-    _apply_seed_override(cfg, args.seed)
-    _log_config(cfg)
+    cfg = _run_config(args)
     model = _load_model(args, cfg)
     corpus = _resolve_corpus(cfg["transfer"])
     if not model.converted:
@@ -119,9 +117,7 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_adjust(args) -> int:
-    cfg = load_config(args.config)
-    _apply_seed_override(cfg, args.seed)
-    _log_config(cfg)
+    cfg = _run_config(args)
     model = _load_model(args, cfg, require_checkpoint=True)
     corpus = _resolve_corpus(cfg["adjust"], fallback=cfg["transfer"])
     trainer = cfg.build("adjust").fit(model, corpus)
@@ -140,9 +136,7 @@ def cmd_adjust(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = load_config(args.config)
-    _apply_seed_override(cfg, args.seed)
-    _log_config(cfg)
+    cfg = _run_config(args)
     model = _load_model(args, cfg, require_checkpoint=True)
     if not model.converted:
         raise BadConfig("generate needs a converted (hybrid) checkpoint")
@@ -156,9 +150,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    cfg = load_config(args.config)
-    _apply_seed_override(cfg, args.seed)
-    _log_config(cfg)
+    cfg = _run_config(args)
     model = _load_model(args, cfg, require_checkpoint=True)
     corpus = _resolve_corpus(cfg["transfer"])
     report = layerwise_diagnostics(
@@ -173,9 +165,7 @@ def cmd_diag(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = load_config(args.config)
-    _apply_seed_override(cfg, args.seed)
-    _log_config(cfg)
+    cfg = _run_config(args)
     b = cfg["bench"]
     mode = args.mode or b["mode"]
     if args.checkpoint:

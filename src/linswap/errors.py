@@ -117,10 +117,6 @@ class DivergedLoss(LinswapError):
 
 # --- planner / bench / cli ---
 
-class Overflow(LinswapError):
-    pass
-
-
 class ConfigTooLarge(LinswapError):
     pass
 

@@ -34,7 +34,6 @@ from .attention import (
     HybridDecodeState,
     default_feature_dim,
     hybrid_attention_prefill,
-    hybrid_attention_weights,
     make_hybrid_config,
     rope_angles,
     softmax_attention,
@@ -131,9 +130,6 @@ class LoraAdapter:
         scale = self.alpha / self.rank
         return T.matmul(T.matmul(x, T.swapaxes(self.a, 0, 1)), T.swapaxes(self.b, 0, 1)) * scale
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [(f"{self.target}.lora_a", self.a), (f"{self.target}.lora_b", self.b)]
-
 
 def lora_forward(adapter: LoraAdapter, base_weight: Tensor, x: Tensor) -> Tensor:
     """y = x W + (alpha/r) (x A^T) B^T."""
@@ -183,7 +179,7 @@ class AttentionLayer:
         def split(t):
             return T.swapaxes(t.reshape(b, l, self.n_heads, self.head_dim), 1, 2)
 
-        cos, sin = (t.astype(x.dtype) for t in rope_angles(l, self.head_dim, base=self.rope_base))
+        cos, sin = _rope_at(0, l, self.head_dim, self.rope_base, x.dtype)
         q = T.rope(split(self.wq.forward(x)), cos, sin)
         k = T.rope(split(self.wk.forward(x)), cos, sin)
         return q, k, split(self.wv.forward(x))
@@ -320,8 +316,9 @@ class Model:
         gamma through y_hat alone; its hybrid op keeps each chunk's scores
         for the backward, O(l w) bytes per layer. records[m] holds the arrays
         q, k, v (post-rope heads [b, h, l, d]) and y (softmax heads output),
-        the Tensor y_hat (hybrid heads output) and, on request, the weights a
-        and a_hat."""
+        the Tensor y_hat (hybrid heads output) and, on request, the teacher's
+        softmax weights a; never the student's weights a_hat, which only a
+        weight-matching loss reads and builds (AttentionTransfer.transfer_loss)."""
         if not self.converted:
             raise NotConverted("attention transfer needs a converted model")
         ids = _check_ids(ids, self.config.vocab_size)
@@ -336,10 +333,7 @@ class Model:
         for _ in self.blocks:
             next(steps)  # through the layer's attention
         for rec, blk in zip(records, self.blocks):
-            q, k, v = Tensor(rec["q"]), Tensor(rec["k"]), Tensor(rec["v"])
-            rec["y_hat"] = blk.attn.heads_hybrid(q, k, v)
-            if return_weights:
-                rec["a_hat"] = hybrid_attention_weights(q, k, v, blk.attn.hybrid_cfg)
+            rec["y_hat"] = blk.attn.heads_hybrid(Tensor(rec["q"]), Tensor(rec["k"]), Tensor(rec["v"]))
         return records
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadConfig, IndivisibleBlocks, Overflow
+from .errors import BadConfig, IndivisibleBlocks
 
 DISCREPANCY_NOTE = (
     "formula charges one state set per block (2*T*d at k=L); "
@@ -75,8 +75,6 @@ def plan_blockwise_storage(tokens: int, model_dim: int, layers: int, block_size:
     blocks = layers // block_size
     total = precision_bytes * tokens * model_dim * blocks
     boundary = precision_bytes * tokens * model_dim * (blocks - 1)
-    if total < 0:  # pragma: no cover - unreachable with Python ints
-        raise Overflow("storage product overflowed")
     return BlockPlan(
         tokens=tokens,
         model_dim=model_dim,

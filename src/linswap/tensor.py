@@ -406,8 +406,6 @@ def _check_nonempty(a: Tensor, axes: tuple[int, ...], op: str) -> None:
     for ax in axes:
         if a.shape[ax] == 0:
             raise EmptyReduction(f"{op} over empty axis {ax} of shape {a.shape}")
-    if a.ndim == 0 and a.size == 0:  # pragma: no cover - defensive
-        raise EmptyReduction(op)
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:

@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import attention_entropy, sample_esl
+from .attention import _check_stochastic, attention_entropy, hybrid_attention_weights, sample_esl
 from .base import ParamsMixin
 from .errors import (
     BadConfig,
     DivergedLoss,
     IndivisibleBlocks,
     NonFiniteResult,
-    NotStochastic,
     ShapeMismatch,
 )
 from .model import LORA_TARGETS, Model, adapter_parameters, freeze_feature_maps, lora_attach
@@ -91,10 +90,8 @@ def hedgehog_weight_xent_loss(a, a_hat) -> Tensor:
     a_hat_t = a_hat if isinstance(a_hat, Tensor) else Tensor(a_hat)
     if a_data.shape != a_hat_t.shape:
         raise ShapeMismatch(f"weight tensors {a_data.shape} vs {a_hat_t.shape}")
-    for wts in (a_data, a_hat_t.data):
-        sums = wts.sum(-1)
-        if (np.asarray(wts) < -1e-4).any() or np.abs(sums - 1.0).max() > 1e-4:
-            raise NotStochastic("attention weights must be row-stochastic")
+    _check_stochastic(a_data)
+    _check_stochastic(a_hat_t.data)
     clamped = T.masked_fill(a_hat_t, a_hat_t.data < 1e-12, 1e-12)
     row_xent = -(Tensor(a_data.astype(np.float32), dtype=a_hat_t.dtype) * T.log(clamped)).sum(-1)
     return row_xent.mean()
@@ -395,8 +392,9 @@ class AttentionTransfer(ParamsMixin):
         if kind == "output_mse":
             return mse_total, mse_total.item()
         xent_total = None
-        for r in records:
-            layer_xent = hedgehog_weight_xent_loss(r["a"], r["a_hat"]) * (1.0 / m)
+        for r, blk in zip(records, model.blocks):
+            a_hat = hybrid_attention_weights(Tensor(r["q"]), Tensor(r["k"]), Tensor(r["v"]), blk.attn.hybrid_cfg)
+            layer_xent = hedgehog_weight_xent_loss(r["a"], a_hat) * (1.0 / m)
             xent_total = layer_xent if xent_total is None else xent_total + layer_xent
         if kind == "weight_xent":
             return xent_total, mse_total.item()

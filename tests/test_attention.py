@@ -6,7 +6,7 @@ import pytest
 
 from linswap import attention as A
 from linswap import tensor as T
-from linswap.errors import NotStochastic, OddHeadDim, ShapeMismatch, StateDimMismatch
+from linswap.errors import LinswapError, NotStochastic, OddHeadDim, ShapeMismatch, StateDimMismatch
 from linswap.tensor import Tensor
 
 import oracles
@@ -24,13 +24,13 @@ def rand_f64(shape, seed):
 
 def test_rope_position_zero_is_identity():
     x = Tensor(rand_f64((1, 2, 1, 8), 0))
-    out = A.apply_rope(x, start_pos=0)
+    out = T.rope(x, *A.rope_angles(1, 8, start_pos=0))
     np.testing.assert_allclose(out.data, x.data, atol=1e-7)
 
 
 def test_rope_preserves_pair_norms():
     x = rand_f64((2, 2, 5, 8), 1)
-    out = A.apply_rope(Tensor(x)).data
+    out = T.rope(Tensor(x), *A.rope_angles(5, 8)).data
     for i in range(4):
         before = np.hypot(x[..., 2 * i], x[..., 2 * i + 1])
         after = np.hypot(out[..., 2 * i], out[..., 2 * i + 1])
@@ -43,8 +43,8 @@ def test_rope_dot_depends_only_on_distance():
     k = g.normal(size=8)
 
     def dot_at(m, n):
-        qm = A.apply_rope(Tensor(q.reshape(1, 1, 1, 8)), start_pos=m).data[0, 0, 0]
-        kn = A.apply_rope(Tensor(k.reshape(1, 1, 1, 8)), start_pos=n).data[0, 0, 0]
+        qm = T.rope(Tensor(q.reshape(1, 1, 1, 8)), *A.rope_angles(1, 8, start_pos=m)).data[0, 0, 0]
+        kn = T.rope(Tensor(k.reshape(1, 1, 1, 8)), *A.rope_angles(1, 8, start_pos=n)).data[0, 0, 0]
         return qm @ kn
 
     assert abs(dot_at(5, 2) - dot_at(7, 4)) < 1e-5
@@ -53,7 +53,7 @@ def test_rope_dot_depends_only_on_distance():
 def test_rope_matches_reference():
     x = rand_f64((1, 2, 6, 8), 3)
     ref = oracles.rope_ref(x, start_pos=3, base=10000.0)
-    out = A.apply_rope(Tensor(x), start_pos=3).data
+    out = T.rope(Tensor(x), *A.rope_angles(6, 8, start_pos=3)).data
     np.testing.assert_allclose(out, ref, atol=1e-10)
 
 
@@ -67,7 +67,12 @@ def test_serving_rope_matches_reference():
 
 def test_rope_odd_dim_rejected():
     with pytest.raises(OddHeadDim):
-        A.apply_rope(Tensor(np.zeros((1, 1, 2, 7))))
+        T.rope(Tensor(np.zeros((1, 1, 2, 7))), *A.rope_angles(2, 7))
+
+
+def test_rope_negative_start_rejected():
+    with pytest.raises(LinswapError):
+        A.rope_angles(4, 8, start_pos=-1)
 
 
 # --- feature maps ------------------------------------------------------------
@@ -118,9 +123,8 @@ def test_feature_map_shape_errors():
 @pytest.mark.parametrize("b", [1, 3])
 @pytest.mark.parametrize("n", [1, 64, 1000])
 def test_serving_phi_matches_feature_map_apply(kind, b, n):
-    # the serving engine's phi against the Tensor op's forward, on k as the
-    # engine slices it from its fused qkv (not contiguous): t2r runs the same
-    # matmul, hedgehog its softmaxes feature-major (criterion 1's bound)
+    # the serving engine's phi against the Tensor op's forward, bit for bit,
+    # on k as the engine slices it from its fused qkv (not contiguous)
     h, d = 4, 32
     g = rng(n + b)
     fmap = A.init_feature_map(kind, h, d, None, g)
@@ -131,10 +135,7 @@ def test_serving_phi_matches_feature_map_apply(kind, b, n):
     out = A._phi_np(fmap.arrays(), k)
     ref = A.feature_map_apply(fmap, Tensor(k)).data
     assert out.shape == ref.shape and out.dtype == ref.dtype
-    if kind == "t2r":
-        np.testing.assert_array_equal(out, ref)
-    else:
-        assert np.abs(out - ref).max() <= 1e-5
+    np.testing.assert_array_equal(out, ref)
 
 
 # --- softmax attention --------------------------------------------------------
@@ -290,3 +291,10 @@ def test_esl_matches_direct_sum():
     w[4, :5] = row
     expect = sum((4 - j) * row[j] for j in range(5))
     np.testing.assert_allclose(A.effective_sequence_length(w, 5), expect, atol=1e-9)
+
+
+@pytest.mark.parametrize("i", [0, 5])
+def test_esl_query_index_outside_sequence_rejected(i):
+    w = np.tril(np.ones((4, 4))) / np.arange(1, 5)[:, None]
+    with pytest.raises(LinswapError):
+        A.effective_sequence_length(w, i)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs on a tiny bundled config, plus exit-code contracts."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ def test_resolved_config_logged(workdir, capsys):
     # every section/key appears with defaults expanded
     for needle in ("config model.seed=5", "config transfer.lr=0.01", "config adjust.rank=2", "config bench.gen_len=512"):
         assert needle in err, needle
+
+
+def test_seed_override_sets_every_section_seed(workdir, capsys):
+    cfg = str(workdir / "tiny.ini")
+    bench = ["bench", "--config", cfg, "--gen-len", "2", "--batch", "1", "--prompt-len", "4"]
+    assert main(bench) == 0
+    plain = capsys.readouterr().err.splitlines()
+    assert main(bench + ["--seed", "7"]) == 0
+    seeded = capsys.readouterr().err.splitlines()
+    assert len(seeded) == len(plain)
+    overridden = [line for line in seeded if re.match(r"config \w+\.seed=", line)]
+    assert len(overridden) >= 4 and all(line.endswith(".seed=7") for line in overridden)
+    assert any(line.startswith("config model.seed=") and not line.endswith("=7") for line in plain)
+    for line, before in zip(seeded, plain):
+        if line not in overridden:
+            assert line == before
 
 
 def test_plan_reference_figure(capsys):

@@ -302,6 +302,27 @@ def test_diagnostics_shape_and_collapse():
     assert report.mean_esl >= 0
 
 
+def test_student_weights_built_only_for_weight_losses(monkeypatch):
+    # the O(l^2) student weights a_hat are built by the loss that reads them,
+    # once per layer, and never for the diagnostics
+    from linswap import attention, training
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return attention.hybrid_attention_weights(*args)
+
+    monkeypatch.setattr(training, "hybrid_attention_weights", counted)
+    model = tiny_model(seed=16, layers=3)
+    corpus = synthetic_corpus(2000, seed=16)
+    layerwise_diagnostics(model, corpus, batch_size=2, seq_len=16)
+    assert not calls
+    inputs, _ = sample_batch(corpus, 2, 16, rng(16))
+    AttentionTransfer(loss="combined").transfer_loss(model, inputs)
+    assert len(calls) == model.config.n_layers
+
+
 def test_diagnostics_uniform_weights_entropy():
     from linswap.attention import attention_entropy
 
