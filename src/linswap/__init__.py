@@ -39,7 +39,6 @@ from .model import (
     detokenize,
     generate_greedy,
     lora_attach,
-    lora_forward,
     tokenize,
 )
 from .planner import BlockPlan, plan_blockwise_storage

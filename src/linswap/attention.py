@@ -198,15 +198,14 @@ def causal_mask(s: int, n: int) -> np.ndarray:
     return np.triu(np.ones((s, n), dtype=bool), k=n - s + 1)
 
 
-def softmax_attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
-    """Causal softmax attention with 1/sqrt(d) scaling; weights on request only."""
+def softmax_attention(q: Tensor, k: Tensor, v: Tensor):
+    """Causal softmax attention with 1/sqrt(d) scaling -> (y, weights)."""
     _check_qkv(q, k, v)
     l, d = q.shape[-2], q.shape[-1]
     scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d))
     scores = T.masked_fill(scores, causal_mask(l, l), MASK_VALUE)
     a = T.softmax(scores, -1)
-    y = T.matmul(a, v)
-    return y, (a if return_weights else None)
+    return T.matmul(a, v), a
 
 
 def softmax_attention_np(q: np.ndarray, keys: np.ndarray, values: np.ndarray):
@@ -224,8 +223,7 @@ def linear_attention_parallel(
     v: Tensor,
     phi_q: FeatureMapParams,
     phi_k: FeatureMapParams,
-    return_weights: bool = False,
-):
+) -> Tensor:
     """Linear attention, weight form: normalize phi(q)^T phi(k) scores per row."""
     _check_qkv(q, k, v)
     l = q.shape[-2]
@@ -233,8 +231,7 @@ def linear_attention_parallel(
     fk = feature_map_apply(phi_k, k)
     scores = T.masked_fill(T.matmul(fq, T.swapaxes(fk, -1, -2)), causal_mask(l, l), 0.0)
     den = scores.sum(-1, keepdims=True) + EPS
-    y = T.matmul(scores, v) / den
-    return y, (scores / den if return_weights else None)
+    return T.matmul(scores, v) / den
 
 
 def linear_attention_state(q: Tensor, k: Tensor, v: Tensor, phi_q, phi_k) -> Tensor:
@@ -660,9 +657,9 @@ def hybrid_decode_step(
 # --------------------------------------------------------------------------
 
 
-def _check_stochastic(weights: np.ndarray, tol: float = 1e-4) -> None:
+def _check_stochastic(weights: np.ndarray) -> None:
     sums = weights.sum(axis=-1)
-    if (weights < -tol).any() or np.abs(sums - 1.0).max() > tol:
+    if (weights < -1e-4).any() or np.abs(sums - 1.0).max() > 1e-4:
         raise NotStochastic(f"rows must be nonnegative and sum to 1 (max dev {np.abs(sums - 1).max():.2e})")
 
 

@@ -5,10 +5,12 @@ byte-level tokenizer.
 
 Model.forward and the stage-1 student run on the autograd Tensor path.
 Generation and the frozen stage-1 teacher run on a numpy engine built from
-the model: LoRA merged into its base weights, wq|wk|wv fused into one matrix,
-the norm gains, MLP weights and head as arrays, and sigmoid(gamma) cached. A
-session builds it once, so it serves the weights as they were when it was
-built.
+the model: the norm gains, MLP weights and head as arrays, and sigmoid(gamma)
+cached. Both paths project alike: a LoRA adapter is merged into its base
+weight by one float32 expression (_lora_merged), on the tape at every forward
+and in the engine once, and q, k, v come from one matmul over the fused
+wq|wk|wv. A session builds its engine once, so it serves the weights as they
+were when it was built.
 
 Parameter count closed form (asserted in tests):
 
@@ -124,30 +126,30 @@ class LoraAdapter:
     b: Tensor  # [out_dim, rank]
     rank: int
     alpha: float
-    target: str
-
-    def delta(self, x: Tensor) -> Tensor:
-        scale = self.alpha / self.rank
-        return T.matmul(T.matmul(x, T.swapaxes(self.a, 0, 1)), T.swapaxes(self.b, 0, 1)) * scale
 
 
-def lora_forward(adapter: LoraAdapter, base_weight: Tensor, x: Tensor) -> Tensor:
-    """y = x W + (alpha/r) (x A^T) B^T."""
-    return T.matmul(x, base_weight) + adapter.delta(x)
+def _lora_merged(w, a, b, scale):
+    """W + scale * A^T B^T (Hu et al. 2021), in W's dtype, with operators that
+    Tensor and ndarray both have: the tape records it on the parameters and the
+    engine computes it on their arrays, bit for bit the same weight."""
+    return w + (b @ a).swapaxes(0, 1) * scale
 
 
 class Projection:
-    """x @ W with an optional LoRA adapter."""
+    """x @ W, with an attached LoRA adapter merged into W first."""
 
     def __init__(self, weight: Tensor, name: str):
         self.weight = weight
         self.name = name
         self.adapter: LoraAdapter | None = None
 
+    def merged(self) -> Tensor:
+        """The weight the projection applies: W, or W + (alpha/r) A^T B^T."""
+        ad = self.adapter
+        return self.weight if ad is None else _lora_merged(self.weight, ad.a, ad.b, ad.alpha / ad.rank)
+
     def forward(self, x: Tensor) -> Tensor:
-        if self.adapter is None:
-            return T.matmul(x, self.weight)
-        return lora_forward(self.adapter, self.weight, x)
+        return T.matmul(x, self.merged())
 
 
 class RMSNorm:
@@ -173,23 +175,20 @@ class AttentionLayer:
         self.hybrid_cfg: HybridAttnConfig | None = None
 
     def project_qkv(self, x: Tensor):
-        """x [b, l, D] -> rotary q, k and plain v as [b, h, l, d]."""
+        """x [b, l, D] -> rotary q, k and plain v as [b, h, l, d]: one matmul
+        over the merged wq | wk | wv, split into heads as the engine does."""
         b, l, _ = x.shape
-
-        def split(t):
-            return T.swapaxes(t.reshape(b, l, self.n_heads, self.head_dim), 1, 2)
-
+        wqkv = T.concat([self.wq.merged(), self.wk.merged(), self.wv.merged()], axis=1)
+        qkv = T.matmul(x, wqkv).reshape(b, l, 3, self.n_heads, self.head_dim).transpose(2, 0, 3, 1, 4)
         cos, sin = _rope_at(0, l, self.head_dim, self.rope_base, x.dtype)
-        q = T.rope(split(self.wq.forward(x)), cos, sin)
-        k = T.rope(split(self.wk.forward(x)), cos, sin)
-        return q, k, split(self.wv.forward(x))
+        return T.rope(qkv[0], cos, sin), T.rope(qkv[1], cos, sin), qkv[2]
 
     def merge_heads(self, y: Tensor) -> Tensor:
         b, h, l, d = y.shape
         return T.swapaxes(y, 1, 2).reshape(b, l, h * d)
 
-    def heads_softmax(self, q, k, v, return_weights: bool = False):
-        return softmax_attention(q, k, v, return_weights=return_weights)
+    def heads_softmax(self, q, k, v):
+        return softmax_attention(q, k, v)
 
     def heads_hybrid(self, q, k, v) -> Tensor:
         return hybrid_attention_prefill(q, k, v, self.hybrid_cfg)
@@ -480,7 +479,7 @@ def _attach_lora(model: Model, rank: int, alpha: float, targets: tuple[str, ...]
             in_dim, out_dim = proj.weight.shape
             a = Tensor(take(f"{proj.name}.lora_a", (rank, in_dim)), requires_grad=True)
             b = Tensor(take(f"{proj.name}.lora_b", (out_dim, rank)), requires_grad=True)
-            proj.adapter = LoraAdapter(a=a, b=b, rank=rank, alpha=alpha, target=proj.name)
+            proj.adapter = LoraAdapter(a=a, b=b, rank=rank, alpha=alpha)
     model.lora_meta = {"rank": rank, "alpha": alpha, "targets": list(targets)}
     return model
 
@@ -534,13 +533,9 @@ class _EngineLayer(NamedTuple):
 
 
 def _merged(proj: Projection) -> np.ndarray:
-    """The projection's weight with its LoRA delta folded in: W + (alpha/r) A^T B^T."""
-    w = proj.weight.data
-    if proj.adapter is None:
-        return w
+    """Projection.merged() on the parameter arrays, off the tape."""
     ad = proj.adapter
-    delta = (ad.alpha / ad.rank) * (ad.a.data.T.astype(np.float64) @ ad.b.data.T.astype(np.float64))
-    return (w + delta).astype(w.dtype)
+    return proj.weight.data if ad is None else _lora_merged(proj.weight.data, ad.a.data, ad.b.data, ad.alpha / ad.rank)
 
 
 def _finite(a: np.ndarray, where: str, op: str) -> np.ndarray:
@@ -584,9 +579,10 @@ def _rope_table(start: int, size: int, head_dim: int, base: float, dtype) -> tup
 class _Engine:
     """The plain numpy arrays a session serves, taken from the model once, and
     the one numpy block loop over them, for the sessions and the stage-1
-    teacher. LoRA is merged into its base projection, W + (alpha/r) A^T B^T
-    (Hu et al. 2021), wq|wk|wv is one [D, 3D] matrix, and a hybrid layer's
-    window factor sigmoid(gamma_raw) is computed once (HybridArrays).
+    teacher. LoRA is merged into its base projection by the expression the
+    tape trains through (_lora_merged), wq|wk|wv is one [D, 3D] matrix as in
+    project_qkv, and a hybrid layer's window factor sigmoid(gamma_raw) is
+    computed once (HybridArrays).
 
     Merged and fused matrices are the engine's own arrays; the others are the
     parameter arrays themselves, which the optimizer and load_checkpoint

@@ -84,16 +84,16 @@ def blockwise_loss(ys: list, y_hats: list, block_size: int) -> list[Tensor]:
 
 def hedgehog_weight_xent_loss(a, a_hat) -> Tensor:
     """Cross-entropy between teacher softmax weights and student weights,
-    -sum a log a_hat per row, averaged over rows/heads/batch. Student entries
-    are clamped at 1e-12 before the log."""
-    a_data = np.asarray(a.data if isinstance(a, Tensor) else a, dtype=np.float64)
+    -sum a log a_hat per row, averaged over rows/heads/batch, with a taken in
+    a_hat's dtype. Student entries are clamped at 1e-12 before the log."""
     a_hat_t = a_hat if isinstance(a_hat, Tensor) else Tensor(a_hat)
+    a_data = np.asarray(a.data if isinstance(a, Tensor) else a, dtype=a_hat_t.dtype)
     if a_data.shape != a_hat_t.shape:
         raise ShapeMismatch(f"weight tensors {a_data.shape} vs {a_hat_t.shape}")
     _check_stochastic(a_data)
     _check_stochastic(a_hat_t.data)
     clamped = T.masked_fill(a_hat_t, a_hat_t.data < 1e-12, 1e-12)
-    row_xent = -(Tensor(a_data.astype(np.float32), dtype=a_hat_t.dtype) * T.log(clamped)).sum(-1)
+    row_xent = -(Tensor(a_data) * T.log(clamped)).sum(-1)
     return row_xent.mean()
 
 

@@ -8,19 +8,19 @@ from .errors import BadConfig, NotConverted, UnknownId
 from .model import Model
 
 
-def check_token_array(ids, vocab_size: int = 258, name: str = "tokens") -> np.ndarray:
+def check_token_array(ids, vocab_size: int = 258) -> np.ndarray:
     """Coerce to a 1-D uint32 id array and bound-check against the vocabulary."""
     arr = np.asarray(ids)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
     if arr.size == 0:
-        raise BadConfig(f"{name} is empty")
+        raise BadConfig("tokens is empty")
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == np.floor(arr)):
-            raise UnknownId(f"{name} must be integer token ids")
+            raise UnknownId("tokens must be integer token ids")
         arr = arr.astype(np.int64)
     if arr.min() < 0 or arr.max() >= vocab_size:
-        raise UnknownId(f"{name} ids outside [0, {vocab_size})")
+        raise UnknownId(f"tokens ids outside [0, {vocab_size})")
     return arr.astype(np.uint32)
 
 

@@ -64,7 +64,7 @@ def test_criterion_01_linear_attention_three_forms():
         pq = A.init_feature_map(kind, h, d, None, g)
         pk = A.init_feature_map(kind, h, d, None, g)
         q, k, v = (Tensor(g.normal(size=(b, h, l, d)).astype(np.float32)) for _ in range(3))
-        y_par, _ = A.linear_attention_parallel(q, k, v, pq, pk)
+        y_par = A.linear_attention_parallel(q, k, v, pq, pk)
         y_state = A.linear_attention_state(q, k, v, pq, pk)
         state = A.LinearAttentionState(b, h, pq.output_dim, d)
         y_rec = np.zeros_like(y_par.data)
@@ -242,7 +242,7 @@ def _loss_fd_cases():
         a_hat = A.hybrid_attention_weights(Tensor(q0, dtype=np.float64), Tensor(k0, dtype=np.float64),
                                            Tensor(v0, dtype=np.float64), cfg)
         _, a_teacher = A.softmax_attention(Tensor(q0, dtype=np.float64), Tensor(k0, dtype=np.float64),
-                                           Tensor(v0, dtype=np.float64), return_weights=True)
+                                           Tensor(v0, dtype=np.float64))
         return hedgehog_weight_xent_loss(a_teacher.data, a_hat)
 
     # next-token loss as a function of logits

@@ -163,7 +163,7 @@ def test_softmax_attention_matches_oracle():
     k = rand_f64((1, 2, 3, 2), 6)
     v = rand_f64((1, 2, 3, 2), 7)
     y_ref, a_ref = oracles.softmax_attention_ref(q, k, v)
-    y, a = A.softmax_attention(Tensor(q), Tensor(k), Tensor(v), return_weights=True)
+    y, a = A.softmax_attention(Tensor(q), Tensor(k), Tensor(v))
     np.testing.assert_allclose(y.data, y_ref, atol=1e-6)
     np.testing.assert_allclose(a.data, a_ref, atol=1e-6)
     np.testing.assert_allclose(a.data.sum(-1), 1.0, atol=1e-6)
@@ -184,14 +184,14 @@ def test_linear_attention_single_token_and_uniform():
     v = Tensor(rand_f64((1, 1, 1, 4), 1), dtype=np.float64)
     q = Tensor(rand_f64((1, 1, 1, 4), 2), dtype=np.float64)
     k = Tensor(rand_f64((1, 1, 1, 4), 3), dtype=np.float64)
-    y, _ = A.linear_attention_parallel(q, k, v, pq, pk)
+    y = A.linear_attention_parallel(q, k, v, pq, pk)
     np.testing.assert_allclose(y.data, v.data, atol=1e-5)
 
     # identical keys -> identical phi(k) -> mean of values
     k_rep = Tensor(np.tile(rand_f64((1, 1, 1, 4), 4), (1, 1, 6, 1)), dtype=np.float64)
     q6 = Tensor(rand_f64((1, 1, 6, 4), 5), dtype=np.float64)
     v6 = Tensor(rand_f64((1, 1, 6, 4), 6), dtype=np.float64)
-    y6, _ = A.linear_attention_parallel(q6, k_rep, v6, pq, pk)
+    y6 = A.linear_attention_parallel(q6, k_rep, v6, pq, pk)
     for n in range(6):
         np.testing.assert_allclose(y6.data[0, 0, n], v6.data[0, 0, : n + 1].mean(0), atol=1e-4)
 
@@ -205,7 +205,7 @@ def test_linear_attention_matches_loop_oracle(kind):
     fq = oracles.phi_ref(kind, pq.weight.data, None if pq.bias is None else pq.bias.data, q.data)
     fk = oracles.phi_ref(kind, pk.weight.data, None if pk.bias is None else pk.bias.data, k.data)
     ref = oracles.linear_attention_ref(fq, fk, v.data)
-    y, _ = A.linear_attention_parallel(q, k, v, pq, pk)
+    y = A.linear_attention_parallel(q, k, v, pq, pk)
     np.testing.assert_allclose(y.data, ref, atol=1e-9)
 
 
@@ -215,7 +215,7 @@ def test_linear_attention_three_forms_agree(kind):
     q = Tensor(rand_f64((1, 2, 16, 8), 22), dtype=np.float64)
     k = Tensor(rand_f64((1, 2, 16, 8), 23), dtype=np.float64)
     v = Tensor(rand_f64((1, 2, 16, 8), 24), dtype=np.float64)
-    y_par, _ = A.linear_attention_parallel(q, k, v, pq, pk)
+    y_par = A.linear_attention_parallel(q, k, v, pq, pk)
     y_state = A.linear_attention_state(q, k, v, pq, pk)
     np.testing.assert_allclose(y_state.data, y_par.data, atol=1e-9)
 

@@ -34,7 +34,9 @@ from linswap.model import (
     AttentionLayer,
     HybridSession,
     HybridSpec,
+    LoraAdapter,
     ModelConfig,
+    Projection,
     SoftmaxSession,
     adapter_parameters,
     build_model,
@@ -43,7 +45,6 @@ from linswap.model import (
     expected_parameter_count,
     generate_greedy,
     lora_attach,
-    lora_forward,
     tokenize,
 )
 from linswap.tensor import Tensor
@@ -116,8 +117,8 @@ def test_convert_preserves_teacher_path_bitwise(monkeypatch):
     before = []
     heads_softmax = AttentionLayer.heads_softmax
 
-    def recorded(self, q, k, v, return_weights=False):
-        y, a = heads_softmax(self, q, k, v, return_weights)
+    def recorded(self, q, k, v):
+        y, a = heads_softmax(self, q, k, v)
         before.append([t.data.copy() for t in (q, k, v, y)])
         return y, a
 
@@ -142,7 +143,7 @@ def test_teacher_records_match_tensor_softmax_stack(mode):
     records = model.forward_teacher_forced(ids, return_weights=True)
     for rec, blk in zip(records, model.blocks):
         q, k, v = blk.attn.project_qkv(blk.norm1.forward(x))
-        y, a = blk.attn.heads_softmax(q, k, v, return_weights=True)
+        y, a = blk.attn.heads_softmax(q, k, v)
         assert rec["y"].tobytes() == y.data.tobytes()
         assert rec["a"].tobytes() == a.data.tobytes()
         x = x + blk.attn.wo.forward(blk.attn.merge_heads(y))
@@ -212,9 +213,13 @@ def test_lora_double_attach_rejected():
         lora_attach(model, rank=2)
 
 
-def test_lora_alpha_linearity():
-    from linswap.model import LoraAdapter
+def lora_projection(w, a, b, rank, alpha):
+    proj = Projection(w, "t")
+    proj.adapter = LoraAdapter(a=a, b=b, rank=rank, alpha=alpha)
+    return proj
 
+
+def test_lora_alpha_linearity():
     g = np.random.default_rng(9)
     w = Tensor(g.normal(size=(8, 8)), dtype=np.float64)
     a = Tensor(g.normal(size=(2, 8)), dtype=np.float64)
@@ -222,22 +227,19 @@ def test_lora_alpha_linearity():
     x = Tensor(g.normal(size=(3, 8)), dtype=np.float64)
     base_out = T.matmul(x, w).data
 
-    y8 = lora_forward(LoraAdapter(a=a, b=b, rank=2, alpha=8.0, target="t"), w, x).data
-    y16 = lora_forward(LoraAdapter(a=a, b=b, rank=2, alpha=16.0, target="t"), w, x).data
+    y8 = lora_projection(w, a, b, rank=2, alpha=8.0).forward(x).data
+    y16 = lora_projection(w, a, b, rank=2, alpha=16.0).forward(x).data
     np.testing.assert_allclose(y16 - base_out, 2.0 * (y8 - base_out), atol=1e-6)
 
 
 def test_lora_rank1_hand_case():
     # base W = 0, A picks x_0, B writes to output 0, alpha/r = alpha
-    from linswap.model import LoraAdapter
-
     w = Tensor(np.zeros((4, 4), dtype=np.float64))
     a = Tensor(np.array([[1.0, 0, 0, 0]]), dtype=np.float64)
     c = 0.7
     b = Tensor(np.array([[c], [0], [0], [0]]), dtype=np.float64)
-    adapter = LoraAdapter(a=a, b=b, rank=1, alpha=3.0, target="t")
     x = Tensor(np.array([[2.0, -1.0, 5.0, 0.5]]), dtype=np.float64)
-    y = lora_forward(adapter, w, x)
+    y = lora_projection(w, a, b, rank=1, alpha=3.0).forward(x)
     expect = np.zeros((1, 4))
     expect[0, 0] = 3.0 * c * 2.0
     np.testing.assert_allclose(y.data, expect, atol=1e-12)
@@ -643,6 +645,19 @@ def test_engine_serves_merged_lora_as_forward(mode, kind):
     assert np.abs(session.prefill(ids[:, : w + 1]) - ref[:, w]).max() <= 1e-5
     for t in range(w + 1, ids.shape[1]):
         assert np.abs(session.step(ids[:, t]) - ref[:, t]).max() <= 1e-5, f"position {t}"
+
+
+def test_engine_projections_are_the_tape_merged_weights():
+    # one merge rule: the engine's fused wq|wk|wv and its wo are the merged
+    # weights the tape trains through, bit for bit
+    model = with_nonzero_lora(convert_model(small_model(), SPEC))
+    engine = M._Engine(model)
+    for blk, layer in zip(model.blocks, engine.layers):
+        attn = blk.attn
+        wqkv = T.concat([attn.wq.merged(), attn.wk.merged(), attn.wv.merged()], axis=1)
+        assert layer.wqkv.tobytes() == wqkv.data.tobytes()
+        assert layer.wo.tobytes() == attn.wo.merged().data.tobytes()
+        assert np.abs(layer.wo - attn.wo.weight.data).max() > 1e-3  # the adapter is in it
 
 
 @pytest.mark.parametrize("layer,param,op", [(0, "wq", "attn.qkv"), (1, "down", "mlp.down")])

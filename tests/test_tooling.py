@@ -4,7 +4,7 @@
 loaded read-only. The serving sessions are pinned to the names the tracer
 attributes their attention time to, every bundled config is built into the
 classes it configures, and a stage-2 loss records rope, RMS normalisation and
-the loss as one tape node each."""
+the loss as one tape node each and the qkv projection over one concat."""
 
 import ast
 import importlib
@@ -102,7 +102,8 @@ def test_bundled_configs_build_every_section():
 
 
 def test_stage2_loss_records_one_node_per_fused_op(monkeypatch):
-    # rope, RMS normalisation and the loss are one node each, not composites
+    # rope, RMS normalisation and the loss are one node each, not composites,
+    # and q, k, v come from one matmul over the concatenated merged wq|wk|wv
     made = []
     make = T._make
 
@@ -117,6 +118,7 @@ def test_stage2_loss_records_one_node_per_fused_op(monkeypatch):
     inputs, targets = sample_batch(synthetic_corpus(2000, seed=6), 2, 12, np.random.default_rng(6))
     monkeypatch.setattr(T, "_make", counted)
     next_token_loss(model.forward(inputs), targets)
+    assert made.count("concat") == cfg.n_layers
     assert made.count("rope") == 2 * cfg.n_layers
     assert made.count("rms_norm") == 2 * cfg.n_layers + 1
     assert made.count("cross_entropy") == 1

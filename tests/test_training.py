@@ -100,6 +100,24 @@ def test_hedgehog_xent_trivials_and_oracle():
         hedgehog_weight_xent_loss(a * 2.0, Tensor(ah, dtype=np.float64))
 
 
+def test_hedgehog_xent_uses_the_teacher_in_the_student_dtype():
+    # causal rows: the student's masked zeros are clamped at 1e-12; a float64
+    # teacher is not rounded through float32 on the way
+    g = rng(6)
+    causal = np.tril(np.ones((7, 7)))
+    a = g.uniform(0.1, 1.0, size=(2, 3, 7, 7)) * causal
+    a /= a.sum(-1, keepdims=True)
+    ah = g.uniform(0.1, 1.0, size=(2, 3, 7, 7)) * causal
+    ah /= ah.sum(-1, keepdims=True)
+    direct = -(a * np.log(np.maximum(ah, 1e-12))).sum(-1).mean()
+    got = hedgehog_weight_xent_loss(a, Tensor(ah, dtype=np.float64))
+    assert got.dtype == np.float64
+    assert abs(got.item() - direct) <= 1e-14 * abs(direct)
+    got32 = hedgehog_weight_xent_loss(a, Tensor(ah, dtype=np.float32))
+    assert got32.dtype == np.float32
+    assert abs(got32.item() - direct) <= 1e-6 * abs(direct)
+
+
 def test_next_token_loss_trivials():
     b, l, v = 2, 3, 7
     logits = Tensor(np.zeros((b, l, v), dtype=np.float64))
