@@ -254,7 +254,6 @@ class LinearAttentionState:
     def __init__(self, batch: int, heads: int, feature_out_dim: int, head_dim: int, dtype=np.float32):
         self.s = np.zeros((batch, heads, feature_out_dim, head_dim), dtype=dtype)
         self.z = np.zeros((batch, heads, feature_out_dim), dtype=dtype)
-        self.position = 0
 
     @property
     def nbytes(self) -> int:
@@ -280,7 +279,6 @@ def linear_attention_recurrent_step(
     fq = _phi_np(phi_q.arrays(), q_n[:, :, None])[:, :, 0]
     num = np.einsum("bhf,bhfd->bhd", fq, state.s)
     den = np.einsum("bhf,bhf->bh", fq, state.z) + EPS
-    state.position += 1
     return num / den[..., None]
 
 

@@ -153,9 +153,8 @@ class Projection:
 
 
 class RMSNorm:
-    def __init__(self, gain: Tensor, name: str):
+    def __init__(self, gain: Tensor):
         self.gain = gain
-        self.name = name
 
     def forward(self, x: Tensor) -> Tensor:
         return T.rms_norm(x, self.gain, RMS_EPS)
@@ -369,10 +368,10 @@ def _assemble(cfg: ModelConfig, take, hybrid: HybridSpec | None = None, lora: di
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
         attn = AttentionLayer(*(proj(f"{p}.attn.{n}", D, D) for n in ("wq", "wk", "wv", "wo")), H, d, cfg.rope_base)
-        norm1 = RMSNorm(param(f"{p}.norm1.gain", D), f"{p}.norm1")
+        norm1 = RMSNorm(param(f"{p}.norm1.gain", D))
         mlp = Mlp(proj(f"{p}.mlp.gate", D, Dh), proj(f"{p}.mlp.up", D, Dh), proj(f"{p}.mlp.down", Dh, D))
-        blocks.append(Block(norm1, attn, RMSNorm(param(f"{p}.norm2.gain", D), f"{p}.norm2"), mlp))
-    final_norm = RMSNorm(param("final_norm.gain", D), "final_norm")
+        blocks.append(Block(norm1, attn, RMSNorm(param(f"{p}.norm2.gain", D)), mlp))
+    final_norm = RMSNorm(param("final_norm.gain", D))
     model = Model(cfg, embed, blocks, final_norm, param("head.weight", D, cfg.vocab_size))
     if hybrid is not None:
         kind = hybrid.feature_kind

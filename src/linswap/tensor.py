@@ -6,6 +6,11 @@ gradient checks. Every op validates shapes up front and checks its output for
 NaN/Inf, so training failures surface at the op that produced them instead of
 three modules later.
 
+Each op is its forward plus one gradient rule per parent, handed to one node
+constructor (fused, through _node): it records the node, runs a parent's rule
+only when that parent requires a gradient, and accumulates the result. The
+slice op alone keeps its own backward, which adds into its source's gradient.
+
 Broadcasting is deliberately one-sided: in a binary op, one operand must be
 expandable to the other's shape by left-padding with 1s and stretching size-1
 axes. Two-sided broadcasts like (l,1)*(1,d) are shape errors; write the outer
@@ -15,6 +20,7 @@ product as a matmul.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -185,12 +191,36 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out.grad = None  # intermediates get grads lazily during backward
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _grad_enabled:
+        for p in parents:  # a loop: any() over a generator costs more per node
+            if p.requires_grad:
+                out.requires_grad = True
+                out.grad = None  # intermediates get grads lazily during backward
+                out._parents = tuple(parents)
+                out._backward = backward
+                break
     return out
+
+
+def fused(data: np.ndarray, parents: Sequence[Tensor], grads: Callable, op: str) -> Tensor:
+    """The node constructor: grads(g) returns the gradient of each parent, in
+    order, for the upstream gradient g, and each parent that requires one
+    accumulates it. The ops here reach it through _node; a numpy kernel of
+    another module (the hybrid layer's) calls it directly."""
+
+    def _bw(g):
+        for p, gp in zip(parents, grads(g)):
+            if p.requires_grad:
+                _accum(p, gp)
+
+    return _make(data, parents, _bw, op)
+
+
+def _node(data: np.ndarray, parents: Sequence[Tensor], rules: Sequence[Callable], op: str) -> Tensor:
+    """fused with one gradient rule per parent: rules[i](g) is the gradient of
+    parents[i], run only when that parent requires one. A generator, so each
+    gradient is accumulated before the next one is computed."""
+    return fused(data, parents, lambda g: (r(g) if p.requires_grad else None for p, r in zip(parents, rules)), op)
 
 
 # -- broadcasting (one-sided) ------------------------------------------------
@@ -241,67 +271,43 @@ def _coerce_pair(a, b, op: str) -> tuple[Tensor, Tensor]:
     return a, b
 
 
+def _elementwise_pair(a, b, op: str) -> tuple[Tensor, Tensor]:
+    """The operands of add/sub/mul/div: coerced, one broadcastable to the other."""
+    a, b = _coerce_pair(a, b, op)
+    _broadcast_shapes(a.shape, b.shape, op)
+    return a, b
+
+
 # -- elementwise binary ops ----------------------------------------------------
 
 
 def add(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b, "add")
-    _broadcast_shapes(a.shape, b.shape, "add")
+    a, b = _elementwise_pair(a, b, "add")
     with np.errstate(over="ignore"):
         data = a.data + b.data
-
-    def _bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
-
-    return _make(data, (a, b), _bw, "add")
+    return _node(data, (a, b), (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)), "add")
 
 
 def sub(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b, "sub")
-    _broadcast_shapes(a.shape, b.shape, "sub")
+    a, b = _elementwise_pair(a, b, "sub")
     with np.errstate(over="ignore"):
         data = a.data - b.data
-
-    def _bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(data, (a, b), _bw, "sub")
+    return _node(data, (a, b), (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)), "sub")
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b, "mul")
-    _broadcast_shapes(a.shape, b.shape, "mul")
+    a, b = _elementwise_pair(a, b, "mul")
     with np.errstate(over="ignore"):
         data = a.data * b.data
-
-    def _bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(data, (a, b), _bw, "mul")
+    return _node(data, (a, b), (lambda g: _unbroadcast(g * b.data, a.shape), lambda g: _unbroadcast(g * a.data, b.shape)), "mul")
 
 
 def div(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b, "div")
-    _broadcast_shapes(a.shape, b.shape, "div")
+    a, b = _elementwise_pair(a, b, "div")
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
-
-    def _bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(data, (a, b), _bw, "div")
+    rules = (lambda g: _unbroadcast(g / b.data, a.shape), lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+    return _node(data, (a, b), rules, "div")
 
 
 def matmul(a, b) -> Tensor:
@@ -315,16 +321,10 @@ def matmul(a, b) -> Tensor:
     _broadcast_shapes(a.shape[:-2], b.shape[:-2], "matmul")
     with np.errstate(over="ignore", invalid="ignore"):
         data = np.matmul(a.data, b.data)
-
-    def _bw(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, _unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accum(b, _unbroadcast(gb, b.shape))
-
-    return _make(data, (a, b), _bw, "matmul")
+    return _node(data, (a, b), (
+        lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+        lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape),
+    ), "matmul")
 
 
 # -- elementwise unary ops ----------------------------------------------------
@@ -334,42 +334,25 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(over="ignore"):
         data = np.exp(a.data)
-
-    def _bw(g):
-        _accum(a, g * data)
-
-    return _make(data, (a,), _bw, "exp")
+    return _node(data, (a,), (lambda g: g * data,), "exp")
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(a.data)
-
-    def _bw(g):
-        _accum(a, g / a.data)
-
-    return _make(data, (a,), _bw, "log")
+    return _node(data, (a,), (lambda g: g / a.data,), "log")
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def _bw(g):
-        _accum(a, g * (a.data > 0))
-
-    return _make(data, (a,), _bw, "relu")
+    return _node(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0),), "relu")
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def _bw(g):
-        _accum(a, g * data * (1.0 - data))
-
-    return _make(data, (a,), _bw, "sigmoid")
+    return _node(data, (a,), (lambda g: g * data * (1.0 - data),), "sigmoid")
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -383,12 +366,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     if a.shape == () or a.shape[axis] == 0:
         raise EmptyReduction("softmax over empty axis")
     data = softmax_np(a.data, axis)
-
-    def _bw(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        _accum(a, data * (g - inner))
-
-    return _make(data, (a,), _bw, "softmax")
+    return _node(data, (a,), (lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True)),), "softmax")
 
 
 # -- reductions ----------------------------------------------------------------
@@ -408,35 +386,29 @@ def _check_nonempty(a: Tensor, axes: tuple[int, ...], op: str) -> None:
             raise EmptyReduction(f"{op} over empty axis {ax} of shape {a.shape}")
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def _sum_or_mean(a, axis, keepdims: bool, op: str) -> Tensor:
+    """reduce_sum and reduce_mean: op is "sum" or "mean", the ndarray method."""
     a = as_tensor(a)
     axes = _norm_axis(a, axis)
-    _check_nonempty(a, axes, "sum")
-    data = a.data.sum(axis=axes or None, keepdims=keepdims)
+    _check_nonempty(a, axes, op)
+    data = getattr(a.data, op)(axis=axes or None, keepdims=keepdims)
 
-    def _bw(g):
-        gg = g
+    def rule(g):
+        if op == "mean":
+            g = g / (math.prod(a.shape[ax] for ax in axes) if axes else a.size)
         if not keepdims and axes:
-            gg = np.expand_dims(gg, axes)
-        _accum(a, np.broadcast_to(gg, a.shape).copy())
+            g = np.expand_dims(g, axes)
+        return np.broadcast_to(g, a.shape).copy()
 
-    return _make(np.asarray(data, dtype=a.dtype), (a,), _bw, "sum")
+    return _node(np.asarray(data, dtype=a.dtype), (a,), (rule,), op)
+
+
+def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+    return _sum_or_mean(a, axis, keepdims, "sum")
 
 
 def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    axes = _norm_axis(a, axis)
-    _check_nonempty(a, axes, "mean")
-    count = int(np.prod([a.shape[ax] for ax in axes])) if axes else a.size
-    data = a.data.mean(axis=axes or None, keepdims=keepdims)
-
-    def _bw(g):
-        gg = g / count
-        if not keepdims and axes:
-            gg = np.expand_dims(gg, axes)
-        _accum(a, np.broadcast_to(gg, a.shape).copy())
-
-    return _make(np.asarray(data, dtype=a.dtype), (a,), _bw, "mean")
+    return _sum_or_mean(a, axis, keepdims, "mean")
 
 
 def reduce_max(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -448,16 +420,15 @@ def reduce_max(a, axis=None, keepdims: bool = False) -> Tensor:
     _check_nonempty(a, axes, "max")
     data = a.data.max(axis=axes[0] if axis is not None else None, keepdims=True)
 
-    def _bw(g):
-        gg = g
+    def rule(g):
         if not keepdims:
-            gg = np.expand_dims(gg, axes) if axis is not None else np.asarray(g).reshape((1,) * a.ndim)
+            g = np.expand_dims(g, axes) if axis is not None else np.asarray(g).reshape((1,) * a.ndim)
         hit = a.data == data
         if axis is not None:
             first = np.cumsum(hit, axis=axes[0]) == 1
         else:
             first = (np.cumsum(hit.reshape(-1)) == 1).reshape(a.shape)
-        _accum(a, np.broadcast_to(gg, a.shape) * (hit & first))
+        return np.broadcast_to(g, a.shape) * (hit & first)
 
     if keepdims:
         out = data
@@ -465,7 +436,7 @@ def reduce_max(a, axis=None, keepdims: bool = False) -> Tensor:
         out = data.reshape(())
     else:
         out = np.squeeze(data, axis=axes[0])
-    return _make(np.asarray(out, dtype=a.dtype), (a,), _bw, "max")
+    return _node(np.asarray(out, dtype=a.dtype), (a,), (rule,), "max")
 
 
 def _running_sum(x: np.ndarray, ax: int) -> np.ndarray:
@@ -484,12 +455,7 @@ def _running_sum(x: np.ndarray, ax: int) -> np.ndarray:
 def cumsum(a, axis: int) -> Tensor:
     a = as_tensor(a)
     ax = axis % a.ndim
-    data = _running_sum(a.data, ax)
-
-    def _bw(g):
-        _accum(a, np.flip(_running_sum(np.flip(g, ax), ax), ax))
-
-    return _make(data, (a,), _bw, "cumsum")
+    return _node(_running_sum(a.data, ax), (a,), (lambda g: np.flip(_running_sum(np.flip(g, ax), ax), ax),), "cumsum")
 
 
 # -- shape ops -------------------------------------------------------------------
@@ -499,34 +465,19 @@ def reshape(a, *shape) -> Tensor:
     a = as_tensor(a)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    data = a.data.reshape(shape)
-
-    def _bw(g):
-        _accum(a, g.reshape(a.shape))
-
-    return _make(data, (a,), _bw, "reshape")
+    return _node(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),), "reshape")
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     axes = tuple(range(a.ndim))[::-1] if axes is None else tuple(axes)
-    data = a.data.transpose(axes)
     inv = np.argsort(axes)
-
-    def _bw(g):
-        _accum(a, g.transpose(inv))
-
-    return _make(data, (a,), _bw, "transpose")
+    return _node(a.data.transpose(axes), (a,), (lambda g: g.transpose(inv),), "transpose")
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
-    data = np.swapaxes(a.data, ax1, ax2)
-
-    def _bw(g):
-        _accum(a, np.swapaxes(g, ax1, ax2))
-
-    return _make(data, (a,), _bw, "swapaxes")
+    return _node(np.swapaxes(a.data, ax1, ax2), (a,), (lambda g: np.swapaxes(g, ax1, ax2),), "swapaxes")
 
 
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
@@ -540,18 +491,9 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
         if len(other) != len(base) or any(o != b for i, (o, b) in enumerate(zip(other, base)) if i != ax):
             raise ShapeMismatch(f"concat: {parts[0].shape} vs {p.shape} on axis {ax}")
     data = np.concatenate([p.data for p in parts], axis=ax)
-    sizes = [p.shape[ax] for p in parts]
-
-    def _bw(g):
-        offset = 0
-        for p, s in zip(parts, sizes):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[ax] = slice(offset, offset + s)
-                _accum(p, g[tuple(sl)])
-            offset += s
-
-    return _make(data, parts, _bw, "concat")
+    ends = np.cumsum([p.shape[ax] for p in parts]).tolist()
+    keys = [(slice(None),) * ax + (slice(end - p.shape[ax], end),) for p, end in zip(parts, ends)]
+    return _node(data, parts, [lambda g, key=key: g[key] for key in keys], "concat")
 
 
 def narrow(a, key) -> Tensor:
@@ -573,25 +515,20 @@ def masked_fill(a, mask: np.ndarray, value: float) -> Tensor:
     a = as_tensor(a)
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
     data = np.where(mask, np.asarray(value, dtype=a.dtype), a.data)
-
-    def _bw(g):
-        _accum(a, np.where(mask, 0.0, g))
-
-    return _make(data, (a,), _bw, "masked_fill")
+    return _node(data, (a,), (lambda g: np.where(mask, 0.0, g),), "masked_fill")
 
 
 def embedding(weight, ids: np.ndarray) -> Tensor:
     """Row gather from weight [vocab, dim] by integer ids [...]."""
     weight = as_tensor(weight)
     ids = np.asarray(ids)
-    data = weight.data[ids]
 
-    def _bw(g):
+    def rule(g):
         buf = np.zeros_like(weight.data)
         np.add.at(buf, ids, g)
-        _accum(weight, buf)
+        return buf
 
-    return _make(data, (weight,), _bw, "embedding")
+    return _node(weight.data[ids], (weight,), (rule,), "embedding")
 
 
 # -- fused block ops: one tape node each; the serving engine runs their kernels
@@ -612,7 +549,7 @@ def rope(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     cos, sin = np.asarray(cos, dtype=x.dtype), np.asarray(sin, dtype=x.dtype)
     if x.shape[-1] % 2 or cos.shape != sin.shape or cos.shape != (x.shape[-2], x.shape[-1] // 2):
         raise ShapeMismatch(f"rope: x {x.shape} vs tables {cos.shape} {sin.shape}")
-    return _make(rope_np(x.data, cos, sin), (x,), lambda g: _accum(x, rope_np(g, cos, -sin)), "rope")
+    return _node(rope_np(x.data, cos, sin), (x,), (lambda g: rope_np(g, cos, -sin),), "rope")
 
 
 def _rms_scale(x: np.ndarray, eps: float) -> np.ndarray:
@@ -630,15 +567,15 @@ def rms_norm(x, gain, eps: float) -> Tensor:
     if gain.shape != x.shape[-1:]:
         raise ShapeMismatch(f"rms_norm: gain {gain.shape} vs x {x.shape}")
 
-    def _bw(g):
+    def dx(g):
         r = _rms_scale(x.data, eps)
         u, gu = x.data * r, g * gain.data
-        if gain.requires_grad:
-            _accum(gain, _unbroadcast(g * u, gain.shape))
-        if x.requires_grad:
-            _accum(x, r * (gu - u * ((gu * u).sum(-1, keepdims=True) / x.shape[-1])))
+        return r * (gu - u * ((gu * u).sum(-1, keepdims=True) / x.shape[-1]))
 
-    return _make(rms_norm_np(x.data, gain.data, eps), (x, gain), _bw, "rms_norm")
+    def dgain(g):
+        return _unbroadcast(g * (x.data * _rms_scale(x.data, eps)), gain.shape)
+
+    return _node(rms_norm_np(x.data, gain.data, eps), (x, gain), (dx, dgain), "rms_norm")
 
 
 def cross_entropy(logits, targets: np.ndarray) -> Tensor:
@@ -653,24 +590,12 @@ def cross_entropy(logits, targets: np.ndarray) -> Tensor:
     total = e.sum(-1, keepdims=True)
     nll = np.log(total) - np.take_along_axis(shifted, idx, axis=-1)
 
-    def _bw(g):
+    def rule(g):
         grad = e / total
         np.put_along_axis(grad, idx, np.take_along_axis(grad, idx, axis=-1) - 1.0, axis=-1)
-        _accum(logits, grad * (g / idx.size))
+        return grad * (g / idx.size)
 
-    return _make(np.asarray(nll.mean(), dtype=logits.dtype), (logits,), _bw, "cross_entropy")
-
-
-def fused(data: np.ndarray, parents: Sequence[Tensor], grads: Callable, op: str) -> Tensor:
-    """One tape node over a numpy kernel of another module: grads(g) returns
-    the gradient of each parent, in order, for the upstream gradient g."""
-
-    def _bw(g):
-        for p, gp in zip(parents, grads(g)):
-            if p.requires_grad:
-                _accum(p, gp)
-
-    return _make(data, parents, _bw, op)
+    return _node(np.asarray(nll.mean(), dtype=logits.dtype), (logits,), (rule,), "cross_entropy")
 
 
 # -- tape / backward --------------------------------------------------------------

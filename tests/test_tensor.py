@@ -211,6 +211,33 @@ def test_slice_backward_adds_into_the_source_gradient():
     np.testing.assert_array_equal(grads[0], grads[1])
 
 
+def test_node_runs_a_rule_only_for_a_parent_that_requires_a_gradient():
+    calls = []
+
+    def rule(name):
+        def grad(g):
+            calls.append(name)
+            return g
+
+        return grad
+
+    live, frozen = T.Tensor([1.0, 2.0], requires_grad=True), T.Tensor([3.0, 4.0])
+    out = T._node(live.data * frozen.data, (live, frozen), (rule("live"), rule("frozen")), "probe")
+    T.backpropagate(out.sum())
+    assert calls == ["live"]
+    np.testing.assert_array_equal(live.grad, [1.0, 1.0])
+    assert frozen.grad is None
+
+    # no parent requires a gradient, or recording is off: no node
+    untaped = [T._node(frozen.data * 2.0, (frozen,), (rule("frozen"),), "probe")]
+    with T.no_grad():
+        untaped.append(T._node(live.data * 2.0, (live,), (rule("live"),), "probe"))
+        untaped.append(live * 2.0)
+    for t in untaped:
+        assert not t.requires_grad and t.is_leaf() and t._backward is None
+    assert calls == ["live"]
+
+
 # --- finite-difference oracle suite -------------------------------------------
 
 def test_fd_polynomial():

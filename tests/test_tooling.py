@@ -3,8 +3,9 @@
 ``benchmarks/run.py``, so both are checked here, with the benchmark files
 loaded read-only. The serving sessions are pinned to the names the tracer
 attributes their attention time to, every bundled config is built into the
-classes it configures, and a stage-2 loss records rope, RMS normalisation and
-the loss as one tape node each and the qkv projection over one concat."""
+classes it configures, a stage-2 loss records rope, RMS normalisation and the
+loss as one tape node each and the qkv projection over one concat, and every
+tensor op records its node through the one node constructor."""
 
 import ast
 import importlib
@@ -122,3 +123,24 @@ def test_stage2_loss_records_one_node_per_fused_op(monkeypatch):
     assert made.count("rope") == 2 * cfg.n_layers
     assert made.count("rms_norm") == 2 * cfg.n_layers + 1
     assert made.count("cross_entropy") == 1
+
+
+def test_tensor_ops_record_through_one_node_constructor():
+    # each op hands its forward and one gradient rule per parent to the node
+    # constructor: only fused and narrow record with _make, only fused's
+    # backward accumulates with _accum, and no op tests requires_grad itself
+    sites = {"_make": set(), "_accum": set(), "_node": set(), "requires_grad": set()}
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name in sites:
+                sites[name].add(scope)
+            walk(child, scope + (child.name,) if isinstance(child, ast.FunctionDef) else scope)
+
+    walk(ast.parse(Path(T.__file__).read_text()), ())
+    assert sites["_make"] == {("fused",), ("narrow",)}
+    assert sites["_accum"] == {("fused", "_bw")}
+    ops = {scope[0] for scope in sites["_node"]}
+    assert {"add", "matmul", "rms_norm", "concat", "reduce_max", "_sum_or_mean"} <= ops
+    assert not ops & {scope[0] for scope in sites["requires_grad"] if scope}
