@@ -24,6 +24,7 @@ feature axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -580,14 +581,25 @@ class HybridDecodeState:
     generation."""
 
     def __init__(self, batch: int, heads: int, cfg: HybridAttnConfig, head_dim: int, dtype=np.float32):
-        f = cfg.phi_k.output_dim
-        w = cfg.window_size
-        self.s = np.zeros((batch, heads, f, head_dim), dtype=dtype)
-        self.z = np.zeros((batch, heads, f), dtype=dtype)
-        self.k_cache = np.zeros((batch, heads, w, head_dim), dtype=dtype)
-        self.v_cache = np.zeros((batch, heads, w, head_dim), dtype=dtype)
+        s, z, cache = self._shapes(batch, heads, cfg, head_dim)
+        self.s = np.zeros(s, dtype=dtype)
+        self.z = np.zeros(z, dtype=dtype)
+        self.k_cache = np.zeros(cache, dtype=dtype)
+        self.v_cache = np.zeros(cache, dtype=dtype)
         self.filled = 0
         self.position = 0
+
+    @staticmethod
+    def _shapes(batch: int, heads: int, cfg: HybridAttnConfig, head_dim: int) -> tuple[tuple[int, ...], ...]:
+        f = cfg.phi_k.output_dim
+        return (batch, heads, f, head_dim), (batch, heads, f), (batch, heads, cfg.window_size, head_dim)
+
+    @classmethod
+    def projected_bytes(cls, batch: int, heads: int, cfg: HybridAttnConfig, head_dim: int, dtype=np.float32) -> tuple[int, int]:
+        """(state_bytes, cache_bytes) of the state these arguments build,
+        without allocating it."""
+        s, z, cache = (math.prod(shape) * np.dtype(dtype).itemsize for shape in cls._shapes(batch, heads, cfg, head_dim))
+        return s + z, 2 * cache
 
     @property
     def nbytes(self) -> int:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import HybridDecodeState
 from .errors import BadConfig, ConfigTooLarge
 from .model import HybridSession, Model, SoftmaxSession
 from .validation import check_choice, check_positive
@@ -47,15 +48,12 @@ class BenchResult:
 
 
 def _estimate_bytes(model: Model, mode: str, batch: int, prompt_len: int, gen_len: int) -> int:
+    """The session's state and cache bytes after prompt_len + gen_len tokens,
+    from the configs alone (nothing is allocated)."""
     c = model.config
-    per_tok = batch * c.n_heads * c.head_dim * 4 * 2  # k and v, float32
     if mode == "softmax-baseline":
-        return c.n_layers * per_tok * (prompt_len + gen_len)
-    blk = model.blocks[0].attn.hybrid_cfg
-    f = blk.phi_k.output_dim
-    state = batch * c.n_heads * f * (c.head_dim + 1) * 4
-    cache = per_tok * blk.window_size
-    return c.n_layers * (state + cache)
+        return c.n_layers * batch * c.n_heads * c.head_dim * 4 * 2 * (prompt_len + gen_len)  # k and v, float32
+    return sum(sum(HybridDecodeState.projected_bytes(batch, c.n_heads, blk.attn.hybrid_cfg, c.head_dim)) for blk in model.blocks)
 
 
 def bench_generation(

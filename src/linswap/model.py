@@ -543,6 +543,13 @@ def _finite(a: np.ndarray, where: str, op: str) -> np.ndarray:
     return a
 
 
+def _first_non_finite(i: int, *named: tuple[str, np.ndarray]) -> None:
+    """Raise NonFiniteResult for the first non-finite of layer i's (op,
+    array) pairs, given in compute order."""
+    for op, a in named:
+        _finite(a, f"layers.{i}", op)
+
+
 def _swiglu_np(g: np.ndarray, up: np.ndarray) -> np.ndarray:
     """Mlp's g * sigmoid(g) * up in one scratch array: the same operations in
     the same order as the Tensor ops, so bit for bit the same result."""
@@ -588,9 +595,16 @@ class _Engine:
     replace rather than write into. So a session serves the weights as they
     were when it was built: build a new one after an update.
 
-    Norm, rope and softmax run the Tensor ops' numpy kernels (T.*_np). As
-    _make does for every Tensor op, every array the loop computes is checked
-    finite, and NonFiniteResult names the layer and the op."""
+    Norm, rope and softmax run the Tensor ops' numpy kernels (T.*_np). The
+    loop checks the embedding, the residual stream after each sublayer and
+    the logits finite: NaN and Inf propagate through the matmuls, adds, norms
+    and the SwiGLU into the stream. When a check fails, the sublayer's
+    intermediates, which the loop still holds, are scanned in compute order,
+    and NonFiniteResult names the layer and the first non-finite op; nothing
+    is re-run, since attend has already advanced its state. A non-finite
+    value that its sublayer maps back to finite values (a -inf score that the
+    window softmax weights 0) raises nothing at that step; if it reached a
+    decode state, the next step that reads it raises."""
 
     def __init__(self, model: Model):
         self.config = model.config
@@ -624,20 +638,27 @@ class _Engine:
         cos, sin = _rope_at(position, n, d, c.rope_base, self.embed.dtype)
         x = _finite(self.embed[ids], "embed", "embedding")
         for i, layer in enumerate(self.layers):
-            at = f"layers.{i}"
-            u = _finite(T.rms_norm_np(x, layer.norm1, RMS_EPS), at, "norm1")
-            qkv = _finite(u @ layer.wqkv, at, "attn.qkv").reshape(b, n, 3, h, d).transpose(2, 0, 3, 1, 4)
-            qk = _finite(T.rope_np(qkv[:2], cos, sin), at, "attn.rope")
-            y = _finite(attend(i, qk[0], qk[1], qkv[2]), at, "attn.heads")
-            o = _finite(y.transpose(0, 2, 1, 3).reshape(b, n, h * d) @ layer.wo, at, "attn.wo")
-            x = _finite(x + o, at, "attn.residual")
+            u = T.rms_norm_np(x, layer.norm1, RMS_EPS)
+            qkv = (u @ layer.wqkv).reshape(b, n, 3, h, d).transpose(2, 0, 3, 1, 4)
+            qk = T.rope_np(qkv[:2], cos, sin)
+            y = attend(i, qk[0], qk[1], qkv[2])
+            o = y.transpose(0, 2, 1, 3).reshape(b, n, h * d) @ layer.wo
+            x = x + o
+            if not np.isfinite(x).all():
+                _first_non_finite(
+                    i, ("norm1", u), ("attn.qkv", qkv), ("attn.rope", qk), ("attn.heads", y), ("attn.wo", o), ("attn.residual", x)
+                )
             yield
-            u = _finite(T.rms_norm_np(x, layer.norm2, RMS_EPS), at, "norm2")
-            g = _finite(u @ layer.gate, at, "mlp.gate")
-            up = _finite(u @ layer.up, at, "mlp.up")
-            act = _finite(_swiglu_np(g, up), at, "mlp.swiglu")
-            down = _finite(act @ layer.down, at, "mlp.down")
-            x = _finite(x + down, at, "mlp.residual")
+            u = T.rms_norm_np(x, layer.norm2, RMS_EPS)
+            g = u @ layer.gate
+            up = u @ layer.up
+            act = _swiglu_np(g, up)
+            down = act @ layer.down
+            x = x + down
+            if not np.isfinite(x).all():
+                _first_non_finite(
+                    i, ("norm2", u), ("mlp.gate", g), ("mlp.up", up), ("mlp.swiglu", act), ("mlp.down", down), ("mlp.residual", x)
+                )
         last = _finite(T.rms_norm_np(x[:, -1], self.final_gain, RMS_EPS), "final_norm", "norm")
         yield _finite(last @ self.head, "head", "logits")
 
@@ -712,23 +733,32 @@ class HybridSession(_Session):
 
 class SoftmaxSession(_Session):
     """Growing-KV-cache decoding for the softmax baseline (bench comparison);
-    prefill is the step's numpy advance over the cache, started empty."""
+    prefill is the step's numpy advance over the cache, started empty. Each
+    layer keeps its keys and values in one buffer [2, b, h, capacity, d]
+    whose capacity doubles when a segment does not fit: a step writes its
+    segment after the filled keys and attends over a view of them."""
 
     def _reset(self, batch: int) -> None:
         cfg = self.model.config
-        empty = np.zeros((batch, cfg.n_heads, 0, cfg.head_dim), dtype=np.float32)
-        self.k_cache = [empty] * len(self.model.blocks)
-        self.v_cache = [empty] * len(self.model.blocks)
+        empty = np.zeros((2, batch, cfg.n_heads, 0, cfg.head_dim), dtype=np.float32)
+        self.kv = [empty] * len(self.model.blocks)
         self.position = 0
 
     @property
     def cache_bytes(self) -> int:
-        return sum(k.nbytes + v.nbytes for k, v in zip(self.k_cache, self.v_cache))
+        """Bytes of the filled keys and values, not of the capacity."""
+        return sum(kv[:, :, :, : self.position].nbytes for kv in self.kv)
 
     def _attend(self, i, q, k, v) -> np.ndarray:
-        keys = self.k_cache[i] = np.concatenate([self.k_cache[i], k], axis=2)
-        values = self.v_cache[i] = np.concatenate([self.v_cache[i], v], axis=2)
-        return attention.softmax_attention_np(q, keys, values)[0]
+        n, end = self.position, self.position + k.shape[2]
+        kv = self.kv[i]
+        if end > kv.shape[3]:
+            grown = np.empty((*kv.shape[:3], max(end, 2 * kv.shape[3]), kv.shape[4]), dtype=kv.dtype)
+            grown[:, :, :, :n] = kv[:, :, :, :n]
+            kv = self.kv[i] = grown
+        kv[0, :, :, n:end] = k
+        kv[1, :, :, n:end] = v
+        return attention.softmax_attention_np(q, kv[0, :, :, :end], kv[1, :, :, :end])[0]
 
 
 def generate_greedy(model: Model, prompt_ids: np.ndarray, n_new: int, max_len: int | None = None) -> np.ndarray:

@@ -3,6 +3,7 @@ checkpoint round trips."""
 
 import builtins
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -668,4 +669,130 @@ def test_engine_non_finite_result_names_layer_and_op(layer, param, op):
     proj.weight.data = np.full_like(proj.weight.data, np.inf)
     session = HybridSession(model, 1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteResult, match=rf"layers\.{layer} {op}"):
+        session.step(np.array([65]))
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _poison(name, edit):
+    # edit(array, model) writes the poison into a copy of the named parameter
+    def apply(model):
+        t = model.parameters()[name]
+        data = t.data.copy()
+        edit(data, model)
+        t.data = data
+
+    return apply
+
+
+def _nan(data, model):
+    data[:] = np.nan
+
+
+def _pair_col(data, model, scale):
+    # columns 0 and 1 each carry +scale and -scale in every row, so one of
+    # the pair is positive for any input whose entries sum nonzero
+    data[:] = 0.0
+    data[:, 0], data[:, 1] = scale, -scale
+
+
+def _layer0_u(model, token):
+    # layer 0's norm1 output for a token: its input is the embedding row
+    engine = M._Engine(model)
+    return T.rms_norm_np(engine.embed[token], engine.layers[0].norm1, M.RMS_EPS)
+
+
+def _rope_overflow(data, model):
+    # q's rotary pair 0 is (a, -a), read from the one input entry m where
+    # token 66's norm1 output is largest against token 65's: a = 0.85 f32 max
+    # for token 66, at most that for token 65. At position 1 the pair turns
+    # by 1 rad, and a (cos 1 + sin 1) = 1.17 f32 max overflows
+    u65, u66 = _layer0_u(model, 65), _layer0_u(model, 66)
+    m = np.argmax(np.abs(u66) / np.abs(u65))
+    data[:] = 0.0
+    data[m, 0] = 0.85 * F32_MAX / u66[m]
+    data[m, 1] = -data[m, 0]
+
+
+def _residual_embed(data, model):
+    data[66, 0] = 0.9 * F32_MAX  # its norm1 output is 0 (x^2 overflows the mean), so its q, k, v are 0
+
+
+def _residual_wo(data, model):
+    # token 65's heads output is its own v, so o[0] = 0.5 f32 max there;
+    # token 66 attends half to 65's v and half to its own (zero) v, so its
+    # o[0] is 0.25 f32 max, which its 0.9 f32 max stream entry cannot take
+    D = model.config.model_dim
+    v = (_layer0_u(model, 65) @ M._Engine(model).layers[0].wqkv)[2 * D :]
+    data[:, 0] = np.sign(v) * (0.5 * F32_MAX / np.abs(v).sum())
+
+
+def _poison_all(*poisons):
+    def apply(model):
+        for p in poisons:
+            p(model)
+
+    return apply
+
+
+# Every op the engine can name, with a poison that makes it the first
+# non-finite array of its sublayer. mlp.residual is missing: the MLP mixes
+# no tokens, so a stream entry large enough that adding a finite value
+# overflows it (|x| >= 2^103) has x^2 overflow in norm2, whose output is
+# then 0, and so are gate, up, swiglu and down; attn.residual is reachable
+# only because attention mixes in other tokens' values.
+DIAGNOSES = {
+    "embed embedding": _poison("embed.weight", _nan),
+    "layers.1 norm1": _poison("layers.1.norm1.gain", _nan),
+    "layers.1 attn.qkv": _poison("layers.1.attn.wq.weight", _nan),
+    "layers.0 attn.rope": _poison("layers.0.attn.wq.weight", _rope_overflow),
+    "layers.1 attn.heads": _poison_all(
+        _poison("layers.1.attn.wq.weight", lambda data, model: data.fill(1e30)),
+        _poison("layers.1.attn.wk.weight", lambda data, model: data.fill(1e30)),
+    ),
+    "layers.1 attn.wo": _poison("layers.1.attn.wo.weight", _nan),
+    "layers.0 attn.residual": _poison_all(_poison("layers.0.attn.wo.weight", _residual_wo), _poison("embed.weight", _residual_embed)),
+    "layers.1 norm2": _poison("layers.1.norm2.gain", _nan),
+    "layers.1 mlp.gate": _poison("layers.1.mlp.gate.weight", _nan),
+    "layers.1 mlp.up": _poison("layers.1.mlp.up.weight", _nan),
+    "layers.1 mlp.swiglu": _poison_all(
+        _poison("layers.1.mlp.gate.weight", lambda data, model: _pair_col(data, model, 1e30)),
+        _poison("layers.1.mlp.up.weight", lambda data, model: _pair_col(data, model, 1e30)),
+    ),
+    "layers.1 mlp.down": _poison("layers.1.mlp.down.weight", _nan),
+    "final_norm norm": _poison("final_norm.gain", _nan),
+    "head logits": _poison("head.weight", _nan),
+}
+
+
+@pytest.mark.parametrize("where", list(DIAGNOSES))
+def test_engine_names_the_first_non_finite_op_at_prefill_and_step(where):
+    # the engine checks only the residual stream and the logits; on a failure
+    # it names the first non-finite intermediate of the sublayer. Prefill
+    # runs the two-token prompt on the poisoned weights; step runs its second
+    # token on them after a clean prefill of the first
+    prompt = np.array([[65, 66]])
+    model = convert_model(small_model(), SPEC)
+    stepped = HybridSession(model, 1)
+    stepped.prefill(prompt[:, :1])
+    DIAGNOSES[where](model)
+    stepped.engine = M._Engine(model)
+    match = rf"^{re.escape(where)} produced NaN/Inf"
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteResult, match=match):
+            HybridSession(model, 1).prefill(prompt)
+        with pytest.raises(NonFiniteResult, match=match):
+            stepped.step(prompt[:, 1])
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_non_finite_decode_state_raises_at_the_next_step(layer):
+    # a non-finite value that reaches a decode state raises at the next step
+    # that reads it, naming the heads output of that state's layer
+    w = SPEC.window_size
+    session = HybridSession(convert_model(small_model(), SPEC), 1)
+    session.prefill(np.random.default_rng(9).integers(0, 258, size=(1, 2 * w)))
+    session.states[layer].s[:] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteResult, match=rf"^layers\.{layer} attn\.heads produced NaN/Inf"):
         session.step(np.array([65]))

@@ -1,10 +1,13 @@
 """Storage planner exactness and instrumented generation-benchmark counters."""
 
+import tracemalloc
+
 import pytest
 
+from linswap import bench
 from linswap.bench import bench_generation
 from linswap.errors import BadConfig, ConfigTooLarge, IndivisibleBlocks
-from linswap.model import HybridSpec, ModelConfig, build_model, convert_model
+from linswap.model import HybridSession, HybridSpec, ModelConfig, build_model, convert_model
 from linswap.planner import format_bytes, parse_report, plan_blockwise_storage
 
 
@@ -86,6 +89,29 @@ def test_bench_memory_budget_enforced():
     with pytest.raises(ConfigTooLarge):
         bench_generation(model, "softmax-baseline", batch_size=64, prompt_len=64, gen_len=4096,
                          memory_budget_bytes=1024)
+
+
+@pytest.mark.parametrize("kind", ["t2r", "hedgehog"])
+def test_bench_projection_is_what_a_session_allocates(kind):
+    # one size rule: the budget's projection sums HybridDecodeState's sizes
+    # over every layer, and they are the bytes a session's states hold
+    model = convert_model(build_model(ModelConfig(n_layers=3, n_heads=2, head_dim=8, seed=21)),
+                          HybridSpec(window_size=8, feature_kind=kind), seed=21)
+    session = HybridSession(model, 3)
+    assert bench._estimate_bytes(model, "hybrid", 3, 16, 32) == session.state_bytes + session.cache_bytes
+
+
+@pytest.mark.parametrize("mode", ["hybrid", "softmax-baseline"])
+def test_bench_budget_rejects_a_huge_batch_before_allocating(mode):
+    model = _bench_model(mode)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigTooLarge):
+            bench_generation(model, mode, batch_size=10**12, prompt_len=16, gen_len=16, memory_budget_bytes=1 << 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bench_rejects_unconverted_hybrid():
