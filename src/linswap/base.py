@@ -1,34 +1,22 @@
 """Estimator plumbing: scikit-learn-compatible get_params / set_params so the
 trainers compose with ecosystem tooling (clone, grid search) without importing
-it. Constructor arguments must be stored verbatim on self under the same name.
+it. The trainers are dataclasses: their fields are the parameters, and the
+dataclass repr prints them as a constructor call.
 """
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import fields
 
 
 class ParamsMixin:
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = {f.name for f in fields(self)}
         for key, value in params.items():
             if key not in valid:
                 raise ValueError(f"invalid parameter {key!r} for {type(self).__name__}; valid: {sorted(valid)}")
             setattr(self, key, value)
         return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"

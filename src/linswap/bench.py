@@ -58,10 +58,10 @@ def _estimate_bytes(model: Model, mode: str, batch: int, prompt_len: int, gen_le
 
 def bench_generation(
     model: Model,
-    mode: str = "hybrid",
-    batch_size: int = 8,
-    prompt_len: int = 32,
-    gen_len: int = 64,
+    mode: str,
+    batch_size: int,
+    prompt_len: int,
+    gen_len: int,
     seed: int = 0,
     memory_budget_bytes: int | None = None,
 ) -> BenchResult:

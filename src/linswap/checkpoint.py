@@ -26,7 +26,7 @@ import zlib
 
 import numpy as np
 
-from .errors import CorruptPayload, FormatVersionMismatch, IoFailure
+from .errors import CorruptPayload, FormatVersionMismatch, InvalidConfig, IoFailure, ShapeMismatch, WindowTooSmall
 from .model import HybridSpec, Model, ModelConfig, _assemble, expected_parameter_count
 
 MAGIC = b"LOLC"
@@ -112,19 +112,22 @@ def load_checkpoint(path: str) -> Model:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptPayload(f"{path}: bad header: {exc}") from exc
+    # besides the raw errors of a mistyped header, the config classes and the
+    # hybrid layers reject the values they cannot take
     try:
         return _restore(header, memoryview(blob)[16 + header_len : -4], path)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig, ShapeMismatch, WindowTooSmall) as exc:
         raise CorruptPayload(f"{path}: malformed header: {exc!r}") from exc
 
 
 def _declared_parameter_count(cfg: ModelConfig, hybrid: HybridSpec | None, lora: dict | None) -> int:
     """A lower bound on the parameters a header declares: the base model, the
     q and k feature-map weights of every hybrid layer and the LoRA A/B pairs.
-    A negative size adds nothing; the layer that takes it rejects it."""
+    HybridSpec has refused a feature_dim below 1; a negative rank adds
+    nothing, and the adapters reject it."""
     count = expected_parameter_count(cfg)
     if hybrid is not None and hybrid.feature_dim is not None:
-        count += 2 * cfg.n_layers * cfg.n_heads * cfg.head_dim * max(0, int(hybrid.feature_dim))
+        count += 2 * cfg.n_layers * cfg.n_heads * cfg.head_dim * int(hybrid.feature_dim)
     if lora is not None:
         count += 2 * cfg.n_layers * len(lora["targets"]) * max(0, int(lora["rank"])) * cfg.model_dim
     return count

@@ -29,13 +29,18 @@ def _log(msg: str) -> None:
 
 
 def _run_config(args) -> RunConfig:
-    """The run's config, with --seed (when given) as every section's seed,
-    logged to stderr line by line."""
+    """The run's config, with the flags that set config keys applied (--seed,
+    when given, as every section's seed; a flag whose dest is "section.key" as
+    that key), logged to stderr line by line."""
     cfg = load_config(args.config)
     if args.seed is not None:
         for section in cfg.values.values():
             if "seed" in section:
                 section["seed"] = args.seed
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            cfg.values[section][key] = value
     for line in cfg.resolved_lines():
         _log(line)
     return cfg
@@ -85,6 +90,8 @@ def _write_diag_csv(path: str, report) -> None:
 def cmd_transfer(args) -> int:
     cfg = _run_config(args)
     model = _load_model(args, cfg)
+    trainer = cfg.build("transfer")
+    trainer.check_settings(model)  # before pretraining, not after it
     corpus = _resolve_corpus(cfg["transfer"])
     if not model.converted:
         if cfg["model"]["pretrain_steps"] > 0:
@@ -99,7 +106,7 @@ def cmd_transfer(args) -> int:
                 seed=cfg["transfer"]["seed"],
             )
         convert_model(model, cfg.build("attention"), seed=cfg["model"]["seed"])
-    trainer = cfg.build("transfer").fit(model, corpus)
+    trainer.fit(model, corpus)
     report = trainer.report_
     out = _out_dir(args)
     ckpt = os.path.join(out, "transfer.lolc")
@@ -167,20 +174,19 @@ def cmd_diag(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _run_config(args)
     b = cfg["bench"]
-    mode = args.mode or b["mode"]
     if args.checkpoint:
         model = _load_model(args, cfg)
     else:
         model = build_model(cfg.build("model"))
-        if mode == "hybrid":
+        if b["mode"] == "hybrid":
             convert_model(model, cfg.build("attention"), seed=cfg["model"]["seed"])
     budget = b["memory_budget_mb"]
     result = bench_generation(
         model,
-        mode=mode,
-        batch_size=b["batch_size"] if args.batch is None else args.batch,
-        prompt_len=b["prompt_len"] if args.prompt_len is None else args.prompt_len,
-        gen_len=b["gen_len"] if args.gen_len is None else args.gen_len,
+        mode=b["mode"],
+        batch_size=b["batch_size"],
+        prompt_len=b["prompt_len"],
+        gen_len=b["gen_len"],
         seed=b["seed"],
         memory_budget_bytes=budget * 1024 * 1024 if budget else None,
     )
@@ -234,10 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="generation throughput/memory benchmark")
     common(p)
-    p.add_argument("--mode", choices=BENCH_MODES, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--prompt-len", type=int, default=None)
-    p.add_argument("--gen-len", type=int, default=None)
+    p.add_argument("--mode", dest="bench.mode", choices=BENCH_MODES, default=None)
+    p.add_argument("--batch", dest="bench.batch_size", type=int, default=None)
+    p.add_argument("--prompt-len", dest="bench.prompt_len", type=int, default=None)
+    p.add_argument("--gen-len", dest="bench.gen_len", type=int, default=None)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("plan", help="block-wise training storage planner")

@@ -1,18 +1,22 @@
 """INI-style run configuration, declared by the classes that take it.
 
 Sections are fixed ([model], [attention], [transfer], [adjust], [bench]). The
-keys, defaults and types of [model] and [attention] are the fields of
-ModelConfig and HybridSpec; those of [transfer] and [adjust] are the
-constructor parameters of AttentionTransfer and LoraAdjust. This module
-declares only the keys the CLI reads itself (CLI_KEYS): base-model
-pretraining, each stage's corpus and [bench].
+keys, defaults and types of [model], [attention], [transfer] and [adjust] are
+the fields of the dataclasses ModelConfig, HybridSpec, AttentionTransfer and
+LoraAdjust. This module declares only the keys the CLI reads itself
+(CLI_KEYS): base-model pretraining, each stage's corpus and [bench].
 
 A value is parsed by its declared type; a tuple is a comma list, and an empty
 value means "use the default". Everything else fails closed with BadConfig:
 unknown sections (including [DEFAULT]) or keys, bytes that are not UTF-8,
 values that do not parse, values outside a key's fixed choices (CHOICES),
-keys that must be positive (POSITIVE), and a [model] section that ModelConfig
-refuses. So a config that loads has no range error left for a later stage.
+keys that must be positive (POSITIVE), and a [model] or [attention] section
+that ModelConfig or HybridSpec refuses (for example an mlp_hidden_mult that
+gives no finite mlp_hidden >= 1, a rope_base not > 0 or a feature_dim set
+below 1). So a config that loads has no range error left for a later stage,
+except the [transfer] settings that AttentionTransfer.check_settings checks
+against the model (the block size needs its layer count); the CLI runs that
+before pretraining.
 Stage-2 reuses stage-1's corpus settings unless [adjust] overrides them,
 matching the two-stage default of training both stages on the same data.
 """
@@ -20,9 +24,8 @@ matching the two-stage default of training both stages on the same data.
 from __future__ import annotations
 
 import configparser
-import inspect
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .attention import FEATURE_KINDS, WINDOW_MODES
@@ -76,9 +79,9 @@ POSITIVE = (("attention", "window_size"), ("adjust", "rank"))
 
 
 def _declared(cls) -> dict[str, tuple[Any, Any]]:
-    """key -> (default, type) for the dataclass fields or constructor parameters of cls."""
-    hints = typing.get_type_hints(cls.__init__)
-    return {name: (p.default, hints[name]) for name, p in inspect.signature(cls).parameters.items()}
+    """key -> (default, type) for the dataclass fields of cls."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (f.default, hints[f.name]) for f in fields(cls)}
 
 
 SCHEMA = {s: {**(_declared(cls) if cls else {}), **CLI_KEYS.get(s, {})} for s, cls in CLASSES.items()}
@@ -165,8 +168,9 @@ def load_config(path: str | None) -> RunConfig:
             check_choice(f"[{section}] {key}", item, choices)
     for section, key in POSITIVE:
         check_positive(f"[{section}] {key}", cfg[section][key])
-    try:
-        cfg.build("model")
-    except InvalidConfig as exc:
-        raise BadConfig(f"[model] {exc}") from exc
+    for section in ("model", "attention"):
+        try:
+            cfg.build(section)
+        except InvalidConfig as exc:
+            raise BadConfig(f"[{section}] {exc}") from exc
     return cfg

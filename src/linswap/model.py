@@ -88,6 +88,10 @@ class ModelConfig:
             raise InvalidConfig("need n_heads >= 1 and an even head_dim >= 2")
         if self.max_seq_len < 1:
             raise InvalidConfig("max_seq_len must be >= 1")
+        if not np.isfinite(self.mlp_hidden_mult * self.model_dim) or self.mlp_hidden < 1:
+            raise InvalidConfig(f"mlp_hidden_mult {self.mlp_hidden_mult} must give a finite mlp_hidden >= 1")
+        if not self.rope_base > 0:
+            raise InvalidConfig(f"rope_base must be > 0, got {self.rope_base}")
 
     @property
     def model_dim(self) -> int:
@@ -107,6 +111,10 @@ class HybridSpec:
     feature_kind: str = "hedgehog"
     feature_dim: int | None = None
     gamma_init: float = 1.0
+
+    def __post_init__(self):
+        if self.feature_dim is not None and self.feature_dim < 1:
+            raise InvalidConfig(f"feature_dim must be >= 1, got {self.feature_dim}")
 
 
 # --------------------------------------------------------------------------

@@ -327,6 +327,7 @@ def _fit_loop(prepare, step, corpus: np.ndarray, steps: int, batch_size: int, se
 # --------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class AttentionTransfer(ParamsMixin):
     """Trains feature maps and gamma_raw to make hybrid attention mimic the
     frozen softmax attention, layer by layer, with teacher forcing.
@@ -336,35 +337,27 @@ class AttentionTransfer(ParamsMixin):
     for every block size; teacher forcing already decouples the blocks.
     """
 
-    def __init__(
-        self,
-        lr: float = 1e-2,
-        steps: int = 200,
-        batch_size: int = 8,
-        seq_len: int = 64,
-        block_size: int | None = None,
-        loss: str = "output_mse",
-        w_mse: float = 1000.0,
-        w_xent: float = 1.0,
-        clip_norm: float = 1.0,
-        eval_every: int = 50,
-        seed: int = 0,
-    ):
-        self.lr = lr
-        self.steps = steps
-        self.batch_size = batch_size
-        self.seq_len = seq_len
-        self.block_size = block_size
-        self.loss = loss
-        self.w_mse = w_mse
-        self.w_xent = w_xent
-        self.clip_norm = clip_norm
-        self.eval_every = eval_every
-        self.seed = seed
+    lr: float = 1e-2
+    steps: int = 200
+    batch_size: int = 8
+    seq_len: int = 64
+    block_size: int | None = None
+    loss: str = "output_mse"
+    w_mse: float = 1000.0
+    w_xent: float = 1.0
+    clip_norm: float = 1.0
+    eval_every: int = 50
+    seed: int = 0
 
     # -- losses over a teacher-forced forward -------------------------------
 
-    def _resolve_block_size(self, model: Model) -> int:
+    def check_settings(self, model: Model) -> int:
+        """The loss settings and the block size checked against model's layer
+        count; returns the block size (None -> all layers in one block)."""
+        if self.loss not in LOSS_KINDS:
+            raise BadConfig(f"loss must be one of {LOSS_KINDS}")
+        if self.w_mse < 0 or self.w_xent < 0:
+            raise BadConfig("loss weights must be non-negative")
         m = model.config.n_layers
         b = self.block_size if self.block_size is not None else m
         if b < 1 or m % b:
@@ -374,11 +367,7 @@ class AttentionTransfer(ParamsMixin):
     def transfer_loss(self, model: Model, inputs: np.ndarray) -> tuple[Tensor, float]:
         """Total training loss for one batch plus its output-MSE component."""
         kind = self.loss
-        if kind not in LOSS_KINDS:
-            raise BadConfig(f"loss must be one of {LOSS_KINDS}")
-        if self.w_mse < 0 or self.w_xent < 0:
-            raise BadConfig("loss weights must be non-negative")
-        b = self._resolve_block_size(model)
+        b = self.check_settings(model)
         m = model.config.n_layers
         records = model.forward_teacher_forced(inputs, return_weights=kind != "output_mse")
         ys = [r["y"] for r in records]
@@ -407,7 +396,7 @@ class AttentionTransfer(ParamsMixin):
     def fit(self, model: Model, corpus) -> "AttentionTransfer":
         check_converted(model)
         corpus = check_token_array(corpus, model.config.vocab_size)
-        self._resolve_block_size(model)
+        self.check_settings(model)
         start = time.perf_counter()
         losses, optimizer = _fit_loop(
             lambda: AdamW(feature_map_parameters(model), lr=self.lr, clip_norm=self.clip_norm),
@@ -427,35 +416,23 @@ class AttentionTransfer(ParamsMixin):
 # --------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class LoraAdjust(ParamsMixin):
     """Next-token finetuning of LoRA adapters on the fully swapped model.
 
     Feature maps and gamma are frozen on entry; only adapter matrices train.
     """
 
-    def __init__(
-        self,
-        lr: float = 1e-4,
-        steps: int = 500,
-        batch_size: int = 8,
-        seq_len: int = 64,
-        rank: int = 8,
-        alpha: float = 16.0,
-        targets: tuple[str, ...] = LORA_TARGETS,
-        clip_norm: float = 1.0,
-        eval_every: int = 50,
-        seed: int = 0,
-    ):
-        self.lr = lr
-        self.steps = steps
-        self.batch_size = batch_size
-        self.seq_len = seq_len
-        self.rank = rank
-        self.alpha = alpha
-        self.targets = targets
-        self.clip_norm = clip_norm
-        self.eval_every = eval_every
-        self.seed = seed
+    lr: float = 1e-4
+    steps: int = 500
+    batch_size: int = 8
+    seq_len: int = 64
+    rank: int = 8
+    alpha: float = 16.0
+    targets: tuple[str, ...] = LORA_TARGETS
+    clip_norm: float = 1.0
+    eval_every: int = 50
+    seed: int = 0
 
     def step(self, model: Model, inputs: np.ndarray, targets: np.ndarray, optimizer: AdamW) -> float:
         adapter_parameters(model)  # AdaptersMissing when none attached

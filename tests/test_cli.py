@@ -8,7 +8,9 @@ import pytest
 
 from linswap.cli import main
 from linswap.checkpoint import load_checkpoint, save_checkpoint, save_corpus
+from linswap.config import load_config
 from linswap.model import HybridSpec, ModelConfig, build_model, convert_model
+from test_config import _write_lines_as_ini
 
 TINY_CONFIG = """\
 [model]
@@ -112,6 +114,25 @@ def test_seed_override_sets_every_section_seed(workdir, capsys):
             assert line == before
 
 
+def test_bench_flags_are_logged_as_the_config_that_ran(workdir, capsys, tmp_path):
+    cfg = str(workdir / "tiny.ini")
+    flags = ["--mode", "softmax-baseline", "--batch", "2", "--prompt-len", "8", "--gen-len", "4"]
+    assert main(["bench", "--config", cfg, *flags]) == 0
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if line.startswith("config ")]
+    for needle in ("bench.mode=softmax-baseline", "bench.batch_size=2", "bench.prompt_len=8", "bench.gen_len=4"):
+        assert f"config {needle}" in lines, needle
+    # the report states what ran; the logged lines read back to that config
+    ran = dict(line.split("=", 1) for line in captured.out.splitlines())
+    _write_lines_as_ini(lines, tmp_path / "resolved.ini")
+    logged = load_config(str(tmp_path / "resolved.ini"))
+    keys = ("mode", "batch_size", "prompt_len", "gen_len")
+    assert {k: str(logged["bench"][k]) for k in keys} == {k: ran[k] for k in keys}
+    expected = load_config(cfg)
+    expected["bench"].update(mode="softmax-baseline", batch_size=2, prompt_len=8, gen_len=4)
+    assert logged == expected
+
+
 def test_plan_reference_figure(capsys):
     assert main(["plan", "--tokens", "50000000", "--dim", "16384", "--layers", "126", "--block", "1"]) == 0
     out = capsys.readouterr().out
@@ -161,11 +182,26 @@ def test_exit_codes(workdir, capsys, tmp_path):
         ("window0.ini", TINY_CONFIG.replace("window_size = 4", "window_size = 0"), "window_size"),
         ("layers0.ini", TINY_CONFIG.replace("n_layers = 2", "n_layers = 0"), "n_layers"),
         ("rank0.ini", TINY_CONFIG.replace("rank = 2", "rank = 0"), "rank"),
+        ("featneg.ini", TINY_CONFIG.replace("feature_kind = t2r", "feature_kind = t2r\nfeature_dim = -1"), "feature_dim"),
+        ("feat0.ini", TINY_CONFIG.replace("feature_kind = t2r", "feature_kind = t2r\nfeature_dim = 0"), "feature_dim"),
+        ("mlpneg.ini", TINY_CONFIG.replace("head_dim = 8", "head_dim = 8\nmlp_hidden_mult = -1"), "mlp_hidden_mult"),
+        ("mlp0.ini", TINY_CONFIG.replace("head_dim = 8", "head_dim = 8\nmlp_hidden_mult = 0"), "mlp_hidden_mult"),
+        ("rope0.ini", TINY_CONFIG.replace("head_dim = 8", "head_dim = 8\nrope_base = 0"), "rope_base"),
     ):
         (tmp_path / name).write_text(text)
         assert main(["transfer", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "BadConfig:" in err and key in err and "pretraining" not in err
+    # stage-1 settings that need the model are checked against it before
+    # pretraining too, with the categories the trainer raises
+    for name, text, category, code in (
+        ("block3.ini", TINY_CONFIG.replace("eval_every = 10", "eval_every = 10\nblock_size = 3"), "IndivisibleBlocks", 1),
+        ("wmse.ini", TINY_CONFIG.replace("eval_every = 10", "eval_every = 10\nloss = combined\nw_mse = -1"), "BadConfig", 2),
+    ):
+        (tmp_path / name).write_text(text)
+        assert main(["transfer", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert f"{category}:" in err and "pretraining" not in err, name
     undecodable = tmp_path / "latin1.ini"
     undecodable.write_bytes(TINY_CONFIG.replace("seed = 5", "seed = 5\xff").encode("latin-1"))
     assert main(["transfer", "--config", str(undecodable), "--out", str(tmp_path)]) == 2

@@ -74,6 +74,17 @@ def test_empty_value_means_default(tmp_path):
         "[attention]\nfeature_kind = softmax\n",
         "[transfer]\nsteps = 1e3\n",
         "[bench]\nmemory_budget_mb = 1.5\n",
+        # values ModelConfig and HybridSpec refuse, which the layers would
+        # only meet when built (or, for rope_base, when run)
+        "[attention]\nfeature_dim = -1\n",
+        "[attention]\nfeature_dim = 0\n",
+        "[model]\nmlp_hidden_mult = -1\n",
+        "[model]\nmlp_hidden_mult = 0\n",
+        "[model]\nmlp_hidden_mult = nan\n",
+        "[model]\nmlp_hidden_mult = inf\n",
+        "[model]\nmlp_hidden_mult = 1e308\n",
+        "[model]\nrope_base = 0\n",
+        "[model]\nrope_base = nan\n",
     ],
 )
 def test_fail_closed_cases(text, tmp_path):

@@ -349,6 +349,12 @@ MALFORMED_HEADERS = {
     # ~1e8 parameters declared in a file of a few KB
     "config_larger_than_payload": lambda h: h["config"].update(vocab_size=10**5, n_layers=8, n_heads=8, head_dim=64),
     "infinite_mlp_mult": lambda h: h["config"].update(mlp_hidden_mult=float("inf")),
+    "negative_mlp_mult": lambda h: h["config"].update(mlp_hidden_mult=-1.0),
+    "zero_layers": lambda h: h["config"].update(n_layers=0),
+    "zero_rope_base": lambda h: h["config"].update(rope_base=0.0),
+    "zero_window_size": lambda h: h["hybrid"].update(window_size=0),
+    "zero_feature_dim": lambda h: h["hybrid"].update(feature_dim=0),
+    "unknown_window_mode": lambda h: h["hybrid"].update(window_mode="bogus"),
     # feature maps and adapters of ~1e7 parameters each, sized by the header alone
     "huge_feature_dim": lambda h: h["hybrid"].update(feature_dim=200000),
     "huge_lora_rank": lambda h: h["lora"].update(rank=20000),
