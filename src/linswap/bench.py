@@ -48,11 +48,11 @@ class BenchResult:
 
 
 def _estimate_bytes(model: Model, mode: str, batch: int, prompt_len: int, gen_len: int) -> int:
-    """The session's state and cache bytes after prompt_len + gen_len tokens,
-    from the configs alone (nothing is allocated)."""
+    """The bytes the session allocates for a prompt_len prefill and gen_len
+    steps, from the configs alone (nothing is allocated)."""
     c = model.config
     if mode == "softmax-baseline":
-        return c.n_layers * batch * c.n_heads * c.head_dim * 4 * 2 * (prompt_len + gen_len)  # k and v, float32
+        return SoftmaxSession.projected_bytes(c, batch, prompt_len, gen_len)
     return sum(sum(HybridDecodeState.projected_bytes(batch, c.n_heads, blk.attn.hybrid_cfg, c.head_dim)) for blk in model.blocks)
 
 

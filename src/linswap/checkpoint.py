@@ -27,7 +27,7 @@ import zlib
 import numpy as np
 
 from .errors import CorruptPayload, FormatVersionMismatch, InvalidConfig, IoFailure, ShapeMismatch, WindowTooSmall
-from .model import HybridSpec, Model, ModelConfig, _assemble, expected_parameter_count
+from .model import HybridSpec, Model, ModelConfig, _assemble
 
 MAGIC = b"LOLC"
 FORMAT_VERSION = 1
@@ -120,32 +120,19 @@ def load_checkpoint(path: str) -> Model:
         raise CorruptPayload(f"{path}: malformed header: {exc!r}") from exc
 
 
-def _declared_parameter_count(cfg: ModelConfig, hybrid: HybridSpec | None, lora: dict | None) -> int:
-    """A lower bound on the parameters a header declares: the base model, the
-    q and k feature-map weights of every hybrid layer and the LoRA A/B pairs.
-    HybridSpec has refused a feature_dim below 1; a negative rank adds
-    nothing, and the adapters reject it."""
-    count = expected_parameter_count(cfg)
-    if hybrid is not None and hybrid.feature_dim is not None:
-        count += 2 * cfg.n_layers * cfg.n_heads * cfg.head_dim * int(hybrid.feature_dim)
-    if lora is not None:
-        count += 2 * cfg.n_layers * len(lora["targets"]) * max(0, int(lora["rank"])) * cfg.model_dim
-    return count
-
-
 def _restore(header: dict, payload: memoryview, path: str) -> Model:
     """Build the model a decoded header describes, each parameter read from
     the payload: nothing is drawn at random to be overwritten."""
     cfg = ModelConfig(**header["config"])
     hybrid = None if header["hybrid"] is None else HybridSpec(**header["hybrid"])
-    lora = header["lora"]
-    # every parameter takes at least 4 bytes: a header the payload cannot hold
-    # is rejected before anything is allocated for it
-    if _declared_parameter_count(cfg, hybrid, lora) * 4 > len(payload):
-        raise CorruptPayload(f"{path}: header declares more parameters than a {len(payload)}-byte payload holds")
     entries = {entry["name"]: entry for entry in header["tensors"]}
+    # payload bytes not yet charged to a tensor: a header that declares more
+    # than the payload holds fails before the tensor that overdraws it is
+    # allocated, even when its table entries share one payload range
+    budget = len(payload)
 
     def read(name: str, shape: tuple) -> np.ndarray:
+        nonlocal budget
         entry = entries.get(name)
         if entry is None:
             raise CorruptPayload(f"{path}: checkpoint missing tensor {name}")
@@ -153,13 +140,16 @@ def _restore(header: dict, payload: memoryview, path: str) -> Model:
             raise CorruptPayload(f"{path}: {name} has shape {entry['shape']}, the model expects {list(shape)}")
         dtype = np.dtype(_DTYPE_TAGS[entry["dtype"]])
         nbytes = math.prod(shape) * dtype.itemsize
+        budget -= nbytes
+        if budget < 0:
+            raise CorruptPayload(f"{path}: header declares more parameters than a {len(payload)}-byte payload holds")
         start = entry["offset"]
         raw = payload[start : start + nbytes]
         if len(raw) != nbytes:
             raise CorruptPayload(f"{path}: truncated payload for {name}")
         return np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
 
-    model = _assemble(cfg, read, hybrid, lora)
+    model = _assemble(cfg, read, hybrid, header["lora"])
     params = model.parameters()
     unknown = entries.keys() - params.keys()
     if unknown:

@@ -1,15 +1,18 @@
 """Command-line surface: transfer / adjust / generate / diag / bench / plan.
 
 Every run logs the fully resolved configuration to stderr so it can be
-reproduced from the log alone. Failures print one machine-parseable line
-(`<Category>: message`) and exit with the category's code (BadConfig=2,
-MissingCheckpoint=3, other library errors=1).
+reproduced from the log alone: a --checkpoint supplies [model], [attention]
+when converted and the LoRA keys of [adjust] (so --seed leaves [model] seed as
+the checkpoint's). Failures print one machine-parseable line (`<Category>:
+message`) and exit with the category's code (BadConfig=2, MissingCheckpoint=3,
+other library errors=1).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from .bench import BENCH_MODES, bench_generation
 from .checkpoint import load_checkpoint, load_corpus, save_checkpoint
-from .config import RunConfig, load_config
+from .config import load_config
 from .errors import BadConfig, LinswapError, MissingCheckpoint
 from .model import BOS_ID, build_model, convert_model, detokenize, generate_greedy
 from .planner import plan_blockwise_storage
@@ -28,10 +31,11 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _run_config(args) -> RunConfig:
+def _setup(args, require_checkpoint: bool = False):
     """The run's config, with the flags that set config keys applied (--seed,
     when given, as every section's seed; a flag whose dest is "section.key" as
-    that key), logged to stderr line by line."""
+    that key) and then a --checkpoint model's own settings, logged to stderr
+    line by line; and the model, built from the config if no checkpoint."""
     cfg = load_config(args.config)
     if args.seed is not None:
         for section in cfg.values.values():
@@ -41,19 +45,21 @@ def _run_config(args) -> RunConfig:
         if "." in dest and value is not None:
             section, key = dest.split(".")
             cfg.values[section][key] = value
-    for line in cfg.resolved_lines():
-        _log(line)
-    return cfg
-
-
-def _load_model(args, cfg: RunConfig, require_checkpoint: bool = False):
+    model = None
     if args.checkpoint:
         if not os.path.exists(args.checkpoint):
             raise MissingCheckpoint(f"checkpoint {args.checkpoint} not found")
-        return load_checkpoint(args.checkpoint)
-    if require_checkpoint:
+        model = load_checkpoint(args.checkpoint)
+        cfg["model"].update(dataclasses.asdict(model.config))
+        if model.hybrid_spec is not None:
+            cfg["attention"].update(dataclasses.asdict(model.hybrid_spec))
+        if model.lora_meta is not None:
+            cfg["adjust"].update({**model.lora_meta, "targets": tuple(model.lora_meta["targets"])})
+    elif require_checkpoint:
         raise MissingCheckpoint("this subcommand needs --checkpoint")
-    return build_model(cfg.build("model"))
+    for line in cfg.resolved_lines():
+        _log(line)
+    return cfg, model if model is not None else build_model(cfg.build("model"))
 
 
 def _resolve_corpus(section: dict, fallback: dict | None = None) -> np.ndarray:
@@ -88,8 +94,7 @@ def _write_diag_csv(path: str, report) -> None:
 
 
 def cmd_transfer(args) -> int:
-    cfg = _run_config(args)
-    model = _load_model(args, cfg)
+    cfg, model = _setup(args)
     trainer = cfg.build("transfer")
     trainer.check_settings(model)  # before pretraining, not after it
     corpus = _resolve_corpus(cfg["transfer"])
@@ -105,7 +110,7 @@ def cmd_transfer(args) -> int:
                 seq_len=cfg["transfer"]["seq_len"],
                 seed=cfg["transfer"]["seed"],
             )
-        convert_model(model, cfg.build("attention"), seed=cfg["model"]["seed"])
+        convert_model(model, cfg.build("attention"))
     trainer.fit(model, corpus)
     report = trainer.report_
     out = _out_dir(args)
@@ -124,8 +129,7 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_adjust(args) -> int:
-    cfg = _run_config(args)
-    model = _load_model(args, cfg, require_checkpoint=True)
+    cfg, model = _setup(args, require_checkpoint=True)
     corpus = _resolve_corpus(cfg["adjust"], fallback=cfg["transfer"])
     trainer = cfg.build("adjust").fit(model, corpus)
     out = _out_dir(args)
@@ -143,8 +147,7 @@ def cmd_adjust(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = _run_config(args)
-    model = _load_model(args, cfg, require_checkpoint=True)
+    cfg, model = _setup(args, require_checkpoint=True)
     if not model.converted:
         raise BadConfig("generate needs a converted (hybrid) checkpoint")
     prompt_bytes = args.prompt.encode("utf-8")
@@ -157,8 +160,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    cfg = _run_config(args)
-    model = _load_model(args, cfg, require_checkpoint=True)
+    cfg, model = _setup(args, require_checkpoint=True)
     corpus = _resolve_corpus(cfg["transfer"])
     report = layerwise_diagnostics(
         model, corpus, batch_size=min(4, cfg["transfer"]["batch_size"]), seq_len=cfg["transfer"]["seq_len"]
@@ -172,14 +174,10 @@ def cmd_diag(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _run_config(args)
+    cfg, model = _setup(args)
     b = cfg["bench"]
-    if args.checkpoint:
-        model = _load_model(args, cfg)
-    else:
-        model = build_model(cfg.build("model"))
-        if b["mode"] == "hybrid":
-            convert_model(model, cfg.build("attention"), seed=cfg["model"]["seed"])
+    if not args.checkpoint and b["mode"] == "hybrid":
+        convert_model(model, cfg.build("attention"))
     budget = b["memory_budget_mb"]
     result = bench_generation(
         model,

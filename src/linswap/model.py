@@ -757,11 +757,26 @@ class SoftmaxSession(_Session):
         """Bytes of the filled keys and values, not of the capacity."""
         return sum(kv[:, :, :, : self.position].nbytes for kv in self.kv)
 
+    @staticmethod
+    def _capacity(capacity: int, end: int) -> int:
+        """A buffer's capacity once it holds keys up to end: kept while they
+        fit, else doubled, to end at least."""
+        return capacity if end <= capacity else max(end, 2 * capacity)
+
+    @classmethod
+    def projected_bytes(cls, config: ModelConfig, batch: int, prompt_len: int, gen_len: int) -> int:
+        """Bytes of the buffers after a prompt_len prefill and gen_len steps,
+        without allocating them."""
+        capacity = cls._capacity(0, prompt_len)
+        while capacity < prompt_len + gen_len:
+            capacity = cls._capacity(capacity, capacity + 1)  # the step that overflows it
+        return config.n_layers * 2 * batch * config.n_heads * capacity * config.head_dim * 4  # float32
+
     def _attend(self, i, q, k, v) -> np.ndarray:
         n, end = self.position, self.position + k.shape[2]
         kv = self.kv[i]
         if end > kv.shape[3]:
-            grown = np.empty((*kv.shape[:3], max(end, 2 * kv.shape[3]), kv.shape[4]), dtype=kv.dtype)
+            grown = np.empty((*kv.shape[:3], self._capacity(kv.shape[3], end), kv.shape[4]), dtype=kv.dtype)
             grown[:, :, :, :n] = kv[:, :, :, :n]
             kv = self.kv[i] = grown
         kv[0, :, :, n:end] = k

@@ -55,14 +55,9 @@ def per_layer_mse(y, y_hat) -> Tensor:
 
 
 def mse_attention_loss(ys: list, y_hats: list) -> Tensor:
-    """(1 / (M H)) sum over layers and heads of per-head output MSE."""
-    _check_paired(ys, y_hats)
-    heads = ys[0].shape[1]
-    total = None
-    for y, y_hat in zip(ys, y_hats):
-        layer = per_layer_mse(y, y_hat)
-        total = layer if total is None else total + layer
-    return total * (1.0 / (len(ys) * heads))
+    """(1 / (M H)) sum over layers and heads of per-head output MSE: the
+    block-wise loss of one block of all M layers."""
+    return blockwise_loss(ys, y_hats, len(ys))[0]
 
 
 def blockwise_loss(ys: list, y_hats: list, block_size: int) -> list[Tensor]:

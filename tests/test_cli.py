@@ -9,7 +9,7 @@ import pytest
 from linswap.cli import main
 from linswap.checkpoint import load_checkpoint, save_checkpoint, save_corpus
 from linswap.config import load_config
-from linswap.model import HybridSpec, ModelConfig, build_model, convert_model
+from linswap.model import HybridSpec, ModelConfig, build_model, convert_model, lora_attach
 from test_config import _write_lines_as_ini
 
 TINY_CONFIG = """\
@@ -131,6 +131,95 @@ def test_bench_flags_are_logged_as_the_config_that_ran(workdir, capsys, tmp_path
     expected = load_config(cfg)
     expected["bench"].update(mode="softmax-baseline", batch_size=2, prompt_len=8, gen_len=4)
     assert logged == expected
+
+
+OTHER_CONFIG = """\
+[model]
+n_layers = 3
+n_heads = 2
+head_dim = 16
+max_seq_len = 256
+seed = 5
+
+[attention]
+window_size = 8
+window_mode = terraced
+feature_kind = hedgehog
+
+[transfer]
+steps = 1
+batch_size = 2
+seq_len = 16
+synthetic_tokens = 2000
+
+[adjust]
+steps = 2
+batch_size = 2
+seq_len = 16
+rank = 4
+alpha = 8.0
+targets = wq,wk,wv,wo
+"""
+
+
+def _logged_config(err, path):
+    """The run's config lines, read back as an INI file."""
+    _write_lines_as_ini([line for line in err.splitlines() if line.startswith("config ")], path)
+    return load_config(str(path))
+
+
+def test_checkpoint_supplies_the_logged_model_settings(capsysbinary, tmp_path):
+    # every setting of the checkpoint differs from the INI's; the log states
+    # the checkpoint's, since that is the model each run serves or trains
+    ini = tmp_path / "other.ini"
+    ini.write_text(OTHER_CONFIG)
+    model = build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_seq_len=256, seed=11))
+    lora_attach(convert_model(model, HybridSpec(4, "standard", "t2r")), rank=2, alpha=3.0, targets=("wq",))
+    ckpt = str(tmp_path / "model.lolc")
+    save_checkpoint(model, ckpt)
+    expected = load_config(str(ini))
+    expected["model"].update(vars(model.config))
+    expected["attention"].update(vars(model.hybrid_spec))
+    expected["adjust"].update(rank=2, alpha=3.0, targets=("wq",))
+    common = ["--config", str(ini), "--checkpoint", ckpt]
+    out = str(tmp_path / "out")
+    for run in (
+        ["adjust", *common, "--out", out],
+        ["diag", *common, "--out", out],
+        ["generate", *common, "--prompt", "AB", "--n", "2"],
+        ["bench", *common, "--gen-len", "2", "--batch", "1", "--prompt-len", "4"],
+    ):
+        assert main(run) == 0, run
+        # the untrained model generates bytes that need not be UTF-8
+        logged = _logged_config(capsysbinary.readouterr().err.decode(), tmp_path / f"{run[0]}.ini")
+        assert logged.build("model") == model.config and logged.build("attention") == model.hybrid_spec, run[0]
+        assert {key: logged["adjust"][key] for key in model.lora_meta} == {**model.lora_meta, "targets": ("wq",)}
+        if run[0] == "bench":
+            expected["bench"].update(batch_size=1, prompt_len=4, gen_len=2)
+        assert logged == expected, run[0]
+    # adjust trained the adapters the checkpoint has
+    adjusted = load_checkpoint(os.path.join(out, "adjust.lolc"))
+    assert (adjusted.config, adjusted.hybrid_spec, adjusted.lora_meta) == (model.config, model.hybrid_spec, model.lora_meta)
+
+
+def test_transfer_converts_an_unconverted_checkpoint_with_its_seed(capsys, tmp_path):
+    # lr 0 keeps the feature maps and gamma as the conversion drew them
+    ini = tmp_path / "other.ini"
+    ini.write_text(OTHER_CONFIG.replace("[transfer]\n", "[transfer]\nlr = 0\n"))
+    ckpt = str(tmp_path / "base.lolc")
+    save_checkpoint(build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_seq_len=256, seed=11)), ckpt)
+    out = tmp_path / "out"
+    assert main(["transfer", "--config", str(ini), "--checkpoint", ckpt, "--out", str(out), "--seed", "7"]) == 0
+    logged = _logged_config(capsys.readouterr().err, tmp_path / "transfer.ini")
+    spec = load_config(str(ini)).build("attention")
+    assert logged.build("model") == load_checkpoint(ckpt).config and logged["model"]["seed"] == 11
+    assert logged.build("attention") == spec and logged["transfer"]["seed"] == 7
+    expected = convert_model(load_checkpoint(ckpt), spec).parameters()
+    trained = load_checkpoint(str(out / "transfer.lolc")).parameters()
+    maps = [name for name in expected if ".phi_" in name or name.endswith("gamma_raw")]
+    assert len(maps) == 2 * 3  # per layer: gamma_raw and the hedgehog phi_q, phi_k weights
+    for name in maps:
+        np.testing.assert_array_equal(trained[name].data, expected[name].data, err_msg=name)
 
 
 def test_plan_reference_figure(capsys):

@@ -2,12 +2,13 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from linswap import bench
 from linswap.bench import bench_generation
 from linswap.errors import BadConfig, ConfigTooLarge, IndivisibleBlocks
-from linswap.model import HybridSession, HybridSpec, ModelConfig, build_model, convert_model
+from linswap.model import HybridSession, HybridSpec, ModelConfig, SoftmaxSession, build_model, convert_model
 from linswap.planner import format_bytes, parse_report, plan_blockwise_storage
 
 
@@ -99,6 +100,25 @@ def test_bench_projection_is_what_a_session_allocates(kind):
                           HybridSpec(window_size=8, feature_kind=kind), seed=21)
     session = HybridSession(model, 3)
     assert bench._estimate_bytes(model, "hybrid", 3, 16, 32) == session.state_bytes + session.cache_bytes
+
+
+@pytest.mark.parametrize("prompt_len, gen_len", [(2048, 8), (128, 512), (1, 100)])
+def test_bench_softmax_projection_is_what_a_session_allocates(prompt_len, gen_len):
+    # the budget's projection follows the rule the KV buffers grow by, so it
+    # bounds the capacity a session allocates, not only the keys it fills
+    model = _bench_model("softmax")
+    session = SoftmaxSession(model, 1)
+    logits = session.prefill(np.full((1, prompt_len), 256))
+    for _ in range(gen_len):
+        logits = session.step(logits.argmax(-1))
+    allocated = sum(kv.nbytes for kv in session.kv)
+    assert bench._estimate_bytes(model, "softmax-baseline", 1, prompt_len, gen_len) == allocated
+    # a budget between the filled and the allocated bytes is too small
+    assert session.cache_bytes < allocated
+    with pytest.raises(ConfigTooLarge):
+        bench_generation(model, "softmax-baseline", 1, prompt_len, gen_len, memory_budget_bytes=session.cache_bytes)
+    r = bench_generation(model, "softmax-baseline", 1, prompt_len, gen_len, memory_budget_bytes=allocated)
+    assert r.peak_cache_bytes == session.cache_bytes
 
 
 @pytest.mark.parametrize("mode", ["hybrid", "softmax-baseline"])
