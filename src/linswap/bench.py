@@ -2,6 +2,7 @@
 instrumented memory counters. Memory figures come from data-structure sizes,
 not OS RSS, so the constant-state and linear-cache-growth assertions are
 hardware-independent; wall-clock throughput is reported but host-specific.
+A BenchResult's fields are the record `linswap bench` prints as JSON.
 """
 
 from __future__ import annotations
@@ -30,21 +31,6 @@ class BenchResult:
     peak_cache_bytes: int
     prompt_cache_bytes: int
     wall_time: float
-
-    def report(self) -> str:
-        return "\n".join(
-            [
-                f"mode={self.mode}",
-                f"batch_size={self.batch_size}",
-                f"prompt_len={self.prompt_len}",
-                f"gen_len={self.gen_len}",
-                f"tokens_per_sec={self.tokens_per_sec:.1f}",
-                f"peak_state_bytes={self.peak_state_bytes}",
-                f"peak_cache_bytes={self.peak_cache_bytes}",
-                f"prompt_cache_bytes={self.prompt_cache_bytes}",
-                f"wall_time={self.wall_time:.3f}",
-            ]
-        )
 
 
 def _estimate_bytes(model: Model, mode: str, batch: int, prompt_len: int, gen_len: int) -> int:

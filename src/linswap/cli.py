@@ -3,9 +3,11 @@
 Every run logs the fully resolved configuration to stderr so it can be
 reproduced from the log alone: a --checkpoint supplies [model], [attention]
 when converted and the LoRA keys of [adjust] (so --seed leaves [model] seed as
-the checkpoint's). Failures print one machine-parseable line (`<Category>:
-message`) and exit with the category's code (BadConfig=2, MissingCheckpoint=3,
-other library errors=1).
+the checkpoint's). Every command but generate prints one JSON record on
+stdout (_report) and writes it to <out>/<command>.json (bench and plan only
+with --out); generate prints the generated bytes. Failures print one
+machine-parseable line (`<Category>: message`) on stderr and exit with the
+category's code (BadConfig=2, MissingCheckpoint=3, other library errors=1).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import json
 import os
 import sys
 
@@ -32,9 +35,9 @@ def _log(msg: str) -> None:
 
 
 def _setup(args, require_checkpoint: bool = False):
-    """The run's config, with the flags that set config keys applied (--seed,
-    when given, as every section's seed; a flag whose dest is "section.key" as
-    that key) and then a --checkpoint model's own settings, logged to stderr
+    """The run's config, with the flags that set config keys applied (--seed
+    as every section's seed, a flag whose dest is "section.key" as that key)
+    and checked, then a --checkpoint model's own settings, logged to stderr
     line by line; and the model, built from the config if no checkpoint."""
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -45,6 +48,7 @@ def _setup(args, require_checkpoint: bool = False):
         if "." in dest and value is not None:
             section, key = dest.split(".")
             cfg.values[section][key] = value
+    cfg.check()
     model = None
     if args.checkpoint:
         if not os.path.exists(args.checkpoint):
@@ -82,6 +86,15 @@ def _out_dir(args) -> str:
     return out
 
 
+def _report(record: dict, path: str | None = None) -> None:
+    """Print the command's result as one JSON line and, given a path, write that line there."""
+    line = json.dumps(record)
+    print(line)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(line + "\n")
+
+
 def _write_diag_csv(path: str, report) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -112,19 +125,13 @@ def cmd_transfer(args) -> int:
             )
         convert_model(model, cfg.build("attention"))
     trainer.fit(model, corpus)
-    report = trainer.report_
     out = _out_dir(args)
     ckpt = os.path.join(out, "transfer.lolc")
     save_checkpoint(model, ckpt)
-    _write_diag_csv(os.path.join(out, "diagnostics.csv"), report)
-    with open(os.path.join(out, "transfer_summary.txt"), "w") as fh:
-        fh.write(f"steps={trainer.steps}\n")
-        fh.write(f"final_train_loss={report.train_losses[-1]:.8e}\n")
-        fh.write(f"mean_layer_mse={np.mean(report.layer_mse):.8e}\n")
-        fh.write(f"mean_esl={report.mean_esl:.4f}\n")
-        fh.write(f"wall_time_s={report.wall_time:.2f}\n")
+    _write_diag_csv(os.path.join(out, "diagnostics.csv"), trainer.report_)
     _log(f"wrote {ckpt}")
-    print(f"transfer done: final loss {report.train_losses[-1]:.6f}, wall time {report.wall_time:.1f}s")
+    record = {"command": "transfer", **dataclasses.asdict(trainer.report_), "steps": trainer.steps, "checkpoint": ckpt}
+    _report(record, os.path.join(out, "transfer.json"))
     return 0
 
 
@@ -136,13 +143,9 @@ def cmd_adjust(args) -> int:
     ckpt = os.path.join(out, "adjust.lolc")
     save_checkpoint(model, ckpt)
     eval_loss = eval_next_token_loss(model, corpus, trainer.batch_size, trainer.seq_len, seed=trainer.seed + 1)
-    with open(os.path.join(out, "adjust_summary.txt"), "w") as fh:
-        fh.write(f"steps={trainer.steps}\n")
-        fh.write(f"final_train_loss={trainer.train_losses_[-1]:.8e}\n")
-        fh.write(f"eval_loss={eval_loss:.8e}\n")
-        fh.write(f"wall_time_s={trainer.wall_time_:.2f}\n")
     _log(f"wrote {ckpt}")
-    print(f"adjust done: final loss {trainer.train_losses_[-1]:.6f}, eval loss {eval_loss:.6f}")
+    record = {"command": "adjust", "train_losses": trainer.train_losses_, "eval_loss": eval_loss, "wall_time": trainer.wall_time_}
+    _report({**record, "steps": trainer.steps, "checkpoint": ckpt}, os.path.join(out, "adjust.json"))
     return 0
 
 
@@ -169,7 +172,8 @@ def cmd_diag(args) -> int:
     path = os.path.join(out, "diagnostics.csv")
     _write_diag_csv(path, report)
     _log(f"wrote {path}")
-    print(f"diag done: mean eval MSE {np.mean(report.layer_mse):.6e}, mean ESL {report.mean_esl:.2f}")
+    record = {"command": "diag", "layer_mse": report.layer_mse, "layer_entropy": report.layer_entropy, "mean_esl": report.mean_esl}
+    _report({**record, "csv": path}, os.path.join(out, "diag.json"))
     return 0
 
 
@@ -188,19 +192,13 @@ def cmd_bench(args) -> int:
         seed=b["seed"],
         memory_budget_bytes=budget * 1024 * 1024 if budget else None,
     )
-    print(result.report())
+    _report({"command": "bench", **dataclasses.asdict(result)}, args.out and os.path.join(_out_dir(args), "bench.json"))
     return 0
 
 
 def cmd_plan(args) -> int:
     plan = plan_blockwise_storage(args.tokens, args.dim, args.layers, args.block, args.precision)
-    text = plan.report()
-    print(text)
-    if args.out:
-        path = os.path.join(_out_dir(args), "plan.txt")
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        _log(f"wrote {path}")
+    _report({"command": "plan", **dataclasses.asdict(plan)}, args.out and os.path.join(_out_dir(args), "plan.json"))
     return 0
 
 
@@ -245,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("plan", help="block-wise training storage planner")
-    common(p)
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--tokens", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--layers", type=int, required=True)

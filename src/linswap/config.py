@@ -9,14 +9,15 @@ LoraAdjust. This module declares only the keys the CLI reads itself
 A value is parsed by its declared type; a tuple is a comma list, and an empty
 value means "use the default". Everything else fails closed with BadConfig:
 unknown sections (including [DEFAULT]) or keys, bytes that are not UTF-8,
-values that do not parse, values outside a key's fixed choices (CHOICES),
-keys that must be positive (POSITIVE), and a [model] or [attention] section
-that ModelConfig or HybridSpec refuses (for example an mlp_hidden_mult that
-gives no finite mlp_hidden >= 1, a rope_base not > 0 or a feature_dim set
-below 1). So a config that loads has no range error left for a later stage,
-except the [transfer] settings that AttentionTransfer.check_settings checks
-against the model (the block size needs its layer count); the CLI runs that
-before pretraining.
+values that do not parse, floats that are not finite, values outside a
+key's fixed choices (CHOICES), sizes that must be > 0 (POSITIVE), rates,
+seeds and the bench budget that must be >= 0 (NON_NEGATIVE), and a [model]
+or [attention] section that ModelConfig or HybridSpec refuses (for example
+an mlp_hidden_mult that gives no mlp_hidden >= 1, a rope_base not > 0 or a
+feature_dim set below 1). So a config that loads has no range error left for
+a later stage, except the [transfer] settings that
+AttentionTransfer.check_settings checks against the model (the block size
+needs its layer count); the CLI runs that before pretraining.
 Stage-2 reuses stage-1's corpus settings unless [adjust] overrides them,
 matching the two-stage default of training both stages on the same data.
 """
@@ -24,6 +25,7 @@ matching the two-stage default of training both stages on the same data.
 from __future__ import annotations
 
 import configparser
+import math
 import typing
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -73,10 +75,6 @@ CHOICES = {
     ("bench", "mode"): BENCH_MODES,
 }
 
-# keys whose value must be >= 1; the layers that use them check it too, but
-# only when they are built, some after pretraining
-POSITIVE = (("attention", "window_size"), ("adjust", "rank"))
-
 
 def _declared(cls) -> dict[str, tuple[Any, Any]]:
     """key -> (default, type) for the dataclass fields of cls."""
@@ -85,6 +83,14 @@ def _declared(cls) -> dict[str, tuple[Any, Any]]:
 
 
 SCHEMA = {s: {**(_declared(cls) if cls else {}), **CLI_KEYS.get(s, {})} for s, cls in CLASSES.items()}
+
+# keys whose value must be > 0, and keys whose value must be >= 0 (a rate of 0
+# leaves the parameters as they are, a budget of 0 sets none; a seed is a numpy
+# seed). The classes that use them check some too, but only when built or run
+POSITIVE = [("attention", "window_size"), ("adjust", "rank"), *(("bench", k) for k in ("batch_size", "prompt_len", "gen_len"))]
+POSITIVE += [(s, k) for s in ("transfer", "adjust") for k in ("steps", "batch_size", "seq_len", "clip_norm")]
+NON_NEGATIVE = [("model", "pretrain_lr"), ("transfer", "lr"), ("adjust", "lr"), ("bench", "memory_budget_mb")]
+NON_NEGATIVE += [(s, k) for s, keys in SCHEMA.items() for k in keys if k.endswith("seed")]
 
 
 def _format(value) -> str:
@@ -108,6 +114,24 @@ class RunConfig:
         cls = CLASSES[section]
         return cls(**{key: self.values[section][key] for key in _declared(cls)})
 
+    def check(self) -> None:
+        """BadConfig for a value outside its key's choices or range, or a section
+        its class refuses; load_config runs it, and the CLI after its flags."""
+        for (section, key), choices in CHOICES.items():
+            value = self[section][key]
+            for item in value if isinstance(value, tuple) else (value,):
+                check_choice(f"[{section}] {key}", item, choices)
+        for section, key in POSITIVE:
+            check_positive(f"[{section}] {key}", self[section][key])
+        for section, key in NON_NEGATIVE:
+            if (self[section][key] or 0) < 0:
+                raise BadConfig(f"[{section}] {key} must be >= 0, got {self[section][key]}")
+        for section in ("model", "attention"):
+            try:
+                self.build(section)
+            except InvalidConfig as exc:
+                raise BadConfig(f"[{section}] {exc}") from exc
+
     def resolved_lines(self) -> list[str]:
         """Every key with defaults expanded, for reproducibility logging. Read
         back as an INI file, the values give the same config."""
@@ -119,19 +143,21 @@ class RunConfig:
 
 
 def _parse(section: str, key: str, raw: str, kind):
-    """A non-empty raw value as its declared type: int, float, str, X | None
-    (a set value is an X) or tuple[str, ...] (a non-empty comma list)."""
+    """A non-empty raw value as its declared type: int, float (finite), str,
+    X | None (a set value is an X) or tuple[str, ...] (a non-empty comma list)."""
     try:
         if typing.get_origin(kind) is tuple:
             items = tuple(x.strip() for x in raw.split(",") if x.strip())
             if not items:
                 raise ValueError("empty list")
             return items
-        if type(None) in typing.get_args(kind):
-            return typing.get_args(kind)[0](raw)
-        return kind(raw)
+        args = typing.get_args(kind)
+        value = (args[0] if type(None) in args else kind)(raw)
     except ValueError as exc:
         raise BadConfig(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise BadConfig(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def default_config() -> RunConfig:
@@ -162,15 +188,5 @@ def load_config(path: str | None) -> RunConfig:
             raw = raw.strip()
             if raw:
                 cfg.values[section][key] = _parse(section, key, raw, SCHEMA[section][key][1])
-    for (section, key), choices in CHOICES.items():
-        value = cfg[section][key]
-        for item in value if isinstance(value, tuple) else (value,):
-            check_choice(f"[{section}] {key}", item, choices)
-    for section, key in POSITIVE:
-        check_positive(f"[{section}] {key}", cfg[section][key])
-    for section in ("model", "attention"):
-        try:
-            cfg.build(section)
-        except InvalidConfig as exc:
-            raise BadConfig(f"[{section}] {exc}") from exc
+    cfg.check()
     return cfg

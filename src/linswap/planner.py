@@ -10,12 +10,14 @@ The formula charges one saved state set per block, including the first block
 whose inputs are just the token embeddings; the boundaries-only variant
 p * T * d * (L/k - 1) charges interior boundaries only. At k = L the formula
 still yields 2*T*d even though joint training needs no precomputed states;
-reports carry both figures with a note.
+a BlockPlan carries both figures with a note. `linswap plan` prints its
+fields as one JSON record, and parse_report reads that record back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass, field
 
 from .errors import BadConfig, IndivisibleBlocks
 
@@ -36,21 +38,10 @@ class BlockPlan:
     boundary_bytes: int
     blocks: int
     note: str = DISCREPANCY_NOTE
+    total_human: str = field(init=False)
 
-    def report(self) -> str:
-        lines = [
-            f"tokens={self.tokens}",
-            f"model_dim={self.model_dim}",
-            f"layers={self.layers}",
-            f"block_size={self.block_size}",
-            f"precision_bytes={self.precision_bytes}",
-            f"blocks={self.blocks}",
-            f"total_bytes={self.total_bytes}",
-            f"total_human={format_bytes(self.total_bytes)}",
-            f"boundary_bytes={self.boundary_bytes}",
-            f"note={self.note}",
-        ]
-        return "\n".join(lines)
+    def __post_init__(self):
+        self.total_human = format_bytes(self.total_bytes)
 
 
 def _check_int(name: str, value) -> int:
@@ -88,20 +79,17 @@ def plan_blockwise_storage(tokens: int, model_dim: int, layers: int, block_size:
 
 
 def parse_report(text: str) -> BlockPlan:
-    """Inverse of BlockPlan.report (round-trip contract)."""
-    fields: dict[str, str] = {}
-    for line in text.strip().splitlines():
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    plan = plan_blockwise_storage(
-        int(fields["tokens"]),
-        int(fields["model_dim"]),
-        int(fields["layers"]),
-        int(fields["block_size"]),
-        int(fields["precision_bytes"]),
-    )
-    if plan.total_bytes != int(fields["total_bytes"]):
-        raise BadConfig("report total_bytes inconsistent with inputs")
+    """Inverse of the JSON record `linswap plan` prints (round-trip contract):
+    the plan of the record's inputs, which must state every figure as the
+    plan does."""
+    try:
+        record = json.loads(text)
+        inputs = [record[k] for k in ("tokens", "model_dim", "layers", "block_size", "precision_bytes")]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BadConfig(f"not a plan record: {exc}") from exc
+    plan = plan_blockwise_storage(*inputs)
+    if any(record.get(k) != v for k, v in asdict(plan).items()):
+        raise BadConfig("report figures inconsistent with its inputs")
     return plan
 
 

@@ -180,10 +180,13 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    # the first gradient must be a copy: add hands one g to both parents, and
-    # reshape/transpose pass views of their child's gradient
+    # a first gradient is kept as the rule handed it over when that is an
+    # array of t's dtype that owns its data or is a C- or F-contiguous view
+    # (the layout np.array would give it); a strided, flipped or broadcast
+    # view is copied. No rule hands one array to two parents (add copies b's)
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.dtype)
+        keep = type(g) is np.ndarray and g.dtype == t.dtype and (g.base is None or g.flags.forc)
+        t.grad = g if keep else np.array(g, dtype=t.dtype)
     else:
         t.grad += g
 
@@ -285,7 +288,9 @@ def add(a, b) -> Tensor:
     a, b = _elementwise_pair(a, b, "add")
     with np.errstate(over="ignore"):
         data = a.data + b.data
-    return _node(data, (a, b), (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)), "add")
+    # with equal shapes both rules would hand over g itself, so b's copies it
+    rules = (lambda g: _unbroadcast(g, a.shape), lambda g: np.array(g) if a.shape == b.shape else _unbroadcast(g, b.shape))
+    return _node(data, (a, b), rules, "add")
 
 
 def sub(a, b) -> Tensor:

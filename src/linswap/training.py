@@ -5,10 +5,10 @@ model. Both stages are estimator-shaped (fit / get_params / set_params).
 
 Both fits and the toy base pretraining run the one loop `_fit_loop` (seeded
 `sample_batch` crops, one stage step each, every `eval_every`-th loss fed to
-the plateau schedule) and the one guarded update `_update` (a non-finite loss
-or op becomes `DivergedLoss`). The optimizer constants are fixed: AdamW with
-betas 0.9/0.999, eps 1e-8 and no weight decay; the plateau schedule halves
-the learning rate after 10 stale evals.
+the plateau schedule) and the one guarded update `_update` (a non-finite loss,
+op or gradient norm becomes `DivergedLoss`). The optimizer constants are
+fixed: AdamW with betas 0.9/0.999, eps 1e-8 and no weight decay; the plateau
+schedule halves the learning rate after 10 stale evals.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ def next_token_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
 class AdamW:
     """AdamW (betas 0.9/0.999, eps 1e-8, no weight decay) with global-norm
     gradient clipping; parameter order is fixed by the insertion order of the
-    name -> tensor dict, so runs are bit-reproducible."""
+    name -> tensor dict, so runs are bit-reproducible. A non-finite global
+    gradient norm raises DivergedLoss before anything changes."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, clip_norm: float | None = 1.0):
         self.params = dict(params)
@@ -127,6 +128,8 @@ class AdamW:
             if t.grad is not None:
                 total += float((t.grad.astype(np.float64) ** 2).sum())
         norm = float(np.sqrt(total))
+        if not np.isfinite(norm):  # before any gradient, moment or parameter changes
+            raise DivergedLoss(f"gradient norm {norm}")
         if self.clip_norm is not None and norm > self.clip_norm:
             scale = self.clip_norm / (norm + 1e-12)
             for t in self.params.values():
@@ -278,8 +281,9 @@ def feature_map_parameters(model: Model) -> dict[str, Tensor]:
 
 def _update(optimizer: AdamW, loss_fn, what: str) -> float:
     """One guarded update: zero_grad, loss, finite check, backward, AdamW step.
-    A non-finite loss, or a non-finite result of any op on the way, raises
-    DivergedLoss before the parameters move. Returns the loss value."""
+    A non-finite loss, a non-finite result of any op on the way, or a
+    non-finite gradient norm in the step raises DivergedLoss before the
+    parameters move. Returns the loss value."""
     optimizer.zero_grad()
     try:
         loss = loss_fn()

@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a tiny bundled config, plus exit-code contracts."""
 
+import json
 import os
 import re
 
@@ -59,8 +60,9 @@ def test_full_pipeline(workdir, capsys):
     csv_text = open(os.path.join(out, "diagnostics.csv")).read()
     assert csv_text.splitlines()[0] == "layer,eval_mse,mean_entropy"
     assert len(csv_text.strip().splitlines()) == 3  # header + one row per layer
-    summary = open(os.path.join(out, "transfer_summary.txt")).read()
-    assert "final_train_loss=" in summary and "wall_time_s=" in summary
+    summary = json.loads(open(os.path.join(out, "transfer.json")).read())
+    assert len(summary["train_losses"]) == summary["steps"] == 25 and np.isfinite(summary["train_losses"][-1])
+    assert summary["wall_time"] > 0
 
     ckpt = os.path.join(out, "transfer.lolc")
     assert main(["adjust", "--config", cfg, "--checkpoint", ckpt, "--out", out]) == 0
@@ -80,10 +82,11 @@ def test_full_pipeline(workdir, capsys):
 
     assert main(["diag", "--config", cfg, "--checkpoint", adjusted, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
+    capsys.readouterr()
 
     assert main(["bench", "--config", cfg, "--checkpoint", adjusted, "--gen-len", "8", "--batch", "2", "--prompt-len", "8"]) == 0
-    report = capsys.readouterr().out
-    assert "tokens_per_sec=" in report and "peak_state_bytes=" in report
+    report = json.loads(capsys.readouterr().out)
+    assert report["tokens_per_sec"] > 0 and report["peak_state_bytes"] > 0
 
 
 def test_resolved_config_logged(workdir, capsys):
@@ -122,12 +125,12 @@ def test_bench_flags_are_logged_as_the_config_that_ran(workdir, capsys, tmp_path
     lines = [line for line in captured.err.splitlines() if line.startswith("config ")]
     for needle in ("bench.mode=softmax-baseline", "bench.batch_size=2", "bench.prompt_len=8", "bench.gen_len=4"):
         assert f"config {needle}" in lines, needle
-    # the report states what ran; the logged lines read back to that config
-    ran = dict(line.split("=", 1) for line in captured.out.splitlines())
+    # the record states what ran; the logged lines read back to that config
+    ran = json.loads(captured.out)
     _write_lines_as_ini(lines, tmp_path / "resolved.ini")
     logged = load_config(str(tmp_path / "resolved.ini"))
     keys = ("mode", "batch_size", "prompt_len", "gen_len")
-    assert {k: str(logged["bench"][k]) for k in keys} == {k: ran[k] for k in keys}
+    assert {k: logged["bench"][k] for k in keys} == {k: ran[k] for k in keys}
     expected = load_config(cfg)
     expected["bench"].update(mode="softmax-baseline", batch_size=2, prompt_len=8, gen_len=4)
     assert logged == expected
@@ -224,9 +227,48 @@ def test_transfer_converts_an_unconverted_checkpoint_with_its_seed(capsys, tmp_p
 
 def test_plan_reference_figure(capsys):
     assert main(["plan", "--tokens", "50000000", "--dim", "16384", "--layers", "126", "--block", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "total_bytes=206438400000000" in out
-    assert "total_human=206.4 TB" in out
+    record = json.loads(capsys.readouterr().out)
+    assert record["total_bytes"] == 206438400000000
+    assert record["total_human"] == "206.4 TB"
+
+
+def test_each_command_prints_one_json_record_and_writes_it(capsys, tmp_path, monkeypatch):
+    # stdout is one JSON line holding the command's figures; <out>/<command>.json
+    # holds the same line. bench and plan write it only when given --out
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "quick.ini"
+    cfg.write_text(TINY_CONFIG.replace("pretrain_steps = 30", "pretrain_steps = 0").replace("steps = 25", "steps = 2"))
+    out = tmp_path / "out"
+    common = ["--config", str(cfg), "--out", str(out)]
+    figures = {
+        "transfer": {"train_losses", "layer_mse", "layer_entropy", "mean_esl", "wall_time", "steps", "checkpoint"},
+        "adjust": {"train_losses", "eval_loss", "wall_time", "steps", "checkpoint"},
+        "diag": {"layer_mse", "layer_entropy", "mean_esl", "csv"},
+        "bench": {"mode", "batch_size", "prompt_len", "gen_len", "tokens_per_sec", "peak_state_bytes", "peak_cache_bytes", "prompt_cache_bytes", "wall_time"},
+        "plan": {"tokens", "model_dim", "layers", "block_size", "precision_bytes", "total_bytes", "total_human", "boundary_bytes", "blocks", "note"},
+    }
+    bench = ["--gen-len", "2", "--batch", "1", "--prompt-len", "4"]
+    plan = ["--tokens", "100", "--dim", "8", "--layers", "2", "--block", "1"]
+    for run in (
+        ["transfer", *common],
+        ["adjust", *common, "--checkpoint", str(out / "transfer.lolc")],
+        ["diag", *common, "--checkpoint", str(out / "adjust.lolc")],
+        ["bench", *common, "--checkpoint", str(out / "adjust.lolc"), *bench],
+        ["plan", "--out", str(out), *plan],
+    ):
+        assert main(run) == 0, run
+        stdout = capsys.readouterr().out
+        assert len(stdout.splitlines()) == 1, run[0]
+        record = json.loads(stdout)
+        assert isinstance(record, dict) and record.pop("command") == run[0]
+        assert set(record) == figures[run[0]], run[0]
+        assert (out / f"{run[0]}.json").read_text() == stdout, run[0]
+    assert len(json.loads((out / "transfer.json").read_text())["layer_mse"]) == 2
+    for run in (["bench", "--config", str(cfg), *bench], ["plan", *plan]):
+        (out / f"{run[0]}.json").unlink()
+        assert main(run) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == run[0]
+        assert not (out / f"{run[0]}.json").exists() and not (tmp_path / f"{run[0]}.json").exists()
 
 
 def test_exit_codes(workdir, capsys, tmp_path):
@@ -242,16 +284,28 @@ def test_exit_codes(workdir, capsys, tmp_path):
     assert main(["transfer", "--config", str(empty), "--out", str(tmp_path)]) == 2
     assert "BadConfig:" in capsys.readouterr().err
 
-    # so are zero-sized training runs, before the first step: no raw numpy
-    # error from an empty batch, no empty reduction over seq_len 0
-    no_pretrain = TINY_CONFIG.replace("pretrain_steps = 30", "pretrain_steps = 0")
-    for name, text in (
-        ("batch0.ini", no_pretrain.replace("batch_size = 4", "batch_size = 0", 1)),  # [transfer]
-        ("seq0.ini", no_pretrain.replace("seq_len = 32", "seq_len = 0", 1)),  # [transfer]
+    # so are zero-sized training runs, learning rates below 0 or not finite and
+    # clip norms not > 0, when the config loads: before pretraining (30 steps
+    # here), with no raw numpy error from an empty batch
+    in_transfer = "eval_every = 10"  # a line only [transfer] has
+    for name, text, key in (
+        ("batch0.ini", TINY_CONFIG.replace("batch_size = 4", "batch_size = 0", 1), "batch_size"),  # [transfer]
+        ("seq0.ini", TINY_CONFIG.replace("seq_len = 32", "seq_len = 0", 1), "seq_len"),  # [transfer]
+        ("steps0.ini", TINY_CONFIG.replace("steps = 25", "steps = 0", 1), "steps"),  # [transfer]
+        ("lrneg.ini", TINY_CONFIG.replace(in_transfer, f"{in_transfer}\nlr = -1"), "lr"),
+        ("clipneg.ini", TINY_CONFIG.replace(in_transfer, f"{in_transfer}\nclip_norm = -1"), "clip_norm"),
+        ("clip0.ini", TINY_CONFIG.replace(in_transfer, f"{in_transfer}\nclip_norm = 0"), "clip_norm"),
+        ("adjustlrnan.ini", TINY_CONFIG.replace("lr = 1e-3", "lr = nan"), "lr"),
+        ("adjustclip.ini", TINY_CONFIG.replace("rank = 2", "rank = 2\nclip_norm = inf"), "clip_norm"),
+        ("adjustbatch0.ini", TINY_CONFIG.replace("batch_size = 4\nseq_len = 32\nrank", "batch_size = 0\nseq_len = 32\nrank"), "batch_size"),
+        ("pretrainlr.ini", TINY_CONFIG.replace("pretrain_steps = 30", "pretrain_steps = 30\npretrain_lr = -5"), "pretrain_lr"),
+        ("seedneg.ini", TINY_CONFIG.replace(in_transfer, f"{in_transfer}\nseed = -1"), "seed"),
+        ("gammanan.ini", TINY_CONFIG.replace("feature_kind = t2r", "feature_kind = t2r\ngamma_init = nan"), "gamma_init"),
     ):
         (tmp_path / name).write_text(text)
-        assert main(["transfer", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
-        assert "BadConfig:" in capsys.readouterr().err
+        assert main(["transfer", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2, name
+        err = capsys.readouterr().err
+        assert "BadConfig:" in err and key in err and "pretraining" not in err, name
     # bytes that are not UTF-8 and values outside a key's choices are rejected
     # when the config loads, before any pretraining
     for name, text in (
@@ -330,10 +384,11 @@ def test_corpus_file_input(workdir, capsys, tmp_path):
 
 
 def test_bench_rejects_explicit_zero_sizes(workdir, capsys):
-    # an explicit 0 must reach the size check, not fall back to [bench]
+    # an explicit 0 must reach the size check, not fall back to [bench]; a
+    # negative --seed is checked as a negative INI seed is
     cfg = str(workdir / "tiny.ini")
-    for flag in ("--batch", "--prompt-len", "--gen-len"):
-        assert main(["bench", "--config", cfg, "--gen-len", "2", "--batch", "1", "--prompt-len", "4", flag, "0"]) == 2
+    for flag, value in (("--batch", "0"), ("--prompt-len", "0"), ("--gen-len", "0"), ("--seed", "-1")):
+        assert main(["bench", "--config", cfg, "--gen-len", "2", "--batch", "1", "--prompt-len", "4", flag, value]) == 2
         assert "BadConfig:" in capsys.readouterr().err, flag
 
 

@@ -74,6 +74,9 @@ def test_empty_value_means_default(tmp_path):
         "[attention]\nfeature_kind = softmax\n",
         "[transfer]\nsteps = 1e3\n",
         "[bench]\nmemory_budget_mb = 1.5\n",
+        "[bench]\nmemory_budget_mb = -1\n",
+        "[transfer]\nclip_norm = nan\n",
+        "[model]\nseed = -1\n",
         # values ModelConfig and HybridSpec refuse, which the layers would
         # only meet when built (or, for rope_base, when run)
         "[attention]\nfeature_dim = -1\n",

@@ -1,5 +1,6 @@
 """Storage planner exactness and instrumented generation-benchmark counters."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from linswap import bench
 from linswap.bench import bench_generation
+from linswap.cli import main
 from linswap.errors import BadConfig, ConfigTooLarge, IndivisibleBlocks
 from linswap.model import HybridSession, HybridSpec, ModelConfig, SoftmaxSession, build_model, convert_model
 from linswap.planner import format_bytes, parse_report, plan_blockwise_storage
@@ -42,10 +44,20 @@ def test_planner_rejects_bad_inputs():
         plan_blockwise_storage(10, 10.5, 4, 2)
 
 
-def test_planner_report_roundtrip():
+def test_planner_report_roundtrip(capsys):
+    # the record `linswap plan` prints reads back to the plan; a record whose
+    # figures do not follow from its inputs is refused
     plan = plan_blockwise_storage(tokens=12345, model_dim=32, layers=6, block_size=3, precision_bytes=4)
-    again = parse_report(plan.report())
+    assert main(["plan", "--tokens", "12345", "--dim", "32", "--layers", "6", "--block", "3", "--precision", "4"]) == 0
+    text = capsys.readouterr().out
+    again = parse_report(text)
     assert again == plan
+    for key, value in (("total_bytes", plan.total_bytes + 1), ("total_human", "1.0 B"), ("blocks", 3)):
+        with pytest.raises(BadConfig):
+            parse_report(json.dumps({**json.loads(text), key: value}))
+    for malformed in ("", "[1]", '{"tokens": 12345}', "5"):
+        with pytest.raises(BadConfig):
+            parse_report(malformed)
 
 
 def test_planner_huge_inputs_exact():

@@ -185,6 +185,26 @@ def test_embedding_and_gather_backward():
     np.testing.assert_allclose(logits.grad, expect / 2, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "name,fn",
+    [
+        # add hands one upstream gradient to both parents, which both get more
+        ("add_square", lambda t: (lambda a, b: ((a + b) * (a + b) + b * a).sum())(t * 2.0, t * 3.0)),
+        ("add_twice", lambda t: (lambda a, b: ((a + b) + (b + a) * b).sum())(t * 2.0, t * 3.0)),
+        # concat and reshape hand views of one gradient to their parents
+        ("concat", lambda t: (lambda a, b: (T.concat([a, b], 0) * T.concat([b, a], 0)).sum() + a.sum())(t * 2.0, t * 3.0)),
+        ("reshape", lambda t: (lambda a: (a.reshape(6) * a.reshape(6)).sum() + (a * a).sum())(t * 2.0)),
+        ("transpose", lambda t: (lambda a: (a.transpose() * a.transpose()).sum() + (a + a).sum())(t * 2.0)),
+    ],
+)
+def test_first_gradients_of_intermediates_hold_their_own_arrays(name, fn):
+    # an intermediate's gradient starts unallocated and keeps the array the
+    # first rule hands it; later gradients are added into that array in place,
+    # so two intermediates holding one array would count each other's share
+    x = rng(zlib.crc32(name.encode())).normal(size=(2, 3))
+    assert T.finite_difference_check(fn, x) <= 1e-6, name
+
+
 def test_slice_backward_adds_into_the_source_gradient():
     # several slices of one source, some overlapping, against the form that
     # scatters each slice's gradient into a zeros array of the source's size;

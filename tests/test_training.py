@@ -210,6 +210,24 @@ def test_gradient_clipping_scales_to_unit_norm():
     np.testing.assert_allclose(np.sqrt((p.grad**2).sum()), 1.0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_norm_raises_before_anything_moves(bad):
+    w = Tensor(np.arange(4.0, dtype=np.float32), requires_grad=True)
+    u = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    opt = AdamW({"w": w, "u": u}, lr=0.1, clip_norm=1.0)
+    w.grad[:], u.grad[:] = 1.0, 2.0
+    opt.step()  # moments and t away from their initial zeros
+    w.grad[:] = [1.0, bad, 0.0, 0.0]
+    u.grad[:] = 5.0  # over the clip norm: clipping would scale it
+    state = {n: (t.data.copy(), t.grad.copy(), opt._m[n].copy(), opt._v[n].copy()) for n, t in opt.params.items()}
+    with pytest.raises(DivergedLoss, match=f"gradient norm {bad}"):
+        opt.step()
+    assert opt.t == 1
+    for n, t in opt.params.items():
+        for got, kept in zip((t.data, t.grad, opt._m[n], opt._v[n]), state[n]):
+            assert got.tobytes() == kept.tobytes(), n
+
+
 def test_plateau_scheduler_halves_lr():
     p = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
     opt = AdamW({"p": p}, lr=1.0)
