@@ -490,8 +490,7 @@ def _hybrid_op(q: Tensor, k: Tensor, v: Tensor, fq: Tensor, fk: Tensor, cfg: Hyb
     arrays, chunks = cfg.arrays(), []
     b, h, _, d = q.shape
     s, z = np.zeros((b, h, fq.shape[-1], d), dtype=q.dtype), np.zeros((b, h, fq.shape[-1]), dtype=q.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite y raises NonFiniteResult in T.fused
-        y, s, z = _hybrid_walk(arrays, s, z, q.data, fq.data, k.data, v.data, fk.data, 0, 0, chunks)
+    y, s, z = _hybrid_walk(arrays, s, z, q.data, fq.data, k.data, v.data, fk.data, 0, 0, chunks)
     if stats is not None:  # a chunk's scratch: scores, ex, weights, num, den and its y (num's size)
         peak = max(sc.nbytes + ex.nbytes + wt.nbytes + 2 * num.nbytes + den.nbytes for _, _, sc, ex, wt, _, num, den in chunks)
         stats.update(peak_chunk_bytes=peak, state_bytes=s.nbytes + z.nbytes, chunks=len(chunks))

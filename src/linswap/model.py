@@ -45,7 +45,6 @@ from .errors import (
     AlreadyConverted,
     DuplicateAdapter,
     InvalidConfig,
-    NonFiniteResult,
     NotConverted,
     PromptTooLong,
     ShapeMismatch,
@@ -302,14 +301,16 @@ class Model:
 
     def forward(self, ids: np.ndarray) -> Tensor:
         """Full forward on the tape to logits [b, l, vocab]; hybrid layers use
-        the chunked prefill once converted."""
+        the chunked prefill once converted. Block i records under
+        T.scope("layers.i"), which a failed finite check names."""
         x = self.embed_tokens(ids)
-        for blk in self.blocks:
-            attn = blk.attn
-            q, k, v = attn.project_qkv(blk.norm1.forward(x))
-            y = attn.heads_softmax(q, k, v)[0] if attn.hybrid_cfg is None else attn.heads_hybrid(q, k, v)
-            x = x + attn.wo.forward(attn.merge_heads(y))
-            x = x + blk.mlp.forward(blk.norm2.forward(x))
+        for i, blk in enumerate(self.blocks):
+            with T.scope(f"layers.{i}"):
+                attn = blk.attn
+                q, k, v = attn.project_qkv(blk.norm1.forward(x))
+                y = attn.heads_softmax(q, k, v)[0] if attn.hybrid_cfg is None else attn.heads_hybrid(q, k, v)
+                x = x + attn.wo.forward(attn.merge_heads(y))
+                x = x + blk.mlp.forward(blk.norm2.forward(x))
         return T.matmul(self.final_norm.forward(x), self.head)
 
     def forward_teacher_forced(self, ids: np.ndarray, return_weights: bool = False) -> list[dict]:
@@ -322,9 +323,10 @@ class Model:
         gamma through y_hat alone; its hybrid op keeps each chunk's scores
         for the backward, O(l w) bytes per layer. records[m] holds the arrays
         q, k, v (post-rope heads [b, h, l, d]) and y (softmax heads output),
-        the Tensor y_hat (hybrid heads output) and, on request, the teacher's
-        softmax weights a; never the student's weights a_hat, which only a
-        weight-matching loss reads and builds (AttentionTransfer.transfer_loss)."""
+        the Tensor y_hat (hybrid heads output, recorded under T.scope
+        "layers.m") and, on request, the teacher's softmax weights a; never
+        the student's weights a_hat, which only a weight-matching loss reads
+        and builds (AttentionTransfer.transfer_loss)."""
         if not self.converted:
             raise NotConverted("attention transfer needs a converted model")
         ids = _check_ids(ids, self.config.vocab_size)
@@ -338,8 +340,9 @@ class Model:
         steps = _Engine(self).steps(ids, 0, attend)
         for _ in self.blocks:
             next(steps)  # through the layer's attention
-        for rec, blk in zip(records, self.blocks):
-            rec["y_hat"] = blk.attn.heads_hybrid(Tensor(rec["q"]), Tensor(rec["k"]), Tensor(rec["v"]))
+        for i, (rec, blk) in enumerate(zip(records, self.blocks)):
+            with T.scope(f"layers.{i}"):
+                rec["y_hat"] = blk.attn.heads_hybrid(Tensor(rec["q"]), Tensor(rec["k"]), Tensor(rec["v"]))
         return records
 
 
@@ -545,17 +548,11 @@ def _merged(proj: Projection) -> np.ndarray:
     return proj.weight.data if ad is None else _lora_merged(proj.weight.data, ad.a.data, ad.b.data, ad.alpha / ad.rank)
 
 
-def _finite(a: np.ndarray, where: str, op: str) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise NonFiniteResult(f"{where} {op} produced NaN/Inf")
-    return a
-
-
 def _first_non_finite(i: int, *named: tuple[str, np.ndarray]) -> None:
     """Raise NonFiniteResult for the first non-finite of layer i's (op,
     array) pairs, given in compute order."""
     for op, a in named:
-        _finite(a, f"layers.{i}", op)
+        T.finite(a, f"layers.{i} {op}")
 
 
 def _swiglu_np(g: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -644,7 +641,7 @@ class _Engine:
         b, n = ids.shape
         h, d = c.n_heads, c.head_dim
         cos, sin = _rope_at(position, n, d, c.rope_base, self.embed.dtype)
-        x = _finite(self.embed[ids], "embed", "embedding")
+        x = T.finite(self.embed[ids], "embed embedding")
         for i, layer in enumerate(self.layers):
             u = T.rms_norm_np(x, layer.norm1, RMS_EPS)
             qkv = (u @ layer.wqkv).reshape(b, n, 3, h, d).transpose(2, 0, 3, 1, 4)
@@ -667,8 +664,8 @@ class _Engine:
                 _first_non_finite(
                     i, ("norm2", u), ("mlp.gate", g), ("mlp.up", up), ("mlp.swiglu", act), ("mlp.down", down), ("mlp.residual", x)
                 )
-        last = _finite(T.rms_norm_np(x[:, -1], self.final_gain, RMS_EPS), "final_norm", "norm")
-        yield _finite(last @ self.head, "head", "logits")
+        last = T.finite(T.rms_norm_np(x[:, -1], self.final_gain, RMS_EPS), "final_norm norm")
+        yield T.finite(last @ self.head, "head logits")
 
 
 class _Session:

@@ -2,9 +2,11 @@
 
 numpy holds the data; the gradient rules, the tape, and the finite-difference
 checker live here. Tensors default to float32; float64 is used for oracle-grade
-gradient checks. Every op validates shapes up front and checks its output for
-NaN/Inf, so training failures surface at the op that produced them instead of
-three modules later.
+gradient checks. Every op validates shapes up front; none checks its output
+for NaN/Inf. backpropagate checks the loss, and only when that is not finite
+names the first node, parents first, whose output is not, by its scope and op
+("layers.1 hybrid_attention produced NaN/Inf"). So a NaN that a later op
+overwrites (masked_fill over it) or that never reaches the loss raises nothing.
 
 Each op is its forward plus one gradient rule per parent, handed to one node
 constructor (fused, through _node): it records the node, runs a parent's rule
@@ -40,6 +42,7 @@ DEFAULT_DTYPE = np.float32
 MASK_VALUE = -3.4e38
 
 _grad_enabled = True
+_scope = ""
 
 
 @contextlib.contextmanager
@@ -54,9 +57,24 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.isfinite(data).all():
-        raise NonFiniteResult(f"{op} produced NaN/Inf")
+@contextlib.contextmanager
+def scope(name: str):
+    """Tag the nodes recorded inside the block with name (a layer, "layers.1"),
+    which a failed finite check reports with the op."""
+    global _scope
+    prev = _scope
+    _scope = name
+    try:
+        yield
+    finally:
+        _scope = prev
+
+
+def finite(a: np.ndarray, name: str) -> np.ndarray:
+    """Return a; raise NonFiniteResult("<name> produced NaN/Inf") if a is not all finite."""
+    if not np.isfinite(a).all():
+        raise NonFiniteResult(f"{name} produced NaN/Inf")
+    return a
 
 
 class Tensor:
@@ -67,7 +85,7 @@ class Tensor:
     keep an exactly-zero gradient.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_name")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -82,6 +100,7 @@ class Tensor:
         self.grad = np.zeros_like(arr) if requires_grad else None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
+        self._name = ""  # a tape node's scope and op
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -192,7 +211,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
-    _check_finite(data, op)
     out = Tensor(data)
     if _grad_enabled:
         for p in parents:  # a loop: any() over a generator costs more per node
@@ -201,6 +219,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
                 out.grad = None  # intermediates get grads lazily during backward
                 out._parents = tuple(parents)
                 out._backward = backward
+                out._name = f"{_scope} {op}" if _scope else op
                 break
     return out
 
@@ -286,8 +305,7 @@ def _elementwise_pair(a, b, op: str) -> tuple[Tensor, Tensor]:
 
 def add(a, b) -> Tensor:
     a, b = _elementwise_pair(a, b, "add")
-    with np.errstate(over="ignore"):
-        data = a.data + b.data
+    data = a.data + b.data
     # with equal shapes both rules would hand over g itself, so b's copies it
     rules = (lambda g: _unbroadcast(g, a.shape), lambda g: np.array(g) if a.shape == b.shape else _unbroadcast(g, b.shape))
     return _node(data, (a, b), rules, "add")
@@ -295,22 +313,19 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _elementwise_pair(a, b, "sub")
-    with np.errstate(over="ignore"):
-        data = a.data - b.data
+    data = a.data - b.data
     return _node(data, (a, b), (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)), "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _elementwise_pair(a, b, "mul")
-    with np.errstate(over="ignore"):
-        data = a.data * b.data
+    data = a.data * b.data
     return _node(data, (a, b), (lambda g: _unbroadcast(g * b.data, a.shape), lambda g: _unbroadcast(g * a.data, b.shape)), "mul")
 
 
 def div(a, b) -> Tensor:
     a, b = _elementwise_pair(a, b, "div")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data / b.data
+    data = a.data / b.data
     rules = (lambda g: _unbroadcast(g / b.data, a.shape), lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
     return _node(data, (a, b), rules, "div")
 
@@ -324,8 +339,7 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul: inner dims {a.shape} @ {b.shape}")
     _broadcast_shapes(a.shape[:-2], b.shape[:-2], "matmul")
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = np.matmul(a.data, b.data)
+    data = np.matmul(a.data, b.data)
     return _node(data, (a, b), (
         lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
         lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape),
@@ -337,15 +351,13 @@ def matmul(a, b) -> Tensor:
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
+    data = np.exp(a.data)
     return _node(data, (a,), (lambda g: g * data,), "exp")
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
+    data = np.log(a.data)
     return _node(data, (a,), (lambda g: g / a.data,), "log")
 
 
@@ -627,12 +639,18 @@ def topological_order(root: Tensor) -> list[Tensor]:
 
 
 def backpropagate(loss: Tensor) -> None:
-    """Fill .grad of every requires_grad leaf upstream of a scalar loss."""
+    """Fill .grad of every requires_grad leaf upstream of a scalar loss; a
+    NaN/Inf loss raises NonFiniteResult first (see the module docstring)."""
     if loss.data.size != 1:
         raise NotScalar(f"loss has shape {loss.shape}")
     if not loss.requires_grad:
         raise DetachedLoss("loss is not on an active tape")
     order = topological_order(loss)
+    if not np.isfinite(loss.data).all():
+        for node in order:
+            if node._parents:  # a leaf is named by the first op that reads it
+                finite(node.data, node._name)
+        finite(loss.data, "loss")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:

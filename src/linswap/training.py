@@ -5,14 +5,16 @@ model. Both stages are estimator-shaped (fit / get_params / set_params).
 
 Both fits and the toy base pretraining run the one loop `_fit_loop` (seeded
 `sample_batch` crops, one stage step each, every `eval_every`-th loss fed to
-the plateau schedule) and the one guarded update `_update` (a non-finite loss,
-op or gradient norm becomes `DivergedLoss`). The optimizer constants are
-fixed: AdamW with betas 0.9/0.999, eps 1e-8 and no weight decay; the plateau
-schedule halves the learning rate after 10 stale evals.
+the plateau schedule) and the one guarded update `_update` (a NaN/Inf loss,
+which `T.backpropagate` names by the layer and op that first produced one, or
+a non-finite gradient norm becomes `DivergedLoss`). The optimizer constants
+are fixed: AdamW with betas 0.9/0.999, eps 1e-8 and no weight decay; the
+plateau schedule halves the learning rate after 10 stale evals.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -108,7 +110,9 @@ class AdamW:
     """AdamW (betas 0.9/0.999, eps 1e-8, no weight decay) with global-norm
     gradient clipping; parameter order is fixed by the insertion order of the
     name -> tensor dict, so runs are bit-reproducible. A non-finite global
-    gradient norm raises DivergedLoss before anything changes."""
+    gradient norm raises DivergedLoss before anything changes, naming the
+    parameter at which the sum of squares turned non-finite (the first one
+    with a NaN/Inf gradient)."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, clip_norm: float | None = 1.0):
         self.params = dict(params)
@@ -123,13 +127,15 @@ class AdamW:
             t.zero_grad()
 
     def _clip(self) -> float:
-        total = 0.0
-        for t in self.params.values():
+        total, first = 0.0, None
+        for name, t in self.params.items():
             if t.grad is not None:
                 total += float((t.grad.astype(np.float64) ** 2).sum())
+                if first is None and not math.isfinite(total):
+                    first = name
         norm = float(np.sqrt(total))
-        if not np.isfinite(norm):  # before any gradient, moment or parameter changes
-            raise DivergedLoss(f"gradient norm {norm}")
+        if first is not None:  # before any gradient, moment or parameter changes
+            raise DivergedLoss(f"gradient norm {norm} (first at {first})")
         if self.clip_norm is not None and norm > self.clip_norm:
             scale = self.clip_norm / (norm + 1e-12)
             for t in self.params.values():
@@ -212,7 +218,8 @@ def sample_batch(corpus: np.ndarray, batch_size: int, seq_len: int, rng: np.rand
 
 
 def eval_next_token_loss(model: Model, corpus: np.ndarray, batch_size: int = 8, seq_len: int = 64, seed: int = 1234) -> float:
-    """Mean next-token loss over four seeded crops, without a tape."""
+    """Mean next-token loss over four seeded crops, without a tape; a NaN/Inf
+    mean raises NonFiniteResult."""
     rng = np.random.default_rng(seed)
     losses = []
     with T.no_grad():
@@ -220,7 +227,7 @@ def eval_next_token_loss(model: Model, corpus: np.ndarray, batch_size: int = 8, 
             inputs, targets = sample_batch(corpus, batch_size, seq_len, rng)
             logits = model.forward(inputs)
             losses.append(next_token_loss(logits, targets).item())
-    return float(np.mean(losses))
+    return float(T.finite(np.mean(losses), "eval_loss"))
 
 
 # --------------------------------------------------------------------------
@@ -244,7 +251,9 @@ class TransferReport:
 
 
 def layerwise_diagnostics(model: Model, eval_tokens: np.ndarray, batch_size: int = 4, seq_len: int = 64, seed: int = 7) -> TransferReport:
-    """Per-layer eval MSE and teacher-attention entropy plus mean sample ESL."""
+    """Per-layer eval MSE and teacher-attention entropy plus mean sample ESL.
+    A NaN/Inf layer MSE raises NonFiniteResult naming the layer (the teacher's
+    figures come from the engine, which checks its own)."""
     check_converted(model)
     rng = np.random.default_rng(seed)
     inputs, _ = sample_batch(np.asarray(eval_tokens), batch_size, seq_len, rng)
@@ -253,8 +262,8 @@ def layerwise_diagnostics(model: Model, eval_tokens: np.ndarray, batch_size: int
     heads = records[0]["y"].shape[1]
     report = TransferReport()
     weight_list = []
-    for rec in records:
-        report.layer_mse.append(per_layer_mse(rec["y"], rec["y_hat"]).item() / heads)
+    for i, rec in enumerate(records):
+        report.layer_mse.append(T.finite(per_layer_mse(rec["y"], rec["y_hat"]).item() / heads, f"layers.{i} transfer_mse"))
         report.layer_entropy.append(float(attention_entropy(rec["a"]).mean()))
         weight_list.append(rec["a"])
     report.mean_esl = sample_esl(weight_list)
@@ -279,22 +288,20 @@ def feature_map_parameters(model: Model) -> dict[str, Tensor]:
 # --------------------------------------------------------------------------
 
 
-def _update(optimizer: AdamW, loss_fn, what: str) -> float:
-    """One guarded update: zero_grad, loss, finite check, backward, AdamW step.
-    A non-finite loss, a non-finite result of any op on the way, or a
-    non-finite gradient norm in the step raises DivergedLoss before the
-    parameters move. Returns the loss value."""
+def _update(optimizer: AdamW, loss_fn) -> float:
+    """One guarded update: zero_grad, then loss and backward under one
+    np.errstate, then the AdamW step. A NaN/Inf loss (T.backpropagate names
+    the layer and op that first produced one) or a non-finite gradient norm
+    raises DivergedLoss before the parameters move. Returns the loss value."""
     optimizer.zero_grad()
     try:
-        loss = loss_fn()
-        value = loss.item()
-        if not np.isfinite(value):
-            raise DivergedLoss(f"{what} loss {value}")
-        T.backpropagate(loss)
+        with np.errstate(all="ignore"):
+            loss = loss_fn()
+            T.backpropagate(loss)
     except NonFiniteResult as exc:
         raise DivergedLoss(str(exc)) from exc
     optimizer.step()
-    return value
+    return loss.item()
 
 
 def _fit_loop(prepare, step, corpus: np.ndarray, steps: int, batch_size: int, seq_len: int, seed: int, eval_every: int = 0):
@@ -303,7 +310,9 @@ def _fit_loop(prepare, step, corpus: np.ndarray, steps: int, batch_size: int, se
     fit leaves the model as it was. Each of `steps` crops that sample_batch
     draws with an rng seeded by `seed` goes to step(inputs, targets, optimizer),
     which returns the loss; every eval_every-th loss (0 = none) drives the
-    plateau schedule."""
+    plateau schedule. The schedule watches the loss of the training batch
+    itself, not of a held-out batch: a held-out forward would add a code path
+    and move the results of acceptance criteria 08 and 09."""
     check_positive("steps", steps)
     check_positive("batch_size", batch_size)
     check_positive("seq_len", seq_len)
@@ -380,9 +389,10 @@ class AttentionTransfer(ParamsMixin):
         if kind == "output_mse":
             return mse_total, mse_total.item()
         xent_total = None
-        for r, blk in zip(records, model.blocks):
-            a_hat = hybrid_attention_weights(Tensor(r["q"]), Tensor(r["k"]), Tensor(r["v"]), blk.attn.hybrid_cfg)
-            layer_xent = hedgehog_weight_xent_loss(r["a"], a_hat) * (1.0 / m)
+        for i, (r, blk) in enumerate(zip(records, model.blocks)):
+            with T.scope(f"layers.{i}"):
+                a_hat = hybrid_attention_weights(Tensor(r["q"]), Tensor(r["k"]), Tensor(r["v"]), blk.attn.hybrid_cfg)
+                layer_xent = hedgehog_weight_xent_loss(r["a"], a_hat) * (1.0 / m)
             xent_total = layer_xent if xent_total is None else xent_total + layer_xent
         if kind == "weight_xent":
             return xent_total, mse_total.item()
@@ -390,7 +400,7 @@ class AttentionTransfer(ParamsMixin):
 
     def step(self, model: Model, inputs: np.ndarray, optimizer: AdamW) -> float:
         """One teacher-forced forward/backward/update; returns the loss value."""
-        return _update(optimizer, lambda: self.transfer_loss(model, inputs)[0], "transfer")
+        return _update(optimizer, lambda: self.transfer_loss(model, inputs)[0])
 
     def fit(self, model: Model, corpus) -> "AttentionTransfer":
         check_converted(model)
@@ -435,7 +445,7 @@ class LoraAdjust(ParamsMixin):
 
     def step(self, model: Model, inputs: np.ndarray, targets: np.ndarray, optimizer: AdamW) -> float:
         adapter_parameters(model)  # AdaptersMissing when none attached
-        return _update(optimizer, lambda: next_token_loss(model.forward(inputs), targets), "adjust")
+        return _update(optimizer, lambda: next_token_loss(model.forward(inputs), targets))
 
     def fit(self, model: Model, corpus) -> "LoraAdjust":
         check_converted(model)
@@ -484,6 +494,6 @@ def pretrain_base(
 
     return _fit_loop(
         prepare,
-        lambda inputs, targets, optimizer: _update(optimizer, lambda: next_token_loss(model.forward(inputs), targets), "pretraining"),
+        lambda inputs, targets, optimizer: _update(optimizer, lambda: next_token_loss(model.forward(inputs), targets)),
         corpus, steps, batch_size, seq_len, seed,
     )[0]

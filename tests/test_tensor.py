@@ -109,10 +109,20 @@ def test_empty_reduction_is_error():
 
 
 def test_nonfinite_is_error():
-    with pytest.raises(NonFiniteResult):
-        T.exp(T.Tensor(np.array([1000.0], dtype=np.float32)))
-    with pytest.raises(NonFiniteResult):
-        T.div(T.Tensor([1.0]), T.Tensor([0.0]))
+    # ops record NaN/Inf without raising; backpropagate of a loss built on
+    # them raises before any gradient, naming the op (and scope) that first
+    # produced one, parents first
+    x = T.Tensor(np.array([1000.0], dtype=np.float32), requires_grad=True)
+    with np.errstate(over="ignore", divide="ignore"):
+        big = T.exp(x)
+        with T.scope("layers.3"):
+            ratio = T.div(x, T.Tensor([0.0]))
+    assert np.isinf(big.data).all() and np.isinf(ratio.data).all()
+    with pytest.raises(NonFiniteResult, match=r"^exp produced NaN/Inf"):
+        T.backpropagate((big * 2.0).sum())
+    with pytest.raises(NonFiniteResult, match=r"^layers\.3 div produced NaN/Inf"):
+        T.backpropagate(ratio.sum())
+    assert not x.grad.any()
 
 
 def test_concat_backward_splits_exactly():

@@ -128,8 +128,10 @@ def test_stage2_loss_records_one_node_per_fused_op(monkeypatch):
 def test_tensor_ops_record_through_one_node_constructor():
     # each op hands its forward and one gradient rule per parent to the node
     # constructor: only fused and narrow record with _make, only fused's
-    # backward accumulates with _accum, and no op tests requires_grad itself
-    sites = {"_make": set(), "_accum": set(), "_node": set(), "requires_grad": set()}
+    # backward accumulates with _accum, and no op tests requires_grad itself;
+    # no op checks its output or sets numpy's error state: finite values are
+    # checked only in backpropagate and its helper finite
+    sites = {"_make": set(), "_accum": set(), "_node": set(), "requires_grad": set(), "isfinite": set(), "errstate": set()}
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -144,3 +146,4 @@ def test_tensor_ops_record_through_one_node_constructor():
     ops = {scope[0] for scope in sites["_node"]}
     assert {"add", "matmul", "rms_norm", "concat", "reduce_max", "_sum_or_mean"} <= ops
     assert not ops & {scope[0] for scope in sites["requires_grad"] if scope}
+    assert sites["isfinite"] | sites["errstate"] <= {("backpropagate",), ("finite",)}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from linswap import tensor as T
-from linswap.errors import BadConfig, DivergedLoss, IndivisibleBlocks, LinswapError, NotStochastic, ShapeMismatch
+from linswap.errors import BadConfig, DivergedLoss, IndivisibleBlocks, LinswapError, NonFiniteResult, NotStochastic, ShapeMismatch
 from linswap.model import (
     HybridSpec,
     ModelConfig,
@@ -22,6 +22,7 @@ from linswap.training import (
     LoraAdjust,
     ReduceLROnPlateau,
     blockwise_loss,
+    eval_next_token_loss,
     feature_map_parameters,
     hedgehog_weight_xent_loss,
     layerwise_diagnostics,
@@ -220,7 +221,7 @@ def test_non_finite_gradient_norm_raises_before_anything_moves(bad):
     w.grad[:] = [1.0, bad, 0.0, 0.0]
     u.grad[:] = 5.0  # over the clip norm: clipping would scale it
     state = {n: (t.data.copy(), t.grad.copy(), opt._m[n].copy(), opt._v[n].copy()) for n, t in opt.params.items()}
-    with pytest.raises(DivergedLoss, match=f"gradient norm {bad}"):
+    with pytest.raises(DivergedLoss, match=rf"gradient norm {bad} \(first at w\)"):
         opt.step()
     assert opt.t == 1
     for n, t in opt.params.items():
@@ -482,6 +483,46 @@ def test_non_finite_teacher_is_diverged_loss_before_any_update():
         AttentionTransfer().step(model, inputs, opt)
     for n, t in model.parameters().items():
         assert t.data.tobytes() == before[n].tobytes(), n
+
+
+@pytest.mark.parametrize("stage, op", [("output_mse", "hybrid_attention"), ("combined", "matmul"), ("adjust", "matmul")])
+def test_tape_diverged_loss_names_layer_and_op_before_any_update(stage, op):
+    # stage 1: feature maps of layer 1 whose products overflow f32 in the
+    # hybrid layer (and, for the weight loss, in its score matrix); stage 2:
+    # a LoRA B of layer 1 that makes the merged weight NaN
+    model = tiny_model(seed=81, kind="t2r")
+    inputs, targets = sample_batch(synthetic_corpus(2000, seed=81), 2, 16, rng(81))
+    if stage == "adjust":
+        freeze_feature_maps(model)
+        lora_attach(model, rank=2, alpha=4.0, seed=81)
+        model.parameters()["layers.1.attn.wq.lora_b"].data[:] = np.inf
+        opt = AdamW(adapter_parameters(model), lr=1e-2)
+        step = lambda: LoraAdjust().step(model, inputs, targets, opt)
+    else:
+        hybrid = model.blocks[1].attn.hybrid_cfg
+        hybrid.phi_q.weight.data[:] = 1e30
+        hybrid.phi_k.weight.data[:] = 1e30
+        opt = AdamW(feature_map_parameters(model), lr=1e-2)
+        step = lambda: AttentionTransfer(loss=stage).step(model, inputs, opt)
+    before = {n: t.data.copy() for n, t in model.parameters().items()}
+    with pytest.raises(DivergedLoss, match=rf"^layers\.1 {op} produced NaN/Inf"):
+        step()
+    assert opt.t == 0
+    for n, t in model.parameters().items():
+        assert t.data.tobytes() == before[n].tobytes(), n
+
+
+def test_off_tape_evaluations_raise_on_a_non_finite_figure():
+    model = tiny_model(seed=81, kind="t2r")
+    hybrid = model.blocks[1].attn.hybrid_cfg
+    hybrid.phi_q.weight.data[:] = 1e30
+    hybrid.phi_k.weight.data[:] = 1e30
+    corpus = synthetic_corpus(2000, seed=81)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteResult, match=r"^layers\.1 transfer_mse produced NaN/Inf"):
+            layerwise_diagnostics(model, corpus, 2, 16)
+        with pytest.raises(NonFiniteResult, match=r"^eval_loss produced NaN/Inf"):
+            eval_next_token_loss(model, corpus, 2, 16)
 
 
 @pytest.mark.parametrize("stage", ["transfer", "adjust"])
