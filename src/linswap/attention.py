@@ -667,8 +667,9 @@ def hybrid_decode_step(
 
 
 def _check_stochastic(weights: np.ndarray) -> None:
+    """NotStochastic unless rows are >= 0 and sum to 1 within 1e-4 (NaN/Inf fail)."""
     sums = weights.sum(axis=-1)
-    if (weights < -1e-4).any() or np.abs(sums - 1.0).max() > 1e-4:
+    if not ((weights >= -1e-4).all() and np.abs(sums - 1.0).max() <= 1e-4):
         raise NotStochastic(f"rows must be nonnegative and sum to 1 (max dev {np.abs(sums - 1).max():.2e})")
 
 

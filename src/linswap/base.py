@@ -6,7 +6,7 @@ dataclass repr prints them as a constructor call.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 
 class ParamsMixin:
@@ -15,8 +15,9 @@ class ParamsMixin:
 
     def set_params(self, **params):
         valid = {f.name for f in fields(self)}
-        for key, value in params.items():
+        for key in params:
             if key not in valid:
                 raise ValueError(f"invalid parameter {key!r} for {type(self).__name__}; valid: {sorted(valid)}")
-            setattr(self, key, value)
+        replace(self, **params)  # the class's own checks, before any field changes
+        vars(self).update(params)
         return self

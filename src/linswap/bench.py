@@ -15,7 +15,7 @@ import numpy as np
 from .attention import HybridDecodeState
 from .errors import BadConfig, ConfigTooLarge
 from .model import HybridSession, Model, SoftmaxSession
-from .validation import check_choice, check_positive
+from .validation import check_fields
 
 BENCH_MODES = ("hybrid", "softmax-baseline")
 
@@ -53,10 +53,7 @@ def bench_generation(
 ) -> BenchResult:
     """Greedy-decode gen_len tokens per row and measure throughput and the
     instrumented state/cache byte counters."""
-    check_choice("mode", mode, BENCH_MODES)
-    check_positive("gen_len", gen_len)
-    check_positive("batch_size", batch_size)
-    check_positive("prompt_len", prompt_len)
+    check_fields(locals(), ("batch_size", "prompt_len", "gen_len"), ("seed",), {"mode": BENCH_MODES})
     if mode == "hybrid" and not model.converted:
         raise BadConfig("hybrid bench needs a converted model")
     if memory_budget_bytes is not None:

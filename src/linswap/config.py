@@ -9,15 +9,12 @@ LoraAdjust. This module declares only the keys the CLI reads itself
 A value is parsed by its declared type; a tuple is a comma list, and an empty
 value means "use the default". Everything else fails closed with BadConfig:
 unknown sections (including [DEFAULT]) or keys, bytes that are not UTF-8,
-values that do not parse, floats that are not finite, values outside a
-key's fixed choices (CHOICES), sizes that must be > 0 (POSITIVE), rates,
-seeds and the bench budget that must be >= 0 (NON_NEGATIVE), and a [model]
-or [attention] section that ModelConfig or HybridSpec refuses (for example
-an mlp_hidden_mult that gives no mlp_hidden >= 1, a rope_base not > 0 or a
-feature_dim set below 1). So a config that loads has no range error left for
-a later stage, except the [transfer] settings that
-AttentionTransfer.check_settings checks against the model (the block size
-needs its layer count); the CLI runs that before pretraining.
+values that do not parse, floats that are not finite, a value outside its
+key's rule: each class checks its own fields when built, and CHOICES,
+POSITIVE and NON_NEGATIVE hold the rules of the keys declared here. So a
+config that loads has no range error left for a later stage but the block
+size, which AttentionTransfer.check_settings checks against the model's
+layer count; the CLI runs that before pretraining.
 Stage-2 reuses stage-1's corpus settings unless [adjust] overrides them,
 matching the two-stage default of training both stages on the same data.
 """
@@ -30,12 +27,11 @@ import typing
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from .attention import FEATURE_KINDS, WINDOW_MODES
 from .bench import BENCH_MODES
-from .errors import BadConfig, InvalidConfig
-from .model import LORA_TARGETS, HybridSpec, ModelConfig
-from .training import LOSS_KINDS, AttentionTransfer, LoraAdjust
-from .validation import check_choice, check_positive
+from .errors import BadConfig, LinswapError
+from .model import HybridSpec, ModelConfig
+from .training import AttentionTransfer, LoraAdjust
+from .validation import check_fields
 
 # section -> the class its keys are passed to (None: read by the CLI only)
 CLASSES = {"model": ModelConfig, "attention": HybridSpec, "transfer": AttentionTransfer, "adjust": LoraAdjust, "bench": None}
@@ -66,15 +62,6 @@ CLI_KEYS: dict[str, dict[str, tuple[Any, Any]]] = {
     },
 }
 
-# keys whose value (each item, for a list) is one of a fixed set
-CHOICES = {
-    ("attention", "window_mode"): WINDOW_MODES,
-    ("attention", "feature_kind"): FEATURE_KINDS,
-    ("transfer", "loss"): LOSS_KINDS,
-    ("adjust", "targets"): LORA_TARGETS,
-    ("bench", "mode"): BENCH_MODES,
-}
-
 
 def _declared(cls) -> dict[str, tuple[Any, Any]]:
     """key -> (default, type) for the dataclass fields of cls."""
@@ -84,13 +71,13 @@ def _declared(cls) -> dict[str, tuple[Any, Any]]:
 
 SCHEMA = {s: {**(_declared(cls) if cls else {}), **CLI_KEYS.get(s, {})} for s, cls in CLASSES.items()}
 
-# keys whose value must be > 0, and keys whose value must be >= 0 (a rate of 0
-# leaves the parameters as they are, a budget of 0 sets none; a seed is a numpy
-# seed). The classes that use them check some too, but only when built or run
-POSITIVE = [("attention", "window_size"), ("adjust", "rank"), *(("bench", k) for k in ("batch_size", "prompt_len", "gen_len"))]
-POSITIVE += [(s, k) for s in ("transfer", "adjust") for k in ("steps", "batch_size", "seq_len", "clip_norm")]
-NON_NEGATIVE = [("model", "pretrain_lr"), ("transfer", "lr"), ("adjust", "lr"), ("bench", "memory_budget_mb")]
-NON_NEGATIVE += [(s, k) for s, keys in SCHEMA.items() for k in keys if k.endswith("seed")]
+# the rules of the keys declared here, by section, as check_fields takes them:
+# a value one of a fixed set, > 0, or >= 0 when set (a rate of 0 leaves the
+# parameters as they are, a budget of 0 sets none; a seed is a numpy seed)
+CHOICES = {"bench": {"mode": BENCH_MODES}}
+POSITIVE = {"bench": ("batch_size", "prompt_len", "gen_len")}
+NON_NEGATIVE = {"model": ("pretrain_lr",), "transfer": ("synthetic_seed",), "adjust": ("synthetic_seed",),
+                "bench": ("seed", "memory_budget_mb")}
 
 
 def _format(value) -> str:
@@ -115,21 +102,15 @@ class RunConfig:
         return cls(**{key: self.values[section][key] for key in _declared(cls)})
 
     def check(self) -> None:
-        """BadConfig for a value outside its key's choices or range, or a section
-        its class refuses; load_config runs it, and the CLI after its flags."""
-        for (section, key), choices in CHOICES.items():
-            value = self[section][key]
-            for item in value if isinstance(value, tuple) else (value,):
-                check_choice(f"[{section}] {key}", item, choices)
-        for section, key in POSITIVE:
-            check_positive(f"[{section}] {key}", self[section][key])
-        for section, key in NON_NEGATIVE:
-            if (self[section][key] or 0) < 0:
-                raise BadConfig(f"[{section}] {key} must be >= 0, got {self[section][key]}")
-        for section in ("model", "attention"):
+        """BadConfig for a value outside its key's rule, or a section its class
+        refuses; load_config runs it, and the CLI after its flags."""
+        for section, cls in CLASSES.items():
             try:
-                self.build(section)
-            except InvalidConfig as exc:
+                set_keys = [k for k in NON_NEGATIVE.get(section, ()) if self[section][k] is not None]
+                check_fields(self[section], POSITIVE.get(section, ()), set_keys, CHOICES.get(section))
+                if cls is not None:
+                    self.build(section)
+            except LinswapError as exc:
                 raise BadConfig(f"[{section}] {exc}") from exc
 
     def resolved_lines(self) -> list[str]:

@@ -51,10 +51,15 @@ from .errors import (
     UnknownId,
 )
 from .tensor import Tensor
+from .validation import check_fields, check_positive
 
 RMS_EPS = 1e-6
 
 LORA_TARGETS = ("wq", "wk", "wv", "wo")  # the attention projections an adapter can wrap
+
+# the largest model ModelConfig describes: 8 GiB of float32 weights is beyond
+# a desk-scale numpy model, and sizing larger ones is the planner's job
+MAX_PARAMETERS = 2**31
 
 ROPE_SPAN = 256  # positions per cached rope table at least (_rope_at)
 
@@ -69,6 +74,10 @@ EOS_ID = 257
 
 @dataclass
 class ModelConfig:
+    """InvalidConfig unless n_layers, n_heads, head_dim, max_seq_len and
+    rope_base are > 0, seed >= 0, vocab_size >= 2, head_dim even, mlp_hidden
+    a finite count >= 1 and the parameter count <= MAX_PARAMETERS."""
+
     vocab_size: int = 258
     n_layers: int = 2
     n_heads: int = 2
@@ -79,18 +88,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise InvalidConfig("n_layers must be >= 1")
+        check_fields(vars(self), ("n_layers", "n_heads", "head_dim", "max_seq_len", "rope_base"), ("seed",), error=InvalidConfig)
         if self.vocab_size < 2:
             raise InvalidConfig("vocab_size must be >= 2")
-        if self.n_heads < 1 or self.head_dim < 2 or self.head_dim % 2:
-            raise InvalidConfig("need n_heads >= 1 and an even head_dim >= 2")
-        if self.max_seq_len < 1:
-            raise InvalidConfig("max_seq_len must be >= 1")
+        if self.head_dim % 2:
+            raise InvalidConfig(f"head_dim must be even, got {self.head_dim}")
         if not np.isfinite(self.mlp_hidden_mult * self.model_dim) or self.mlp_hidden < 1:
             raise InvalidConfig(f"mlp_hidden_mult {self.mlp_hidden_mult} must give a finite mlp_hidden >= 1")
-        if not self.rope_base > 0:
-            raise InvalidConfig(f"rope_base must be > 0, got {self.rope_base}")
+        if not expected_parameter_count(self) <= MAX_PARAMETERS:
+            raise InvalidConfig(f"{expected_parameter_count(self)} parameters exceed MAX_PARAMETERS = {MAX_PARAMETERS}")
 
     @property
     def model_dim(self) -> int:
@@ -103,7 +109,9 @@ class ModelConfig:
 
 @dataclass
 class HybridSpec:
-    """Static description of the hybrid layers created by convert_model."""
+    """Static description of the hybrid layers created by convert_model.
+    InvalidConfig unless window_size and a set feature_dim are > 0 and
+    window_mode and feature_kind are one of WINDOW_MODES and FEATURE_KINDS."""
 
     window_size: int = 8
     window_mode: str = "terraced"
@@ -112,8 +120,10 @@ class HybridSpec:
     gamma_init: float = 1.0
 
     def __post_init__(self):
-        if self.feature_dim is not None and self.feature_dim < 1:
-            raise InvalidConfig(f"feature_dim must be >= 1, got {self.feature_dim}")
+        choices = {"window_mode": attention.WINDOW_MODES, "feature_kind": attention.FEATURE_KINDS}
+        check_fields(vars(self), ("window_size",), choices=choices, error=InvalidConfig)
+        if self.feature_dim is not None:
+            check_positive("feature_dim", self.feature_dim, InvalidConfig)
 
 
 # --------------------------------------------------------------------------
@@ -476,11 +486,9 @@ def lora_attach(
 
 def _attach_lora(model: Model, rank: int, alpha: float, targets: tuple[str, ...], take) -> Model:
     """lora_attach with the A and B arrays that take(name, shape) returns."""
-    if rank < 1:
-        raise InvalidConfig("LoRA rank must be >= 1")
-    bad = [t for t in targets if t not in LORA_TARGETS]
-    if bad or not targets:
-        raise InvalidConfig(f"LoRA targets must be non-empty drawn from wq/wk/wv/wo, got {targets}")
+    check_fields(locals(), ("rank",), choices={"targets": LORA_TARGETS}, error=InvalidConfig)
+    if not targets:
+        raise InvalidConfig("LoRA targets must not be empty")
     for blk in model.blocks:
         for name in targets:
             proj: Projection = getattr(blk.attn, name)

@@ -20,6 +20,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .errors import BadConfig, IndivisibleBlocks
+from .validation import check_positive
 
 DISCREPANCY_NOTE = (
     "formula charges one state set per block (2*T*d at k=L); "
@@ -50,9 +51,7 @@ def _check_int(name: str, value) -> int:
             value = int(value)
         else:
             raise BadConfig(f"{name} must be an integer, got {value!r}")
-    if value <= 0:
-        raise BadConfig(f"{name} must be positive, got {value}")
-    return value
+    return check_positive(name, value)
 
 
 def plan_blockwise_storage(tokens: int, model_dim: int, layers: int, block_size: int, precision_bytes: int = 2) -> BlockPlan:

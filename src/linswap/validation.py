@@ -1,11 +1,10 @@
-"""Input validation helpers shared by the trainers and the CLI."""
+"""Input validation helpers shared by the settings classes, the trainers and the CLI."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import BadConfig, NotConverted, UnknownId
-from .model import Model
 
 
 def check_token_array(ids, vocab_size: int = 258) -> np.ndarray:
@@ -24,19 +23,27 @@ def check_token_array(ids, vocab_size: int = 258) -> np.ndarray:
     return arr.astype(np.uint32)
 
 
-def check_converted(model: Model) -> Model:
+def check_converted(model):
     if not model.converted:
         raise NotConverted("this operation needs a converted (hybrid) model")
     return model
 
 
-def check_positive(name: str, value):
-    if value is None or value <= 0:
-        raise BadConfig(f"{name} must be positive, got {value}")
+def check_positive(name: str, value, error=BadConfig):
+    if value is None or not value > 0:  # NaN too
+        raise error(f"{name} must be positive, got {value}")
     return value
 
 
-def check_choice(name: str, value, choices) -> str:
-    if value not in choices:
-        raise BadConfig(f"{name} must be one of {sorted(choices)}, got {value!r}")
-    return value
+def check_fields(values: dict, positive=(), non_negative=(), choices=None, error=BadConfig) -> None:
+    """Named settings (an object's vars, a function's locals()) by rule: > 0,
+    >= 0 (NaN fails both), or each item one of its choices; error names the first."""
+    for name in positive:
+        check_positive(name, values[name], error)
+    for name in non_negative:
+        if values[name] is None or not values[name] >= 0:
+            raise error(f"{name} must be >= 0, got {values[name]}")
+    for name, allowed in (choices or {}).items():
+        for item in values[name] if isinstance(values[name], (tuple, list)) else (values[name],):
+            if item not in allowed:
+                raise error(f"{name} must be one of {sorted(allowed)}, got {item!r}")

@@ -266,8 +266,12 @@ def test_entropy_analytic_values():
 
 
 def test_entropy_rejects_nonstochastic():
-    with pytest.raises(NotStochastic):
-        A.attention_entropy(np.array([0.5, 0.2]))
+    # a NaN or Inf row fails too, though every comparison with NaN is false;
+    # the ESL diagnostic takes the same check
+    for weights in (np.array([0.5, 0.2]), np.full((1, 1, 2, 2), np.nan), np.array([[1.0, 0.0], [np.inf, 0.0]])):
+        for diagnostic in (A.attention_entropy, A.esl_per_query):
+            with pytest.raises(NotStochastic):
+                diagnostic(weights)
 
 
 def test_esl_analytic_values():

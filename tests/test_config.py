@@ -88,6 +88,8 @@ def test_empty_value_means_default(tmp_path):
         "[model]\nmlp_hidden_mult = 1e308\n",
         "[model]\nrope_base = 0\n",
         "[model]\nrope_base = nan\n",
+        # 6.1e12 parameters: over ModelConfig's cap, refused before any allocation
+        "[model]\nmlp_hidden_mult = 1e9\n",
     ],
 )
 def test_fail_closed_cases(text, tmp_path):

@@ -2,12 +2,19 @@
 checkpoint round trips."""
 
 import builtins
+import copy
+import functools
+import json
 import os
 import re
+import tempfile
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from linswap import checkpoint
 from linswap import model as M
@@ -25,6 +32,7 @@ from linswap.errors import (
     DuplicateAdapter,
     InvalidConfig,
     IoFailure,
+    LinswapError,
     NonFiniteResult,
     NotConverted,
     PromptTooLong,
@@ -49,6 +57,7 @@ from linswap.model import (
     tokenize,
 )
 from linswap.tensor import Tensor
+from linswap.validation import check_token_array
 
 
 CFG = ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_seq_len=128, seed=3)
@@ -326,18 +335,20 @@ def test_checkpoint_corruption_detected(tmp_path):
         load_checkpoint(path)
 
 
-def _rewrite_header(path, edit):
-    """Apply edit(header dict) to a saved checkpoint and re-seal its CRC."""
-    import json
-    import zlib
-
-    blob = open(path, "rb").read()
+def _sealed(blob, header):
+    """blob, a saved checkpoint, with header in place of its own and the CRC re-sealed."""
     n = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
-    header = json.loads(blob[16 : 16 + n])
-    edit(header)
     raw = json.dumps(header).encode("utf-8")
     body = blob[:8] + np.uint64(len(raw)).tobytes() + raw + blob[16 + n : -4]
-    open(path, "wb").write(body + np.uint32(zlib.crc32(body) & 0xFFFFFFFF).tobytes())
+    return body + np.uint32(zlib.crc32(body) & 0xFFFFFFFF).tobytes()
+
+
+def _rewrite_header(path, edit):
+    """Apply edit(header dict) to a saved checkpoint and re-seal its CRC."""
+    blob = open(path, "rb").read()
+    header = json.loads(blob[16 : 16 + int(np.frombuffer(blob[8:16], dtype="<u8")[0])])
+    edit(header)
+    open(path, "wb").write(_sealed(blob, header))
 
 
 def _share_layer_0(header, n_layers):
@@ -367,6 +378,8 @@ MALFORMED_HEADERS = {
     # feature maps and adapters of ~1e7 parameters each, sized by the header alone
     "huge_feature_dim": lambda h: h["hybrid"].update(feature_dim=200000),
     "huge_lora_rank": lambda h: h["lora"].update(rank=20000),
+    # a model over ModelConfig's MAX_PARAMETERS, before the payload is read
+    "model_over_parameter_cap": lambda h: h["config"].update(mlp_hidden_mult=1e9),
     # every shape as the model expects, 400 layers read from layer 0's bytes
     "layers_sharing_one_payload": lambda h: _share_layer_0(h, 400),
 }
@@ -385,6 +398,83 @@ def test_checkpoint_malformed_header_is_corrupt_payload(tmp_path, case):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20, f"loader peaked at {peak} bytes"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """Every path into a decoded JSON value, the root () first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+@functools.cache
+def _tiny_checkpoint():
+    """The bytes and the decoded header of a converted two-layer model with
+    rank-1 adapters, a few KB."""
+    cfg = ModelConfig(vocab_size=8, n_layers=2, n_heads=1, head_dim=2, max_seq_len=16, seed=9)
+    model = lora_attach(convert_model(build_model(cfg), HybridSpec(2, "terraced", "t2r")), rank=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(model, os.path.join(tmp, "tiny.lolc"))
+        blob = open(os.path.join(tmp, "tiny.lolc"), "rb").read()
+    return blob, json.loads(blob[16 : 16 + int(np.frombuffer(blob[8:16], dtype="<u8")[0])])
+
+
+@st.composite
+def edited_tiny_headers(draw):
+    """The tiny checkpoint's header after 1-3 edits, each replacing or deleting
+    the value at a path drawn mostly from the config, hybrid and LoRA settings."""
+    header = copy.deepcopy(_tiny_checkpoint()[1])
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(["config", "config", "hybrid", "lora", "tensors", None]))
+        root = (section,) if isinstance(header, dict) and isinstance(header.get(section), (dict, list)) else ()
+        node = header
+        for key in root:
+            node = node[key]
+        path = root + draw(st.sampled_from(list(_paths(node))))
+        value = draw(JSON_VALUES)
+        if not path:
+            header = value
+            continue
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return header
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=edited_tiny_headers())
+def test_mutated_checkpoint_header_loads_or_raises_a_linswap_error(tmp_path, header):
+    # the CRC is re-sealed, so each edit gets past it to the header's
+    # decoding, the settings classes' own checks and the payload reads
+    path = str(tmp_path / "fuzz.lolc")
+    open(path, "wb").write(_sealed(_tiny_checkpoint()[0], header))
+    try:
+        load_checkpoint(path)
+    except LinswapError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=64))
+def test_arbitrary_corpus_bytes_load_or_raise_a_linswap_error(tmp_path, data):
+    path = tmp_path / "fuzz.u32"
+    path.write_bytes(data)
+    try:
+        check_token_array(load_corpus(str(path)))
+    except LinswapError:
+        pass
 
 
 def test_checkpoint_failed_save_keeps_previous(tmp_path, monkeypatch):

@@ -150,3 +150,11 @@ def test_bench_rejects_unconverted_hybrid():
     model = _bench_model("softmax")
     with pytest.raises(BadConfig):
         bench_generation(model, "hybrid", batch_size=1, prompt_len=4, gen_len=4)
+
+
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"gen_len": 0}, {"mode": "sliding"}])
+def test_bench_checks_its_arguments(bad):
+    # a negative seed is BadConfig, not numpy's raw ValueError
+    args = {"mode": "softmax-baseline", "batch_size": 1, "prompt_len": 4, "gen_len": 4, **bad}
+    with pytest.raises(BadConfig, match=rf"^{next(iter(bad))} must be"):
+        bench_generation(_bench_model("softmax"), **args)

@@ -444,7 +444,9 @@ def test_adjust_requires_adapters():
         LoraAdjust().step(model, inputs, targets, opt)
 
 
-@pytest.mark.parametrize("bad", [{"steps": 0}, {"batch_size": 0}, {"seq_len": -1}, {"seq_len": 5000}, {"rank": 0}])
+@pytest.mark.parametrize(
+    "bad", [{"steps": 0}, {"batch_size": 0}, {"seq_len": -1}, {"seq_len": 5000}, {"rank": 0}, {"clip_norm": float("nan")}]
+)
 def test_rejected_adjust_fit_leaves_model_unchanged(bad):
     model = tiny_model(seed=79)
     corpus = synthetic_corpus(2000, seed=79)
@@ -453,6 +455,52 @@ def test_rejected_adjust_fit_leaves_model_unchanged(bad):
         LoraAdjust(**{"steps": 2, "batch_size": 2, "seq_len": 16, **bad}).fit(model, corpus)
     assert {n: t.requires_grad for n, t in model.parameters().items()} == before
     assert model.lora_meta is None
+
+
+def _pretrain_tiny(**kw):
+    model = build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, seed=83))
+    return pretrain_base(model, synthetic_corpus(2000, seed=83), **{"steps": 2, "batch_size": 2, "seq_len": 16, **kw})
+
+
+# each class checks its own fields when built (and set_params re-runs that
+# check); pretrain_base, a function, checks its arguments
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        pytest.param(lambda: AttentionTransfer(clip_norm=-1), "clip_norm", id="transfer-clip_norm-negative"),
+        pytest.param(lambda: AttentionTransfer(clip_norm=0), "clip_norm", id="transfer-clip_norm-zero"),
+        pytest.param(lambda: AttentionTransfer(lr=-1), "lr", id="transfer-lr-negative"),
+        pytest.param(lambda: AttentionTransfer(lr=float("nan")), "lr", id="transfer-lr-nan"),
+        pytest.param(lambda: AttentionTransfer(seed=-1), "seed", id="transfer-seed-negative"),
+        pytest.param(lambda: AttentionTransfer(eval_every=-5), "eval_every", id="transfer-eval_every-negative"),
+        pytest.param(lambda: LoraAdjust(clip_norm=-1), "clip_norm", id="adjust-clip_norm-negative"),
+        pytest.param(lambda: LoraAdjust(lr=float("nan")), "lr", id="adjust-lr-nan"),
+        pytest.param(lambda: LoraAdjust(rank=0), "rank", id="adjust-rank-zero"),
+        pytest.param(lambda: LoraAdjust(targets=("wz",)), "targets", id="adjust-targets-unknown"),
+        pytest.param(lambda: ModelConfig(seed=-1), "seed", id="model-seed-negative"),
+        pytest.param(lambda: HybridSpec(window_size=0), "window_size", id="hybrid-window_size-zero"),
+        pytest.param(lambda: HybridSpec(window_mode="sliding"), "window_mode", id="hybrid-window_mode-unknown"),
+        pytest.param(lambda: AttentionTransfer().set_params(clip_norm=0), "clip_norm", id="set_params-clip_norm-zero"),
+        pytest.param(lambda: _pretrain_tiny(lr=-1), "lr", id="pretrain_base-lr-negative"),
+        pytest.param(lambda: synthetic_corpus(100, seed=-1), "seed", id="synthetic_corpus-seed-negative"),
+    ],
+)
+def test_settings_out_of_range_raise_naming_the_field(call, field):
+    with pytest.raises(LinswapError, match=rf"^{field} must be"):
+        call()
+
+
+def test_refused_settings_change_nothing():
+    trainer = AttentionTransfer(lr=0.5)
+    with pytest.raises(BadConfig):
+        trainer.set_params(lr=0.25, clip_norm=0)
+    assert trainer.get_params() == AttentionTransfer(lr=0.5).get_params()
+    model = build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, seed=83))
+    before = {n: (t.data.copy(), t.requires_grad) for n, t in model.parameters().items()}
+    with pytest.raises(BadConfig):
+        pretrain_base(model, synthetic_corpus(2000, seed=83), steps=2, lr=-1, batch_size=2, seq_len=16)
+    for n, t in model.parameters().items():
+        assert t.data.tobytes() == before[n][0].tobytes() and t.requires_grad == before[n][1], n
 
 
 def test_diverged_loss_is_reported():
