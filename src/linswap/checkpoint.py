@@ -144,9 +144,9 @@ def _restore(header: dict, payload: memoryview, path: str) -> Model:
         if budget < 0:
             raise CorruptPayload(f"{path}: header declares more parameters than a {len(payload)}-byte payload holds")
         start = entry["offset"]
+        if not 0 <= start <= len(payload) - nbytes:
+            raise CorruptPayload(f"{path}: {name} at offset {start} is outside the {len(payload)}-byte payload")
         raw = payload[start : start + nbytes]
-        if len(raw) != nbytes:
-            raise CorruptPayload(f"{path}: truncated payload for {name}")
         return np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
 
     model = _assemble(cfg, read, hybrid, header["lora"])

@@ -62,6 +62,7 @@ LORA_TARGETS = ("wq", "wk", "wv", "wo")  # the attention projections an adapter 
 MAX_PARAMETERS = 2**31
 
 ROPE_SPAN = 256  # positions per cached rope table at least (_rope_at)
+PREFILL_SEGMENT = 256  # tokens per engine pass of a session prefill (_Session.prefill)
 
 BOS_ID = 256
 EOS_ID = 257
@@ -581,7 +582,14 @@ def _rope_at(position: int, n: int, head_dim: int, base: float, dtype) -> tuple[
     table spans 2 * span positions from a multiple of span, span = max(
     ROPE_SPAN, n rounded up to a power of two): a decode step reads a table
     made once per ROPE_SPAN tokens, and no table outgrows twice the segment,
-    however long a session runs."""
+    however long a session runs.
+
+    A prefill reads one table per segment (PREFILL_SEGMENT = ROPE_SPAN). An
+    L4096 prompt's 16 tables exactly fill the cache, so the next L4096
+    prefill recomputes none, unless a table of another position came in
+    between: then all 16 are recomputed, evicted in prompt order. From 17
+    segments on (L8192: 32) every prefill recomputes all of its tables,
+    about 0.37 ms each at head_dim 32 on a 2-vCPU x86_64 host."""
     span = max(ROPE_SPAN, 1 << (n - 1).bit_length())
     start = position // span * span
     return tuple(t[position - start : position - start + n] for t in _rope_table(start, 2 * span, head_dim, base, dtype))
@@ -680,8 +688,14 @@ class _Session:
     """Shared by the decode sessions: _advance checks the token ids (the
     sessions' input boundary), then runs the steps of the serving engine,
     built once with the session, over them to the end with the session's
-    _attend: the logits of the last one. fresh=True (prefill) first resets the
-    session's state."""
+    _attend: the logits of the last one. fresh=True first resets the
+    session's state.
+
+    prefill advances fresh state over the prompt in segments of
+    PREFILL_SEGMENT tokens, each carrying the position and the state of the
+    one before, so its working set is one segment's activations whatever the
+    prompt's length; _advance(ids, fresh=True) is the same prompt as one
+    segment."""
 
     def __init__(self, model: Model, batch: int):
         self.model = model
@@ -690,8 +704,12 @@ class _Session:
         self._reset(batch)
 
     def prefill(self, ids: np.ndarray) -> np.ndarray:
-        """Advance fresh state over the prompt ids [b, n] -> last logits [b, vocab]."""
-        return self._advance(ids, fresh=True)
+        """Advance fresh state over the prompt ids [b, n], PREFILL_SEGMENT
+        tokens at a time -> the last id's logits [b, vocab]."""
+        ids = _check_ids(ids, self.engine.config.vocab_size)
+        for start in range(0, ids.shape[1], PREFILL_SEGMENT):
+            logits = self._advance(ids[:, start : start + PREFILL_SEGMENT], fresh=not start)
+        return logits
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Advance one token; token_ids [b] -> logits [b, vocab]."""
@@ -712,7 +730,10 @@ class _Session:
 class HybridSession(_Session):
     """Per-layer recurrent decode states for a converted model. Prefill and
     step are the same advance through attention.hybrid_decode_step; prefill
-    starts it from fresh states."""
+    starts it from fresh states. With w dividing PREFILL_SEGMENT, a terraced
+    prefill folds the same key groups as the prompt in one segment, bit for
+    bit; a standard one folds the keys that leave the window at a segment's
+    end in other groups, which moves logits by float rounding."""
 
     # the shared methods, bound here too for benchmarks/spans.py to wrap
     prefill = _Session.prefill
@@ -748,8 +769,9 @@ class SoftmaxSession(_Session):
     """Growing-KV-cache decoding for the softmax baseline (bench comparison);
     prefill is the step's numpy advance over the cache, started empty. Each
     layer keeps its keys and values in one buffer [2, b, h, capacity, d]
-    whose capacity doubles when a segment does not fit: a step writes its
-    segment after the filled keys and attends over a view of them."""
+    whose capacity doubles when a segment does not fit: a step, and each
+    prefill segment, writes its keys after the filled ones and attends over a
+    view of them."""
 
     def _reset(self, batch: int) -> None:
         cfg = self.model.config
@@ -772,7 +794,9 @@ class SoftmaxSession(_Session):
     def projected_bytes(cls, config: ModelConfig, batch: int, prompt_len: int, gen_len: int) -> int:
         """Bytes of the buffers after a prompt_len prefill and gen_len steps,
         without allocating them."""
-        capacity = cls._capacity(0, prompt_len)
+        capacity = 0
+        for start in range(0, prompt_len, PREFILL_SEGMENT):  # prefill's segments
+            capacity = cls._capacity(capacity, min(start + PREFILL_SEGMENT, prompt_len))
         while capacity < prompt_len + gen_len:
             capacity = cls._capacity(capacity, capacity + 1)  # the step that overflows it
         return config.n_layers * 2 * batch * config.n_heads * capacity * config.head_dim * 4  # float32
@@ -790,7 +814,7 @@ class SoftmaxSession(_Session):
 
 
 def generate_greedy(model: Model, prompt_ids: np.ndarray, n_new: int, max_len: int | None = None) -> np.ndarray:
-    """Greedy decoding: the prompt as one session segment, then one per token."""
+    """Greedy decoding: a session prefill of the prompt, then one step per token."""
     prompt_ids = np.asarray(prompt_ids)
     if prompt_ids.ndim == 1:
         prompt_ids = prompt_ids[None, :]

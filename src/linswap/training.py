@@ -221,6 +221,7 @@ def sample_batch(corpus: np.ndarray, batch_size: int, seq_len: int, rng: np.rand
 def eval_next_token_loss(model: Model, corpus: np.ndarray, batch_size: int = 8, seq_len: int = 64, seed: int = 1234) -> float:
     """Mean next-token loss over four seeded crops, without a tape; a NaN/Inf
     mean raises NonFiniteResult."""
+    check_fields(locals(), ("batch_size", "seq_len"), ("seed",))
     rng = np.random.default_rng(seed)
     losses = []
     with T.no_grad():
@@ -256,6 +257,7 @@ def layerwise_diagnostics(model: Model, eval_tokens: np.ndarray, batch_size: int
     A NaN/Inf layer MSE raises NonFiniteResult naming the layer (the teacher's
     figures come from the engine, which checks its own)."""
     check_converted(model)
+    check_fields(locals(), ("batch_size", "seq_len"), ("seed",))
     rng = np.random.default_rng(seed)
     inputs, _ = sample_batch(np.asarray(eval_tokens), batch_size, seq_len, rng)
     with T.no_grad():

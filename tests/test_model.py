@@ -382,6 +382,12 @@ MALFORMED_HEADERS = {
     "model_over_parameter_cap": lambda h: h["config"].update(mlp_hidden_mult=1e9),
     # every shape as the model expects, 400 layers read from layer 0's bytes
     "layers_sharing_one_payload": lambda h: _share_layer_0(h, 400),
+    # a tensor read from before the payload (a negative slice start counts
+    # from its end, so these bytes exist) or past its end
+    "negative_tensor_offset": lambda h: [
+        e.update(offset=-4 - 4 * int(np.prod(e["shape"]))) for e in h["tensors"] if e["name"] == "embed.weight"
+    ],
+    "tensor_offset_past_payload": lambda h: max(h["tensors"], key=lambda e: e["offset"]).update(offset=10**6),
 }
 
 
@@ -719,10 +725,61 @@ def test_fresh_prefill_state_matches_split_prefill(mode):
         split._advance(ids[:, cut:])
         for a, b in zip(whole.states, split.states):
             assert (a.filled, a.position) == (b.filled, b.position)
-            pairs = {"s": (a.s, b.s), "z": (a.z, b.z)}
-            pairs |= {name: (getattr(a, name)[:, :, : a.filled], getattr(b, name)[:, :, : b.filled]) for name in ("k_cache", "v_cache")}
-            for name, (x, y) in pairs.items():
+            for name, (x, y) in _state_pairs(a, b).items():
                 assert np.abs(x - y).max() <= 1e-5 * max(1.0, np.abs(y).max()), (cut, name)
+
+
+def _state_pairs(a, b):
+    """The (a, b) arrays of two HybridDecodeStates that a decode step reads."""
+    pairs = {"s": (a.s, b.s), "z": (a.z, b.z)}
+    return pairs | {name: (getattr(a, name)[:, :, : a.filled], getattr(b, name)[:, :, : b.filled]) for name in ("k_cache", "v_cache")}
+
+
+@pytest.mark.parametrize("kind", ["hedgehog", "t2r"])
+@pytest.mark.parametrize("mode", ["standard", "terraced"])
+def test_segmented_prefill_matches_one_segment(mode, kind):
+    # prefill runs the prompt in PREFILL_SEGMENT-token segments; the same
+    # prompt as one segment (_advance with fresh=True) is its oracle. w
+    # divides the segment, so terraced mode folds the same key groups either
+    # way and is bit-identical; standard mode folds them in other groups at
+    # segment ends, within criterion 4's bound
+    w, seg = 8, M.PREFILL_SEGMENT
+    model = with_nonzero_lora(convert_model(small_model(), HybridSpec(window_size=w, window_mode=mode, feature_kind=kind)))
+    ids = np.random.default_rng(11).integers(0, 258, size=(2, 2 * seg + 3 * w + 3))
+    segmented, whole = HybridSession(model, 2), HybridSession(model, 2)
+    got, ref = segmented.prefill(ids), whole._advance(ids, fresh=True)
+    assert segmented.position == whole.position == ids.shape[1]
+    pairs = {"logits": (got, ref)}
+    for i, (a, b) in enumerate(zip(segmented.states, whole.states)):
+        assert (a.filled, a.position) == (b.filled, b.position)
+        pairs |= {f"layers.{i} {name}": pair for name, pair in _state_pairs(a, b).items()}
+    for name, (x, y) in pairs.items():
+        if mode == "terraced":
+            assert x.tobytes() == y.tobytes(), name
+        else:
+            assert np.abs(x - y).max() <= 1e-5 * max(1.0, np.abs(y).max()), name
+
+
+def test_segmented_prefill_peak_memory_is_flat_in_prompt_length():
+    # one segment's activations at a time: a one-segment prefill peaks 3.9x
+    # higher at 8 segments than at 2 on this shape, the segmented one 1.001x.
+    # 1.25 fails any buffer that keeps more than about 200 bytes per prompt
+    # token (1/16 of what the one-segment prefill keeps) and leaves the rest
+    # to allocator noise
+    seg = M.PREFILL_SEGMENT
+    model = convert_model(small_model(), HybridSpec(window_size=8, window_mode="terraced", feature_kind="hedgehog"))
+    peaks = {}
+    for n in (2 * seg, 8 * seg):
+        ids = np.random.default_rng(n).integers(0, 258, size=(2, n))
+        session = HybridSession(model, 2)
+        session.prefill(ids)  # caches the rope tables of its positions
+        tracemalloc.start()
+        try:
+            session.prefill(ids)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8 * seg] <= 1.25 * peaks[2 * seg], peaks
 
 
 def with_nonzero_lora(model, seed=4):

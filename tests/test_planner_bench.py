@@ -114,10 +114,12 @@ def test_bench_projection_is_what_a_session_allocates(kind):
     assert bench._estimate_bytes(model, "hybrid", 3, 16, 32) == session.state_bytes + session.cache_bytes
 
 
-@pytest.mark.parametrize("prompt_len, gen_len", [(2048, 8), (128, 512), (1, 100)])
+@pytest.mark.parametrize("prompt_len, gen_len", [(2048, 8), (128, 512), (1, 100), (300, 4), (1000, 30), (2049, 2)])
 def test_bench_softmax_projection_is_what_a_session_allocates(prompt_len, gen_len):
     # the budget's projection follows the rule the KV buffers grow by, so it
-    # bounds the capacity a session allocates, not only the keys it fills
+    # bounds the capacity a session allocates, not only the keys it fills;
+    # prefill grows them segment by segment (a 1000-token prompt ends at
+    # 1024 slots, not 1000)
     model = _bench_model("softmax")
     session = SoftmaxSession(model, 1)
     logits = session.prefill(np.full((1, prompt_len), 256))

@@ -483,6 +483,10 @@ def _pretrain_tiny(**kw):
         pytest.param(lambda: AttentionTransfer().set_params(clip_norm=0), "clip_norm", id="set_params-clip_norm-zero"),
         pytest.param(lambda: _pretrain_tiny(lr=-1), "lr", id="pretrain_base-lr-negative"),
         pytest.param(lambda: synthetic_corpus(100, seed=-1), "seed", id="synthetic_corpus-seed-negative"),
+        pytest.param(lambda: eval_next_token_loss(tiny_model(), synthetic_corpus(200), seed=-1), "seed", id="eval_loss-seed-negative"),
+        pytest.param(lambda: eval_next_token_loss(tiny_model(), synthetic_corpus(200), batch_size=0), "batch_size", id="eval_loss-batch_size-zero"),
+        pytest.param(lambda: layerwise_diagnostics(tiny_model(), synthetic_corpus(200), seed=-1), "seed", id="diagnostics-seed-negative"),
+        pytest.param(lambda: layerwise_diagnostics(tiny_model(), synthetic_corpus(200), batch_size=0), "batch_size", id="diagnostics-batch_size-zero"),
     ],
 )
 def test_settings_out_of_range_raise_naming_the_field(call, field):
