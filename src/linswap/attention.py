@@ -5,25 +5,27 @@ and the entropy / effective-sequence-length diagnostics.
 
 All batched operations take [batch, heads, seq, dim] arrays. The hybrid layer
 has one forward, the numpy _hybrid_walk: it walks w-aligned chunks (scratch
-grows with the window, not the sequence) from a kv-state over a cached tail.
+grows with the window, not the sequence) from a kv-state over a cached tail,
+masking each with slices of one cached table per window (_mask_table).
 Training and Model.forward run it from a fresh state as one tape node,
 hybrid_attention_prefill, which keeps each chunk's scores (O(l w) bytes per
-layer) so that its backward walks the chunks in reverse without recomputing
-them; the serving sessions run it through hybrid_decode_step, which keeps
-nothing per chunk and advances a constant-size state by a segment of any
-length. _hybrid_naive, the masked O(l^2) form, is the oracle of both.
+layer) for its backward to walk the chunks in reverse; the serving sessions
+run it through hybrid_decode_step, which keeps nothing per chunk and advances
+a constant-size state by a segment of any length. _hybrid_naive, the masked
+O(l^2) form, is the oracle of both.
 
 The numpy kernels (_phi_np, softmax_attention_np, hybrid_decode_step; rope and
 softmax are T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array
 snapshots of the parameters (PhiArrays, HybridArrays), which model.py's
 engine takes once for the sessions and the stage-1 teacher. _phi_np runs the
 Tensor op's own operations in the same order, bit for bit: t2r one matmul,
-hedgehog both softmaxes feature-major, along the sequence and not the short
-feature axis.
+hedgehog both softmaxes feature-major (as one), along the sequence and not
+the short feature axis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -180,7 +182,8 @@ def _phi_np(params: PhiArrays, x: np.ndarray) -> np.ndarray:
     if params.kind == "t2r":
         return np.maximum(x @ params.weight + params.bias[:, None], 0.0)
     proj = params.weight.swapaxes(-1, -2) @ x.swapaxes(-1, -2)
-    return np.concatenate([T.softmax_np(proj, -2), T.softmax_np(-proj, -2)], axis=-2).swapaxes(-1, -2)
+    both = np.concatenate([proj, -proj], axis=-2)
+    return T.softmax_np(both.reshape(*proj.shape[:-2], 2, *proj.shape[-2:]), -2).reshape(both.shape).swapaxes(-1, -2)
 
 
 # --------------------------------------------------------------------------
@@ -352,22 +355,25 @@ def make_hybrid_config(
 
 def _window_masks(l: int, w: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """(window_mask, linear_mask) [l, l], True where the term applies (0-based)."""
-    n = np.arange(l)[:, None]
-    j = np.arange(l)[None, :]
+    n, j = np.arange(l)[:, None], np.arange(l)[None, :]
     causal = j <= n
-    if mode == "standard":
-        win = causal & (n - j < w)
-    else:
-        win = causal & (j >= (n // w) * w)
-    lin = causal & ~win
+    win = causal & ((n - j < w) if mode == "standard" else (j >= (n // w) * w))
+    return win, causal & ~win
+
+
+@functools.lru_cache(maxsize=16)
+def _mask_table(w: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """_window_masks(2 w, w, mode), read-only. A chunk's masks are its rows from
+    start - lo and keys from lo on: the rule reads n - j alone in standard
+    mode, and lo is w-aligned in terraced mode."""
+    win, lin = _window_masks(2 * w, w, mode)
+    win.flags.writeable = lin.flags.writeable = False
     return win, lin
 
 
-def _window_start(n_seen, w: int, mode: str):
-    """First window token after n_seen tokens (int or array; see HybridDecodeState)."""
-    if mode == "standard":
-        return np.maximum(0, n_seen - w)
-    return np.maximum(0, (n_seen - 1) // w * w)
+def _window_start(n_seen: int, w: int, mode: str) -> int:
+    """First window token after n_seen tokens (see HybridDecodeState)."""
+    return max(0, n_seen - w if mode == "standard" else (n_seen - 1) // w * w)
 
 
 def _chunk(cfg: HybridArrays, qc, fqc, kc, vc, fkc, s, z, start: int, lo: int):
@@ -376,20 +382,29 @@ def _chunk(cfg: HybridArrays, qc, fqc, kc, vc, fkc, s, z, start: int, lo: int):
     before lo. Returns the window scores (MASK_VALUE off each query's window),
     ex = exp(scores - row max), the weights (gamma ex, plus in standard mode
     phi(q) phi(k)^T over the keys [lo, hi) that left a later query's window),
-    that linear mask [stop - start, hi - lo] or None, and y's num and den."""
-    n = np.arange(start, start + qc.shape[2])[:, None]
-    j = np.arange(lo, start + qc.shape[2])[None, :]
-    first = _window_start(n + 1, cfg.window_size, cfg.window_mode)
-    hi = int(first[-1, 0])
-    scores = np.where((j >= first) & (j <= n), qc @ kc.swapaxes(-1, -2) * (1.0 / float(np.sqrt(qc.shape[3]))), MASK_VALUE)
-    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    that linear mask [stop - start, hi - lo] or None, and y's num and den.
+    The masks are slices of _mask_table; a single query takes none, since
+    its window holds every key from lo on."""
+    size, w, mode = qc.shape[2], cfg.window_size, cfg.window_mode
+    scores = qc @ kc.swapaxes(-1, -2) * (1.0 / math.sqrt(qc.shape[3]))
+    lin = None
+    if size > 1:
+        rel, hi = start - lo, _window_start(start + size, w, mode)
+        win, lin = _mask_table(w, mode)
+        scores = np.where(win[rel : rel + size, : rel + size], scores, MASK_VALUE)
+        lin = lin[rel : rel + size, : hi - lo] if hi > lo else None
+    ex = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     weights = cfg.gamma * ex
-    lin = j[:, : hi - lo] < first if hi > lo else None
     if lin is not None:
-        weights[..., : hi - lo] += np.where(lin, fqc @ fkc[:, :, : hi - lo].swapaxes(-1, -2), 0.0)
+        weights[..., : lin.shape[1]] += np.where(lin, fqc @ fkc[:, :, : lin.shape[1]].swapaxes(-1, -2), 0.0)
     num = weights @ vc + fqc @ s
-    den = weights.sum(axis=-1, keepdims=True) + fqc @ z[..., None]
+    den = np.add.reduce(weights, axis=-1, keepdims=True) + fqc @ z[..., None]
     return scores, ex, weights, lin, num, den
+
+
+def _fold(s, z, fk, v):
+    """The kv-state s, z with the keys fk = phi(k), v [b, h, n, ·] added."""
+    return s + fk.swapaxes(-1, -2) @ v, z + fk.sum(axis=2)
 
 
 def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: int, chunks: list | None = None):
@@ -405,27 +420,20 @@ def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: 
     the kv-state with every key of fk folded in. chunks, when given (the
     training op), receives each chunk's (s, z) followed by its _chunk result."""
     w, end = cfg.window_size, p + q.shape[2]
-    folded = off
-    outs = []
-
-    def fold(upto):
-        nonlocal s, z, folded
-        if upto > folded:
-            fkc = fk[:, :, folded - off : upto - off]
-            s = s + fkc.swapaxes(-1, -2) @ values[:, :, folded - off : upto - off]
-            z = z + fkc.sum(axis=2)
-            folded = upto
-
+    folded, outs = off, []
     for start in [p, *range((p // w + 1) * w, end, w)]:
         stop = min(end, (start // w + 1) * w)
-        lo = int(_window_start(start + 1, w, cfg.window_mode))
-        fold(lo)
+        lo = _window_start(start + 1, w, cfg.window_mode)
+        if lo > folded:
+            s, z = _fold(s, z, fk[:, :, folded - off : lo - off], values[:, :, folded - off : lo - off])
+            folded = lo
         qs, ks = slice(start - p, stop - p), slice(lo - off, stop - off)
         chunk = _chunk(cfg, q[:, :, qs], fq[:, :, qs], keys[:, :, ks], values[:, :, ks], fk[:, :, lo - off :], s, z, start, lo)
         outs.append(chunk[-2] / np.maximum(chunk[-1], EPS))
         if chunks is not None:
             chunks.append((s, z, *chunk))
-    fold(off + fk.shape[2])
+    if off + fk.shape[2] > folded:
+        s, z = _fold(s, z, fk[:, :, folded - off :], values[:, :, folded - off : fk.shape[2]])
     return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)), s, z
 
 
@@ -445,7 +453,7 @@ def _hybrid_walk_grads(cfg: HybridArrays, g, q, fq, k, v, fk, chunks, qkv: bool)
     dq, dk, dv, dfq, dfk = (np.zeros_like(a) for a in (q, k, v, fq, fk))
     dgamma = np.zeros(q.shape[1], dtype=q.dtype)
     ds, dz = np.zeros_like(chunks[0][0]), np.zeros_like(chunks[0][1])
-    los = [int(_window_start(start + 1, w, cfg.window_mode)) for start in range(0, l, w)]
+    los = [_window_start(start + 1, w, cfg.window_mode) for start in range(0, l, w)]
     for c in reversed(range(len(los))):
         start, stop, lo = c * w, min(l, c * w + w), los[c]
         # the keys folded in before chunk c + 1 get the state gradient of every later chunk
@@ -575,7 +583,7 @@ class HybridDecodeState:
     After n tokens the window holds tokens [start, n) and the kv-state all
     earlier ones: start = max(0, n - w) in standard mode (the last w tokens),
     floor((n - 1) / w) * w in terraced mode (the current w-aligned chunk).
-    _window_start computes it; _window_masks is the independent prefill oracle.
+    _window_start computes it; tests/oracles.hybrid_ref is its independent oracle.
     Allocation is fixed at construction, so byte size is constant for the whole
     generation."""
 
@@ -648,7 +656,7 @@ def hybrid_decode_step(
         keys = np.concatenate([state.k_cache[:, :, :filled], k], axis=2)
         values = np.concatenate([state.v_cache[:, :, :filled], v], axis=2)
 
-    tail = int(_window_start(end, cfg.window_size, cfg.window_mode))
+    tail = _window_start(end, cfg.window_size, cfg.window_mode)
     fk = _phi_np(cfg.phi_k, keys[:, :, : tail - off]) if tail > off else np.empty((b, h, 0, f), dtype=q.dtype)
     y, state.s, state.z = _hybrid_walk(cfg, state.s, state.z, q, _phi_np(cfg.phi_q, q), keys, values, fk, p, off)
     # the window never moves past keys[:, :, 0] while the segment fits beside

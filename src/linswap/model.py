@@ -581,21 +581,23 @@ def _rope_at(position: int, n: int, head_dim: int, base: float, dtype) -> tuple[
     read-only views of a cached table (each row is computed on its own). The
     table spans 2 * span positions from a multiple of span, span = max(
     ROPE_SPAN, n rounded up to a power of two): a decode step reads a table
-    made once per ROPE_SPAN tokens, and no table outgrows twice the segment,
-    however long a session runs.
+    made once per ROPE_SPAN tokens, and no table outgrows twice the segment.
 
-    A prefill reads one table per segment (PREFILL_SEGMENT = ROPE_SPAN). An
-    L4096 prompt's 16 tables exactly fill the cache, so the next L4096
-    prefill recomputes none, unless a table of another position came in
-    between: then all 16 are recomputed, evicted in prompt order. From 17
-    segments on (L8192: 32) every prefill recomputes all of its tables,
-    about 0.37 ms each at head_dim 32 on a 2-vCPU x86_64 host."""
+    A prefill reads one table per segment (PREFILL_SEGMENT = ROPE_SPAN). The
+    cache keeps the 64 tables used last: a prompt and the steps after it
+    that read at most 64 tables in all (16384 positions) leave every table
+    of the prompt for its next prefill; past that, each prefill recomputes
+    its tables, about 0.37 ms each at head_dim 32 on a 2-vCPU x86_64 host.
+    A session's tables hold 512 * head_dim * itemsize bytes each (64 KiB at
+    head_dim 32 in float32), so the cache holds at most 4 MiB of them at that
+    shape, however long sessions run; a forward over l tokens at once (the
+    Tensor model, the stage-1 teacher) reads one of max(512, 4 l) rows."""
     span = max(ROPE_SPAN, 1 << (n - 1).bit_length())
     start = position // span * span
     return tuple(t[position - start : position - start + n] for t in _rope_table(start, 2 * span, head_dim, base, dtype))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)
 def _rope_table(start: int, size: int, head_dim: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
     tables = tuple(t.astype(dtype) for t in rope_angles(size, head_dim, start, base))
     for t in tables:
@@ -685,11 +687,11 @@ class _Engine:
 
 
 class _Session:
-    """Shared by the decode sessions: _advance checks the token ids (the
-    sessions' input boundary), then runs the steps of the serving engine,
-    built once with the session, over them to the end with the session's
-    _attend: the logits of the last one. fresh=True first resets the
-    session's state.
+    """Shared by the decode sessions: prefill and step check the token ids
+    (the sessions' input boundary) once per call, before any state moves;
+    _advance runs the steps of the serving engine, built once with the
+    session, over checked ids to the end with the session's _attend: the
+    logits of the last one. fresh=True first resets the session's state.
 
     prefill advances fresh state over the prompt in segments of
     PREFILL_SEGMENT tokens, each carrying the position and the state of the
@@ -713,10 +715,9 @@ class _Session:
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Advance one token; token_ids [b] -> logits [b, vocab]."""
-        return self._advance(np.asarray(token_ids)[..., None])
+        return self._advance(_check_ids(np.asarray(token_ids)[..., None], self.engine.config.vocab_size))
 
-    def _advance(self, ids, fresh: bool = False) -> np.ndarray:
-        ids = _check_ids(ids, self.engine.config.vocab_size)
+    def _advance(self, ids: np.ndarray, fresh: bool = False) -> np.ndarray:
         if fresh:
             self.batch = ids.shape[0]
             self._reset(self.batch)

@@ -373,8 +373,8 @@ def sigmoid(a) -> Tensor:
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return np.divide(e, np.add.reduce(e, axis=axis, keepdims=True), out=e)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -570,8 +570,8 @@ def rope(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 
 
 def _rms_scale(x: np.ndarray, eps: float) -> np.ndarray:
-    # sum / n is what ndarray.mean computes, without its Python-level wrapper
-    return ((x * x).sum(-1, keepdims=True) / x.shape[-1] + eps) ** -0.5
+    # sum / n is what ndarray.mean computes, without its Python-level wrappers
+    return (np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps) ** -0.5
 
 
 def rms_norm_np(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:

@@ -65,21 +65,26 @@ def linear_attention_ref(fq, fk, v):
     return y
 
 
+def window_lo(n, w, mode):
+    """First key of query n's window (0-based). Window membership: standard =
+    the last min(w, n + 1) tokens; terraced = the token's w-aligned chunk."""
+    if mode == "standard":
+        return max(0, n - w + 1)
+    return (n // w) * w
+
+
 def hybrid_ref(q, k, v, fq, fk, w, gamma, mode="standard"):
     """Hybrid linear + sliding-window attention, direct per-position evaluation.
 
-    gamma is the post-sigmoid per-head window factor [h]. Window membership:
-    standard = the last min(w, n) tokens; terraced = the token's w-aligned chunk.
+    gamma is the post-sigmoid per-head window factor [h]; window_lo gives the
+    window, every earlier key is mixed linearly.
     """
     b, h, l, d = q.shape
     y = np.zeros_like(v)
     for bi in range(b):
         for hi in range(h):
             for n in range(l):
-                if mode == "standard":
-                    w_lo = max(0, n - w + 1)
-                else:
-                    w_lo = (n // w) * w
+                w_lo = window_lo(n, w, mode)
                 win = range(w_lo, n + 1)
                 lin = range(0, w_lo)
                 logits = np.array([q[bi, hi, n] @ k[bi, hi, i] / np.sqrt(d) for i in win])

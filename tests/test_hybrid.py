@@ -256,6 +256,34 @@ def test_decode_state_matches_spec_partition():
     np.testing.assert_allclose(state.k_cache[:, :, : state.filled], ks[8 - w :].transpose(1, 2, 0, 3), atol=0)
 
 
+@pytest.mark.parametrize("mode", A.WINDOW_MODES)
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 8])
+def test_chunk_masks_follow_the_oracle_window_rule(w, mode):
+    # _chunk slices its masks from one cached table. For every chunk a walk
+    # can make (each start < 4w, each size up to the next multiple of w), with
+    # zero q and k every key in a query's window scores 0 and every other key
+    # MASK_VALUE, so the scores show the window mask; the linear mask must be
+    # the keys before each query's window, up to the last query's window
+    cfg = A.HybridArrays(w, mode, np.ones((1, 1, 1)), None, None)
+    s, z = np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1))
+    for start in range(4 * w):
+        lo = oracles.window_lo(start, w, mode)
+        for size in range(1, (start // w + 1) * w - start + 1):
+            n, j = np.arange(start, start + size)[:, None], np.arange(lo, start + size)[None, :]
+            first = np.array([[oracles.window_lo(i, w, mode)] for i in range(start, start + size)])
+            q, k = np.zeros((1, 1, size, 1)), np.zeros((1, 1, j.shape[1], 1))
+            reads = A._mask_table.cache_info()
+            scores, _, _, lin, _, _ = A._chunk(cfg, q, q, k, k, k, s, z, start, lo)
+            case = (start, size)
+            assert ((scores[0, 0] != T.MASK_VALUE) == ((j >= first) & (j <= n))).all(), case
+            if lin is None:
+                assert not (j < first).any(), case
+            else:
+                assert lin.shape == (size, first.max() - lo) and (lin == (j < first)[:, : lin.shape[1]]).all(), case
+            if size == 1:  # a single query's window holds every key: no mask read, none applied
+                assert lin is None and A._mask_table.cache_info()[:2] == reads[:2], case
+
+
 # --- property: any segment split, any shape -------------------------------------
 
 

@@ -59,6 +59,8 @@ from linswap.model import (
 from linswap.tensor import Tensor
 from linswap.validation import check_token_array
 
+check_ids = M._check_ids
+
 
 CFG = ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_seq_len=128, seed=3)
 SPEC = HybridSpec(window_size=4, window_mode="standard", feature_kind="hedgehog")
@@ -680,6 +682,32 @@ def test_session_rejects_malformed_ids(session, ids, error):
         primed.step(np.ones(3, dtype=np.int64))  # batch differs from the prompt's
 
 
+def test_session_checks_ids_once_per_call_before_any_state_moves(monkeypatch):
+    # a 600-token prompt spans three prefill segments; its ids are checked
+    # once, before the first segment resets the state, so an out-of-range id
+    # at its last position leaves the primed session as it was
+    session = HybridSession(convert_model(small_model(), SPEC), 1)
+    session.prefill(np.ones((1, 10), dtype=np.int64))
+    before = copy.deepcopy(session.states)
+    checks = []
+    monkeypatch.setattr(M, "_check_ids", lambda *args: checks.append(args) or check_ids(*args))
+    ids = np.random.default_rng(2).integers(0, 258, size=(1, 600))
+    ids[0, 599] = 258
+    with pytest.raises(UnknownId):
+        session.prefill(ids)
+    with pytest.raises(UnknownId):
+        session.step(np.array([258]))
+    assert len(checks) == 2 and session.position == 10
+    for a, b in zip(before, session.states):
+        assert (a.filled, a.position) == (b.filled, b.position)
+        for name in ("s", "z", "k_cache", "v_cache"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    ids[0, 599] = 5
+    session.prefill(ids)
+    session.step(ids[:, 0])
+    assert len(checks) == 4 and session.position == 601
+
+
 def test_softmax_session_matches_forward():
     model = small_model()
     ids = np.random.default_rng(1).integers(0, 258, size=(2, 10))
@@ -708,6 +736,28 @@ def test_engine_rope_tables_are_rope_angles_bitwise():
             ref = [t.astype(np.float32) for t in rope_angles(n, 32, position, 10000.0)]
             assert cos.tobytes() == ref[0].tobytes() and sin.tobytes() == ref[1].tobytes(), (position, n)
             assert not cos.flags.writeable and not sin.flags.writeable
+
+
+def test_rope_tables_stay_cached_across_long_prefills():
+    # a prefill reads one rope table per segment: a second L8192 sweep finds
+    # all 32 of its tables cached, and a decode step past an L4096 prompt
+    # evicts none of the prompt's 16 (with 16 cached tables, each of those
+    # sweeps recomputed every table)
+    seg = M.PREFILL_SEGMENT
+
+    def sweep(n):
+        for start in range(0, n, seg):
+            M._rope_at(start, seg, 32, 10000.0, np.dtype(np.float32))
+        return M._rope_table.cache_info().misses
+
+    M._rope_table.cache_clear()
+    assert sweep(8192) == 8192 // seg
+    assert sweep(8192) == 8192 // seg
+    M._rope_table.cache_clear()
+    sweep(4096)
+    M._rope_at(4096, 1, 32, 10000.0, np.dtype(np.float32))
+    stepped = M._rope_table.cache_info().misses
+    assert sweep(4096) - stepped <= 1
 
 
 @pytest.mark.parametrize("mode", ["standard", "terraced"])

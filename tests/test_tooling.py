@@ -2,10 +2,11 @@
 ``owner.__dict__[attr]``; a refactor that moves or renames one of them breaks
 ``benchmarks/run.py``, so both are checked here, with the benchmark files
 loaded read-only. The serving sessions are pinned to the names the tracer
-attributes their attention time to, every bundled config is built into the
-classes it configures, a stage-2 loss records rope, RMS normalisation and the
-loss as one tape node each and the qkv projection over one concat, and every
-tensor op records its node through the one node constructor."""
+attributes their attention time to, a decode token reads only cached rope and
+mask tables, every bundled config is built into the classes it configures, a
+stage-2 loss records rope, RMS normalisation and the loss as one tape node
+each and the qkv projection over one concat, and every tensor op records its
+node through the one node constructor."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from linswap import attention
 from linswap import model as M
@@ -88,6 +90,32 @@ def test_sessions_serve_every_layer_through_the_segment_step(monkeypatch):
     assert calls == {"decode_step": cfg.n_layers, "heads_hybrid": 0}
     session.step(ids[:, 0])
     assert calls == {"decode_step": 2 * cfg.n_layers, "heads_hybrid": 0}
+
+
+@pytest.mark.parametrize("mode", ["terraced", "standard"])
+def test_decode_reads_only_cached_tables(mode):
+    # a decode token slices its rope angles and chunk masks from cached
+    # tables: after a warm-up session, the same 3w + 1 steps (past a window
+    # boundary and a rope span) make no table, and prefills of four lengths
+    # add no chunk-mask table, which is one per window size and mode
+    w = 64
+    cfg = M.ModelConfig(n_layers=2, n_heads=4, head_dim=32, max_seq_len=4096, seed=7)
+    model = M.convert_model(M.build_model(cfg), M.HybridSpec(window_size=w, window_mode=mode, feature_kind="hedgehog"))
+    ids = np.random.default_rng(7).integers(0, 258, size=(1, 128))
+    tables = (attention._mask_table, M._rope_table)
+    for warm in (True, False):
+        session = M.HybridSession(model, 1)
+        tok = session.prefill(ids).argmax(-1)
+        misses = [t.cache_info().misses for t in tables]
+        for _ in range(3 * w + 1):
+            tok = session.step(tok).argmax(-1)
+        if not warm:
+            assert [t.cache_info().misses for t in tables] == misses
+    masks = attention._mask_table.cache_info()
+    for n in (1, 65, 300, 700):
+        M.HybridSession(model, 1).prefill(np.random.default_rng(n).integers(0, 258, size=(1, n)))
+    after = attention._mask_table.cache_info()
+    assert after.misses == masks.misses and after.currsize <= after.maxsize
 
 
 def test_bundled_configs_build_every_section():
