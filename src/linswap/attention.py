@@ -417,8 +417,9 @@ def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: 
 
     Chunks end at multiples of w. Before each, the keys outside its first
     query's window are folded into the kv-state. Returns y [b, h, S, d] and
-    the kv-state with every key of fk folded in. chunks, when given (the
-    training op), receives each chunk's (s, z) followed by its _chunk result."""
+    the kv-state with every key before _window_start(end) folded in, which is
+    what a decode state keeps. chunks, when given (the training op), receives
+    each chunk's (s, z) followed by its _chunk result."""
     w, end = cfg.window_size, p + q.shape[2]
     folded, outs = off, []
     for start in [p, *range((p // w + 1) * w, end, w)]:
@@ -432,8 +433,9 @@ def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: 
         outs.append(chunk[-2] / np.maximum(chunk[-1], EPS))
         if chunks is not None:
             chunks.append((s, z, *chunk))
-    if off + fk.shape[2] > folded:
-        s, z = _fold(s, z, fk[:, :, folded - off :], values[:, :, folded - off : fk.shape[2]])
+    tail = _window_start(end, w, cfg.window_mode)
+    if tail > folded:
+        s, z = _fold(s, z, fk[:, :, folded - off : tail - off], values[:, :, folded - off : tail - off])
     return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)), s, z
 
 

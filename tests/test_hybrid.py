@@ -143,6 +143,25 @@ def test_chunked_single_chunk_is_softmax():
     np.testing.assert_allclose(out.data, y_soft.data, atol=1e-5)
 
 
+@pytest.mark.parametrize("mode", A.WINDOW_MODES)
+@pytest.mark.parametrize("l", [3, 8, 13])
+def test_training_walk_folds_only_keys_that_left_the_window(mode, l, monkeypatch):
+    # the training op reads no kv-state after its last chunk: its walk folds
+    # the keys before _window_start(l), the ones a decode state holds in its
+    # kv-state (test_decode_state_matches_spec_partition), and no more
+    folded = []
+    fold = A._fold
+
+    def counted(s, z, fk, v):
+        folded.append(fk.shape[2])
+        return fold(s, z, fk, v)
+
+    monkeypatch.setattr(A, "_fold", counted)
+    q, k, v = rand_qkv(1, 2, l, 8, 6)
+    A.hybrid_attention_prefill(q, k, v, make_cfg(4, mode, seed=5))
+    assert sum(folded) == A._window_start(l, 4, mode)
+
+
 def test_chunked_scratch_scales_with_window_not_seq():
     w = 8
     q4, k4, v4 = rand_qkv(1, 2, 4 * w, 8, 18)

@@ -405,6 +405,20 @@ def test_fused_op_matches_its_composite(name, op, composite, inputs):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("name,op,composite,inputs", FUSED_CASES, ids=[c[0] for c in FUSED_CASES])
+def test_fused_op_survives_a_second_backward(name, op, composite, inputs):
+    # a rule that scales its result in place must not write into what the
+    # forward kept: a second backward of the same loss adds the same gradient
+    leaves = [T.Tensor(a, requires_grad=True, dtype=np.float64) for a in inputs]
+    out = op(*leaves)
+    loss = (out * T.Tensor(rng(30).normal(size=out.shape), dtype=np.float64)).sum()
+    T.backpropagate(loss)
+    first = [t.grad.copy() for t in leaves]
+    T.backpropagate(loss)
+    for got, want in zip(leaves, first):
+        np.testing.assert_array_equal(got.grad, 2 * want)
+
+
 def test_cross_entropy_stays_finite_over_a_wide_logit_spread():
     # float32 probabilities of the low targets underflow to 0: a log of the
     # softmax would be -inf, the log-sum-exp form is not

@@ -6,11 +6,18 @@ attributes their attention time to, a decode token reads only cached rope and
 mask tables, every bundled config is built into the classes it configures, a
 stage-2 loss records rope, RMS normalisation and the loss as one tape node
 each and the qkv projection over one concat, and every tensor op records its
-node through the one node constructor."""
+node through the one node constructor. On glibc, importing the tape module
+keeps a training step's freed heap mapped, so a steady-state stage-2 step
+takes almost no page faults, unless the environment sets glibc's own
+thresholds."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -175,3 +182,63 @@ def test_tensor_ops_record_through_one_node_constructor():
     assert {"add", "matmul", "rms_norm", "concat", "reduce_max", "_sum_or_mean"} <= ops
     assert not ops & {scope[0] for scope in sites["requires_grad"] if scope}
     assert sites["isfinite"] | sites["errstate"] <= {("backpropagate",), ("finite",)}
+
+
+HEAP_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+# 5 warm-up and 20 counted stage-2 steps at the train-tiny shape; prints
+# whether the import set the heap thresholds and the minor faults per step
+STAGE2_FAULTS = """
+import resource
+import numpy as np
+import linswap.tensor as T
+from linswap import model as M
+from linswap.training import AdamW, LoraAdjust, sample_batch, synthetic_corpus
+
+cfg = M.ModelConfig(vocab_size=258, n_layers=2, n_heads=2, head_dim=16, max_seq_len=512, seed=3)
+model = M.convert_model(M.build_model(cfg), M.HybridSpec(window_size=8, window_mode="terraced", feature_kind="t2r"))
+M.freeze_feature_maps(model)
+M.lora_attach(model, rank=8, alpha=16.0, seed=3)
+trainer = LoraAdjust(lr=1e-3, batch_size=8, seq_len=64)
+optimizer = AdamW(M.adapter_parameters(model), lr=1e-3, clip_norm=trainer.clip_norm)
+corpus, rng = synthetic_corpus(20_000, seed=3), np.random.default_rng(3)
+for i in range(25):
+    if i == 5:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.step(model, *sample_batch(corpus, 8, 64, rng), optimizer)
+print(T._HEAP_THRESHOLDS_SET, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 20)
+"""
+
+
+def _stage2_in_fresh_process(env: dict[str, str]) -> tuple[str, float]:
+    # a fresh process: earlier tests in this one move glibc's dynamic thresholds
+    clean = {key: value for key, value in os.environ.items() if key not in HEAP_ENV}
+    clean["PYTHONPATH"] = os.pathsep.join([str(Path(T.__file__).resolve().parents[1]), clean.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", STAGE2_FAULTS], env={**clean, **env}, capture_output=True, text=True, timeout=300, check=True)
+    flag, faults = out.stdout.split()
+    return flag, float(faults)
+
+
+@pytest.mark.skipif(not GLIBC, reason="linswap sets the heap thresholds only on glibc")
+def test_stage2_steps_reuse_the_heap_of_the_previous_step():
+    # a stage-2 step at the train-tiny shape frees a tape of about 5 MB; with
+    # glibc's default thresholds the next step faulted about 700 pages of it
+    # back in here, with the thresholds set at import it reuses them
+    flag, faults = _stage2_in_fresh_process({})
+    assert flag == "True" and faults < 50
+
+
+@pytest.mark.parametrize(
+    "env",
+    [{"MALLOC_TRIM_THRESHOLD_": "131072"}, {"MALLOC_MMAP_THRESHOLD_": "131072"}, {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}],
+    ids=["trim", "mmap", "tunables"],
+)
+def test_environment_heap_thresholds_win_over_the_import_time_call(env):
+    # the import sets nothing when the environment sets either threshold, so
+    # glibc keeps its own settings: a fixed 128 KiB threshold, which also
+    # keeps glibc from raising the other, and a stage-2 step faults its heap
+    # back in again
+    flag, faults = _stage2_in_fresh_process(env)
+    assert flag == "False"
+    assert faults >= 50 or not GLIBC
