@@ -3,16 +3,27 @@ state-form, and recurrent), learnable feature maps, rotary embeddings, the
 hybrid linear + sliding-window layer in standard and terraced window modes,
 and the entropy / effective-sequence-length diagnostics.
 
-All batched operations take [batch, heads, seq, dim] arrays. The hybrid layer
-has one forward, the numpy _hybrid_walk: it walks w-aligned chunks (scratch
-grows with the window, not the sequence) from a kv-state over a cached tail,
-masking each with slices of one cached table per window (_mask_table).
-Training and Model.forward run it from a fresh state as one tape node,
-hybrid_attention_prefill, which keeps each chunk's scores (O(l w) bytes per
-layer) for its backward to walk the chunks in reverse; the serving sessions
-run it through hybrid_decode_step, which keeps nothing per chunk and advances
-a constant-size state by a segment of any length. _hybrid_naive, the masked
-O(l^2) form, is the oracle of both.
+All batched operations take [batch, heads, seq, dim] arrays. Softmax
+attention has one forward, softmax_attention_np: the stage-1 teacher and
+SoftmaxSession call it, and softmax_attention runs it as one tape node with
+an analytic backward. The hybrid layer has one forward, the numpy
+_hybrid_walk: it walks w-aligned chunks (scratch grows with the window, not
+the sequence) from a kv-state over a cached tail.
+
+Both kernels mask with caps, read-only tables cached per shape, mode and
+dtype beside the bool masks (_mask_table): +inf where a key is attended and
+MASK_VALUE where it is not, applied by np.minimum in place, which gives what
+np.where gives for every finite and +-inf score at a fraction of the cost.
+Both shift each row by np.fmax.reduce, the row max np.maximum.reduce gives
+on a row without a NaN; a row holding a NaN comes out NaN under either, so
+a non-finite result is named at the same layer and op.
+
+Training and Model.forward run the hybrid walk from a fresh state as one
+tape node, hybrid_attention_prefill, which keeps each chunk's scores (O(l w)
+bytes per layer) for its backward to walk the chunks in reverse; the serving
+sessions run it through hybrid_decode_step, which keeps nothing per chunk and
+advances a constant-size state by a segment of any length. _hybrid_naive, the
+masked O(l^2) form, is the oracle of both.
 
 The numpy kernels (_phi_np, softmax_attention_np, hybrid_decode_step; rope and
 softmax are T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array
@@ -203,21 +214,43 @@ def causal_mask(s: int, n: int) -> np.ndarray:
 
 
 def softmax_attention(q: Tensor, k: Tensor, v: Tensor):
-    """Causal softmax attention with 1/sqrt(d) scaling -> (y, weights)."""
+    """Causal softmax attention with 1/sqrt(d) scaling as one tape node over
+    q, k, v -> (y, weights), the weights a Tensor off the tape. The forward
+    is softmax_attention_np; the node keeps its weights a [b, h, l, l] for
+    the analytic backward that FlashAttention writes (Dao et al. 2022),
+    without its recompute: dV = a^T g, dA = g v^T, dS = a (dA - rowsum(dA a)),
+    dQ = scale dS k and dK = scale dS^T q. The scale multiplies dS before the
+    matmuls and dK is taken as (q^T dS)^T, as the chain of Tensor ops has it
+    (tests/oracles.softmax_attention_composite), so both agree bit for bit."""
     _check_qkv(q, k, v)
-    l, d = q.shape[-2], q.shape[-1]
-    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d))
-    scores = T.masked_fill(scores, causal_mask(l, l), MASK_VALUE)
-    a = T.softmax(scores, -1)
-    return T.matmul(a, v), a
+    y, a = softmax_attention_np(q.data, k.data, v.data)
+
+    def grads(g):
+        da = g @ v.data.swapaxes(-1, -2)
+        ds = a * (da - (da * a).sum(axis=-1, keepdims=True))  # T.softmax's rule
+        ds *= 1.0 / math.sqrt(q.shape[-1])
+        return ds @ k.data, (q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2), a.swapaxes(-1, -2) @ g
+
+    return T.fused(y, (q, k, v), grads, "softmax_attention"), Tensor(a)
 
 
 def softmax_attention_np(q: np.ndarray, keys: np.ndarray, values: np.ndarray):
-    """numpy twin of softmax_attention, bit for bit: queries q [b, h, S, d] at
-    the last S positions of keys, values [b, h, n, d] -> (y, weights)."""
+    """Causal softmax attention, the package's one forward of it: queries
+    q [b, h, S, d] at the last S positions of keys, values [b, h, n, d] ->
+    (y, weights). It serves the stage-1 teacher, SoftmaxSession and, as
+    softmax_attention, the tape. Scores, mask, shift, exp and normalisation
+    run in place in the buffer the weights are returned in. The last S keys
+    are masked by _mask_table's causal cap (a single query, which follows
+    every key, takes none) and the shift is np.fmax.reduce, as in _chunk."""
     s, n = q.shape[2], keys.shape[2]
-    scores = q @ keys.swapaxes(-1, -2) * (1.0 / float(np.sqrt(q.shape[-1])))
-    a = T.softmax_np(np.where(causal_mask(s, n), MASK_VALUE, scores))
+    a = q @ keys.swapaxes(-1, -2)
+    a *= 1.0 / math.sqrt(q.shape[-1])
+    if s > 1:
+        tail = a[..., n - s :]
+        np.minimum(tail, _mask_table(s, s, "standard", a.dtype)[2], out=tail)
+    a -= np.fmax.reduce(a, axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= np.add.reduce(a, axis=-1, keepdims=True)
     return a @ values, a
 
 
@@ -362,13 +395,23 @@ def _window_masks(l: int, w: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _mask_table(w: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """_window_masks(2 w, w, mode), read-only. A chunk's masks are its rows from
-    start - lo and keys from lo on: the rule reads n - j alone in standard
-    mode, and lo is w-aligned in terraced mode."""
-    win, lin = _window_masks(2 * w, w, mode)
-    win.flags.writeable = lin.flags.writeable = False
-    return win, lin
+def _mask_table(l: int, w: int, mode: str, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_window_masks(l, w, mode) and their caps in dtype, all read-only. The
+    window cap is +inf in the window and MASK_VALUE off it, the linear cap
+    +inf under the linear mask and 0 off it: np.minimum(scores, cap) is
+    np.where(mask, scores, MASK_VALUE) for every finite and +-inf score, one
+    elementwise op in place of a select. It differs only off the window,
+    where -inf stays -inf (exp weights it 0 all the same) and NaN stays NaN.
+
+    A chunk reads the table of l = 2 w: its masks are its rows from
+    start - lo and keys from lo on, since the rule reads n - j alone in
+    standard mode and lo is w-aligned in terraced mode. The causal mask of l
+    queries is the standard-mode table of w = l."""
+    win, lin = _window_masks(l, w, mode)
+    tables = (win, lin, np.where(win, np.inf, MASK_VALUE).astype(dtype), np.where(lin, np.inf, 0.0).astype(dtype))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _window_start(n_seen: int, w: int, mode: str) -> int:
@@ -383,20 +426,27 @@ def _chunk(cfg: HybridArrays, qc, fqc, kc, vc, fkc, s, z, start: int, lo: int):
     ex = exp(scores - row max), the weights (gamma ex, plus in standard mode
     phi(q) phi(k)^T over the keys [lo, hi) that left a later query's window),
     that linear mask [stop - start, hi - lo] or None, and y's num and den.
-    The masks are slices of _mask_table; a single query takes none, since
-    its window holds every key from lo on."""
+
+    The masks are _mask_table's caps, sliced and applied by np.minimum in
+    place; a single query takes none, since its window holds every key from
+    lo on. The linear cap is exact too: phi >= 0 for both feature kinds, so
+    min(phi(q) phi(k)^T, 0) is 0. The shift is np.fmax.reduce (see the
+    module docstring)."""
     size, w, mode = qc.shape[2], cfg.window_size, cfg.window_mode
-    scores = qc @ kc.swapaxes(-1, -2) * (1.0 / math.sqrt(qc.shape[3]))
+    scores = qc @ kc.swapaxes(-1, -2)
+    scores *= 1.0 / math.sqrt(qc.shape[3])
     lin = None
     if size > 1:
         rel, hi = start - lo, _window_start(start + size, w, mode)
-        win, lin = _mask_table(w, mode)
-        scores = np.where(win[rel : rel + size, : rel + size], scores, MASK_VALUE)
+        _, lin, win_cap, lin_cap = _mask_table(2 * w, w, mode, scores.dtype)
+        np.minimum(scores, win_cap[rel : rel + size, : rel + size], out=scores)
         lin = lin[rel : rel + size, : hi - lo] if hi > lo else None
-    ex = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    ex = scores - np.fmax.reduce(scores, axis=-1, keepdims=True)  # scores stay: the backward takes their argmax
+    np.exp(ex, out=ex)
     weights = cfg.gamma * ex
     if lin is not None:
-        weights[..., : lin.shape[1]] += np.where(lin, fqc @ fkc[:, :, : lin.shape[1]].swapaxes(-1, -2), 0.0)
+        prod = fqc @ fkc[:, :, : lin.shape[1]].swapaxes(-1, -2)
+        weights[..., : lin.shape[1]] += np.minimum(prod, lin_cap[rel : rel + size, : hi - lo], out=prod)
     num = weights @ vc + fqc @ s
     den = np.add.reduce(weights, axis=-1, keepdims=True) + fqc @ z[..., None]
     return scores, ex, weights, lin, num, den

@@ -205,6 +205,8 @@ class AttentionLayer:
         return T.swapaxes(y, 1, 2).reshape(b, l, h * d)
 
     def heads_softmax(self, q, k, v):
+        """(y, weights): one softmax_attention tape node, the kernel the
+        engine's teacher and SoftmaxSession run."""
         return softmax_attention(q, k, v)
 
     def heads_hybrid(self, q, k, v) -> Tensor:

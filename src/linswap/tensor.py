@@ -587,7 +587,11 @@ def embedding(weight, ids: np.ndarray) -> Tensor:
 
 
 def rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate each (2i, 2i+1) pair of x [..., S, d] by the angles of the tables cos/sin [S, d/2]."""
+    """Rotate each (2i, 2i+1) pair of x [..., S, d] by the angles of the tables
+    cos/sin [S, d/2]. A strided x (the engine's transposed q, k) is copied
+    contiguous first: the same operations then read dense pairs, so the result
+    is the same, bit for bit, in less time."""
+    x = np.ascontiguousarray(x)
     xe, xo = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = xe * cos - xo * sin

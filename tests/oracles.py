@@ -3,10 +3,10 @@
 These transcribe the attention definitions as per-position loops over plain
 numpy arrays and never call the library's vectorized paths, so agreement is a
 two-route check rather than a tautology. The *_composite functions are the
-other kind of oracle: the fused Tensor ops (rope, rms_norm, cross_entropy)
-written out as chains of elementary Tensor ops, whose gradients the tape
-derives op by op. hybrid_op_packed sets the hybrid op up for the
-finite-difference suites.
+other kind of oracle: the fused Tensor ops (rope, softmax attention,
+rms_norm, cross_entropy) written out as chains of elementary Tensor ops,
+whose gradients the tape derives op by op. hybrid_op_packed sets the hybrid
+op up for the finite-difference suites.
 """
 
 import numpy as np
@@ -123,6 +123,15 @@ def rope_composite(x, cos, sin):
     pairs = [xe * cos - xo * sin, xe * sin + xo * cos]
     half = pairs[0].shape
     return T.concat([p.reshape(half + (1,)) for p in pairs], axis=-1).reshape(x.shape)
+
+
+def softmax_attention_composite(q, k, v):
+    """A.softmax_attention from elementary Tensor ops -> (y, weights): the
+    scaled scores, the causal mask as masked_fill, softmax and a matmul."""
+    l, d = q.shape[-2], q.shape[-1]
+    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d))
+    a = T.softmax(T.masked_fill(scores, A.causal_mask(l, l), T.MASK_VALUE), -1)
+    return T.matmul(a, v), a
 
 
 def rms_norm_composite(x, gain, eps):

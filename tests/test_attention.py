@@ -169,6 +169,23 @@ def test_softmax_attention_matches_oracle():
     np.testing.assert_allclose(a.data.sum(-1), 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_softmax_attention_node_matches_its_composite_bit_for_bit(d):
+    # the fused node against the chain of Tensor ops it replaced, in float32:
+    # the same y and weights, and the same gradients of q, k and v, whether
+    # or not 1/sqrt(d) is a power of two
+    q, k, v = (rand_f64((2, 3, 11, d), seed).astype(np.float32) for seed in (40, 41, 42))
+    probe = Tensor(rand_f64((2, 3, 11, d), 43).astype(np.float32))
+    runs = []
+    for attend in (A.softmax_attention, oracles.softmax_attention_composite):
+        leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        y, a = attend(*leaves)
+        T.backpropagate((y * probe).sum())
+        runs.append([y.data, a.data] + [t.grad for t in leaves])
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
 # --- linear attention -----------------------------------------------------------
 
 def _fmaps(kind, heads, d, seed, dtype=np.float64):

@@ -303,6 +303,45 @@ def test_chunk_masks_follow_the_oracle_window_rule(w, mode):
                 assert lin is None and A._mask_table.cache_info()[:2] == reads[:2], case
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", A.WINDOW_MODES)
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 8])
+def test_mask_caps_follow_the_window_masks(w, mode, dtype):
+    # the caps are the bool masks as numbers: +inf where the window (or the
+    # linear) mask holds, MASK_VALUE (0) where it does not, in the scores'
+    # dtype, and every table is read-only, since all callers share it. The
+    # standard table of w = l is the causal mask, the softmax teacher's
+    win, lin, win_cap, lin_cap = A._mask_table(2 * w, w, mode, dtype)
+    ref_win, ref_lin = A._window_masks(2 * w, w, mode)
+    assert (win == ref_win).all() and (lin == ref_lin).all()
+    assert win_cap.dtype == lin_cap.dtype == dtype
+    assert win_cap.tobytes() == np.where(ref_win, np.inf, np.asarray(T.MASK_VALUE, dtype)).astype(dtype).tobytes()
+    assert lin_cap.tobytes() == np.where(ref_lin, np.inf, 0.0).astype(dtype).tobytes()
+    assert not any(t.flags.writeable for t in (win, lin, win_cap, lin_cap))
+    assert (A._mask_table(w, w, "standard", dtype)[0] == ~A.causal_mask(w, w)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cap_masking_equals_where(dtype):
+    # np.minimum against the cap is np.where against the mask for every
+    # finite and +-inf score, -0.0 included; off the window, -inf stays
+    # -inf where np.where writes MASK_VALUE, and exp weights both 0
+    values = np.array([1.0, np.inf, -np.inf, 3e38, -3e38, -0.0, 0.0], dtype=dtype)
+    for window in (values, values[[0, 3, 4, 5, 6]], values[[0, 4, 5, 6]]):
+        row = np.concatenate([window, values])  # the window's scores, then every value off it
+        mask = np.arange(row.size) < window.size
+        capped = np.minimum(row, np.where(mask, np.inf, T.MASK_VALUE).astype(dtype))
+        selected = np.where(mask, row, np.asarray(T.MASK_VALUE, dtype))
+        kept = mask | (row != -np.inf)
+        assert capped.dtype == selected.dtype == dtype
+        assert capped[kept].tobytes() == selected[kept].tobytes()
+        assert (capped[~kept] == -np.inf).all()
+        if np.isfinite(window).all():  # a row the softmax weights: the same weights, bit for bit
+            assert np.fmax.reduce(capped) == np.maximum.reduce(selected)
+            with np.errstate(over="ignore"):
+                assert np.exp(capped - np.fmax.reduce(capped)).tobytes() == np.exp(selected - np.maximum.reduce(selected)).tobytes()
+
+
 # --- property: any segment split, any shape -------------------------------------
 
 

@@ -59,6 +59,8 @@ from linswap.model import (
 from linswap.tensor import Tensor
 from linswap.validation import check_token_array
 
+import oracles
+
 check_ids = M._check_ids
 
 
@@ -148,14 +150,16 @@ def test_convert_preserves_teacher_path_bitwise(monkeypatch):
 @pytest.mark.parametrize("mode", ["standard", "terraced"])
 def test_teacher_records_match_tensor_softmax_stack(mode):
     # the engine's teacher against the Tensor softmax stack of the same
-    # weights, bit for bit: outputs y and the weights a
+    # weights, bit for bit: outputs y and the weights a. The stack's
+    # attention is the composite of elementary Tensor ops, not heads_softmax,
+    # which runs the teacher's own kernel
     model = convert_model(small_model(seed=5), HybridSpec(window_size=4, window_mode=mode, feature_kind="t2r"))
     ids = np.random.default_rng(5).integers(0, 258, size=(3, 13))
     x = model.embed_tokens(ids)
     records = model.forward_teacher_forced(ids, return_weights=True)
     for rec, blk in zip(records, model.blocks):
         q, k, v = blk.attn.project_qkv(blk.norm1.forward(x))
-        y, a = blk.attn.heads_softmax(q, k, v)
+        y, a = oracles.softmax_attention_composite(q, k, v)
         assert rec["y"].tobytes() == y.data.tobytes()
         assert rec["a"].tobytes() == a.data.tobytes()
         x = x + blk.attn.wo.forward(blk.attn.merge_heads(y))
@@ -1010,3 +1014,30 @@ def test_non_finite_decode_state_raises_at_the_next_step(layer):
     session.states[layer].s[:] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteResult, match=rf"^layers\.{layer} attn\.heads produced NaN/Inf"):
         session.step(np.array([65]))
+
+
+@pytest.mark.parametrize("mode", ["standard", "terraced"])
+@pytest.mark.parametrize("call", ["prefill", "step"])
+def test_nan_key_inside_a_chunk_window_names_the_heads_of_its_layer(mode, call, monkeypatch):
+    # one NaN key of layer 1 (in a copy, so the engine's rope output stays
+    # finite), mid-segment: inside the window of its own and later queries
+    # and, in a prefill chunk, off the window of the earlier ones. Its rows
+    # come out NaN under the caps and the fmax shift as under np.where and
+    # np.maximum, so the engine names that layer's heads, as it did before
+    w = 4
+    model = convert_model(small_model(), HybridSpec(window_size=w, window_mode=mode, feature_kind="hedgehog"))
+    session = HybridSession(model, 1)
+    ids = np.random.default_rng(12).integers(0, 258, size=(1, 2 * w + 2))
+    if call == "step":
+        session.prefill(ids)
+    decode_step = M.attention.hybrid_decode_step
+
+    def poisoned(state, q, k, v, cfg, position=None):
+        if state is session.states[1]:
+            k = k.copy()
+            k[:, :, k.shape[2] // 2] = np.nan
+        return decode_step(state, q, k, v, cfg, position)
+
+    monkeypatch.setattr(M.attention, "hybrid_decode_step", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteResult, match=r"^layers\.1 attn\.heads produced NaN/Inf"):
+        session.prefill(ids) if call == "prefill" else session.step(np.array([65]))

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from linswap import attention as A
 from linswap import tensor as T
 
 import oracles
@@ -284,6 +285,7 @@ def test_fd_softmax_sum_of_squares():
 _ANG_32 = rng(20).normal(size=(3, 2))
 _PROBE_34 = T.Tensor(rng(22).normal(size=(3, 4)), dtype=np.float64)
 _PROBE_234 = T.Tensor(rng(23).normal(size=(2, 3, 4)), dtype=np.float64)
+_PROBE_1254 = T.Tensor(rng(24).normal(size=(1, 2, 5, 4)), dtype=np.float64)
 
 UNARY_CASES = [
     ("exp", lambda t: T.exp(t).sum(), (4,)),
@@ -304,6 +306,8 @@ UNARY_CASES = [
     ("div", lambda t: (t / (t * t + 2.0)).sum(), (4,)),
     ("concat", lambda t: (T.concat([t, t * 2.0], -1) * T.concat([t * 3.0, t], -1)).sum(), (2, 3)),
     ("masked_fill", lambda t: (T.masked_fill(t, np.eye(3, dtype=bool), 0.5) * T.masked_fill(t, np.eye(3, dtype=bool), 0.5)).sum(), (3, 3)),
+    # q, k and v stacked on the first axis
+    ("softmax_attention", lambda t: (A.softmax_attention(t[0], t[1], t[2])[0] * _PROBE_1254).sum(), (3, 1, 2, 5, 4)),
     # q, k, v, phi(q), phi(k) and gamma_raw, packed
     ("hybrid_standard", lambda t: oracles.hybrid_op_packed(t, "standard"), (oracles.HYBRID_PACKED_SIZE,)),
     ("hybrid_terraced", lambda t: oracles.hybrid_op_packed(t, "terraced"), (oracles.HYBRID_PACKED_SIZE,)),
@@ -393,6 +397,8 @@ FUSED_CASES = [
      lambda t, gain: oracles.rms_norm_composite(t, gain, 1e-6), (_X * 0.1, rng(34).normal(size=8))),
     ("cross_entropy", lambda t: T.cross_entropy(t, _TARGETS),
      lambda t: oracles.cross_entropy_composite(t, _TARGETS), (_X * 4.0,)),
+    ("softmax_attention", lambda q, k, v: A.softmax_attention(q, k, v)[0],
+     lambda q, k, v: oracles.softmax_attention_composite(q, k, v)[0], (_X, _X[::-1] * 2.0, rng(35).normal(size=_X.shape))),
 ]
 
 

@@ -3,13 +3,13 @@
 ``benchmarks/run.py``, so both are checked here, with the benchmark files
 loaded read-only. The serving sessions are pinned to the names the tracer
 attributes their attention time to, a decode token reads only cached rope and
-mask tables, every bundled config is built into the classes it configures, a
-stage-2 loss records rope, RMS normalisation and the loss as one tape node
-each and the qkv projection over one concat, and every tensor op records its
-node through the one node constructor. On glibc, importing the tape module
-keeps a training step's freed heap mapped, so a steady-state stage-2 step
-takes almost no page faults, unless the environment sets glibc's own
-thresholds."""
+mask tables, a stage-1 step and a softmax-baseline token build no mask, every
+bundled config is built into the classes it configures, a stage-2 loss
+records rope, RMS normalisation and the loss as one tape node each and the
+qkv projection over one concat, and every tensor op records its node through
+the one node constructor. On glibc, importing the tape module keeps a
+training step's freed heap mapped, so a steady-state stage-2 step takes
+almost no page faults, unless the environment sets glibc's own thresholds."""
 
 import ast
 import importlib
@@ -27,7 +27,15 @@ from linswap import attention
 from linswap import model as M
 from linswap import tensor as T
 from linswap.config import load_config
-from linswap.training import AttentionTransfer, LoraAdjust, next_token_loss, sample_batch, synthetic_corpus
+from linswap.training import (
+    AdamW,
+    AttentionTransfer,
+    LoraAdjust,
+    feature_map_parameters,
+    next_token_loss,
+    sample_batch,
+    synthetic_corpus,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -123,6 +131,33 @@ def test_decode_reads_only_cached_tables(mode):
         M.HybridSession(model, 1).prefill(np.random.default_rng(n).integers(0, 258, size=(1, n)))
     after = attention._mask_table.cache_info()
     assert after.misses == masks.misses and after.currsize <= after.maxsize
+
+
+def test_stage1_and_softmax_steps_build_no_mask(monkeypatch):
+    # the softmax teacher and the hybrid chunks mask with caps cached beside
+    # the chunk masks: after a warm-up, a stage-1 step of either window mode
+    # and 50 SoftmaxSession steps make no table, and nothing on those paths
+    # builds a causal mask. A step's one query follows every key, so it reads
+    # no cap at all
+    calls = []
+    causal_mask = attention.causal_mask
+    monkeypatch.setattr(attention, "causal_mask", lambda *args: calls.append(args) or causal_mask(*args))
+    cfg = M.ModelConfig(n_layers=2, n_heads=2, head_dim=16, max_seq_len=512, seed=3)
+    inputs, _ = sample_batch(synthetic_corpus(3000, seed=3), 4, 32, np.random.default_rng(3))
+    for mode in ("terraced", "standard"):
+        model = M.convert_model(M.build_model(cfg), M.HybridSpec(8, mode, "t2r"))
+        opt = AdamW(feature_map_parameters(model), lr=1e-2)
+        for warm in (True, False):
+            misses = attention._mask_table.cache_info().misses
+            AttentionTransfer().step(model, inputs, opt)
+            assert warm or attention._mask_table.cache_info().misses == misses, mode
+    session = M.SoftmaxSession(M.build_model(cfg), 2)
+    tok = session.prefill(inputs[:2]).argmax(-1)
+    reads = attention._mask_table.cache_info()
+    for _ in range(50):
+        tok = session.step(tok).argmax(-1)
+    assert attention._mask_table.cache_info()[:2] == reads[:2]
+    assert not calls
 
 
 def test_bundled_configs_build_every_section():

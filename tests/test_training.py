@@ -7,6 +7,7 @@ import pytest
 from linswap import tensor as T
 from linswap.errors import BadConfig, DivergedLoss, IndivisibleBlocks, LinswapError, NonFiniteResult, NotStochastic, ShapeMismatch
 from linswap.model import (
+    AttentionLayer,
     HybridSpec,
     ModelConfig,
     adapter_parameters,
@@ -562,6 +563,38 @@ def test_tape_diverged_loss_names_layer_and_op_before_any_update(stage, op):
     assert opt.t == 0
     for n, t in model.parameters().items():
         assert t.data.tobytes() == before[n].tobytes(), n
+
+
+@pytest.mark.parametrize("stage, op", [("output_mse", "matmul"), ("combined", "matmul"), ("adjust", "rope")])
+def test_nan_key_inside_a_chunk_window_names_layer_and_op(stage, op, monkeypatch):
+    # one NaN key of layer 1 at position 5, inside the window of the queries
+    # 5-7 of its chunk and off the window of query 4: the hybrid op's window
+    # softmax puts NaN in those rows under the caps and the fmax shift as
+    # under np.where and np.maximum, and the loss names the layer and op it
+    # named before. Stage 1's student reads the teacher's k as a leaf, so
+    # the first op that reads it, phi(k)'s matmul, is named; stage 2's k is
+    # the rope node's output
+    model = tiny_model(seed=82, kind="t2r", mode="terraced")
+    inputs, targets = sample_batch(synthetic_corpus(2000, seed=82), 2, 16, rng(82))
+    heads_hybrid = AttentionLayer.heads_hybrid
+
+    def poisoned(self, q, k, v):
+        if self is model.blocks[1].attn:
+            k.data[:, :, 5] = np.nan
+        return heads_hybrid(self, q, k, v)
+
+    monkeypatch.setattr(AttentionLayer, "heads_hybrid", poisoned)
+    if stage == "adjust":
+        freeze_feature_maps(model)
+        lora_attach(model, rank=2, alpha=4.0, seed=82)
+        opt = AdamW(adapter_parameters(model), lr=1e-2)
+        step = lambda: LoraAdjust().step(model, inputs, targets, opt)
+    else:
+        opt = AdamW(feature_map_parameters(model), lr=1e-2)
+        step = lambda: AttentionTransfer(loss=stage).step(model, inputs, opt)
+    with pytest.raises(DivergedLoss, match=rf"^layers\.1 {op} produced NaN/Inf"):
+        step()
+    assert opt.t == 0
 
 
 def test_off_tape_evaluations_raise_on_a_non_finite_figure():
