@@ -34,7 +34,6 @@ from .model import (
     Model,
     ModelConfig,
     build_model,
-    clone_model,
     convert_model,
     detokenize,
     generate_greedy,

@@ -6,24 +6,27 @@ and the entropy / effective-sequence-length diagnostics.
 All batched operations take [batch, heads, seq, dim] arrays. Softmax
 attention has one forward, softmax_attention_np: the stage-1 teacher and
 SoftmaxSession call it, and softmax_attention runs it as one tape node with
-an analytic backward. The hybrid layer has one forward, the numpy
-_hybrid_walk: it walks w-aligned chunks (scratch grows with the window, not
-the sequence) from a kv-state over a cached tail.
+an analytic backward. The hybrid layer has two numpy forwards over the same
+w-aligned chunks, each chunk attending to its window exactly and to older
+keys through a kv-state: the serving walk, _hybrid_walk, takes the chunks
+one at a time from a kv-state over a cached tail (scratch grows with the
+window, not the sequence), and the training kernel, _hybrid_chunkwise, takes
+every chunk of a fresh sequence at once, with an analytic backward.
 
-Both kernels mask with caps, read-only tables cached per shape, mode and
-dtype beside the bool masks (_mask_table): +inf where a key is attended and
-MASK_VALUE where it is not, applied by np.minimum in place, which gives what
-np.where gives for every finite and +-inf score at a fraction of the cost.
-Both shift each row by np.fmax.reduce, the row max np.maximum.reduce gives
-on a row without a NaN; a row holding a NaN comes out NaN under either, so
-a non-finite result is named at the same layer and op.
+The three kernels mask with caps, read-only tables cached per shape, mode
+and dtype beside the bool masks (_mask_table): +inf where a key is attended
+and MASK_VALUE where it is not, applied by np.minimum in place, which gives
+what np.where gives for every finite and +-inf score at a fraction of the
+cost. They shift each row by np.fmax.reduce, the row max np.maximum.reduce
+gives on a row without a NaN; a row holding a NaN comes out NaN under
+either, so a non-finite result is named at the same layer and op.
 
-Training and Model.forward run the hybrid walk from a fresh state as one
-tape node, hybrid_attention_prefill, which keeps each chunk's scores (O(l w)
-bytes per layer) for its backward to walk the chunks in reverse; the serving
-sessions run it through hybrid_decode_step, which keeps nothing per chunk and
-advances a constant-size state by a segment of any length. _hybrid_naive, the
-masked O(l^2) form, is the oracle of both.
+Training and Model.forward run the kernel as one tape node,
+hybrid_attention_prefill, which keeps every chunk's scores (O(l w) bytes per
+layer) for its backward; the serving sessions run the walk through
+hybrid_decode_step, which keeps nothing per chunk and advances a
+constant-size state by a segment of any length. _hybrid_naive, the masked
+O(l^2) form, is the oracle of both.
 
 The numpy kernels (_phi_np, softmax_attention_np, hybrid_decode_step; rope and
 softmax are T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array
@@ -441,7 +444,7 @@ def _chunk(cfg: HybridArrays, qc, fqc, kc, vc, fkc, s, z, start: int, lo: int):
         _, lin, win_cap, lin_cap = _mask_table(2 * w, w, mode, scores.dtype)
         np.minimum(scores, win_cap[rel : rel + size, : rel + size], out=scores)
         lin = lin[rel : rel + size, : hi - lo] if hi > lo else None
-    ex = scores - np.fmax.reduce(scores, axis=-1, keepdims=True)  # scores stay: the backward takes their argmax
+    ex = scores - np.fmax.reduce(scores, axis=-1, keepdims=True)  # scores stay: _chunk returns them
     np.exp(ex, out=ex)
     weights = cfg.gamma * ex
     if lin is not None:
@@ -452,112 +455,190 @@ def _chunk(cfg: HybridArrays, qc, fqc, kc, vc, fkc, s, z, start: int, lo: int):
     return scores, ex, weights, lin, num, den
 
 
-def _fold(s, z, fk, v):
-    """The kv-state s, z with the keys fk = phi(k), v [b, h, n, ·] added."""
-    return s + fk.swapaxes(-1, -2) @ v, z + fk.sum(axis=2)
+def _fold(fk, v):
+    """The kv-state terms phi(k)^T v and sum phi(k) of the keys fk = phi(k),
+    v [..., n, ·], summed over n."""
+    return fk.swapaxes(-1, -2) @ v, fk.sum(axis=-2)
 
 
-def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: int, chunks: list | None = None):
-    """The hybrid forward, for training and serving alike: queries q [b, h, S, d]
-    at positions p onwards, with feature maps fq, over keys and values
-    [b, h, end - off, d] at positions off onwards (end = p + S), where the
-    kv-state s [b, h, f, d], z [b, h, f] sums every key before off. fk holds
-    phi(k) of the keys from off on, at least to _window_start(end), the ones
-    that leave the window by the end.
+def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: int):
+    """The serving forward: queries q [b, h, S, d] at positions p onwards,
+    with feature maps fq, over keys and values [b, h, end - off, d] at
+    positions off onwards (end = p + S), where the kv-state s [b, h, f, d],
+    z [b, h, f] sums every key before off. fk holds phi(k) of the keys from
+    off on, at least to _window_start(end), the ones that leave the window by
+    the end.
 
     Chunks end at multiples of w. Before each, the keys outside its first
     query's window are folded into the kv-state. Returns y [b, h, S, d] and
     the kv-state with every key before _window_start(end) folded in, which is
-    what a decode state keeps. chunks, when given (the training op), receives
-    each chunk's (s, z) followed by its _chunk result."""
+    what a decode state keeps."""
     w, end = cfg.window_size, p + q.shape[2]
     folded, outs = off, []
     for start in [p, *range((p // w + 1) * w, end, w)]:
         stop = min(end, (start // w + 1) * w)
         lo = _window_start(start + 1, w, cfg.window_mode)
         if lo > folded:
-            s, z = _fold(s, z, fk[:, :, folded - off : lo - off], values[:, :, folded - off : lo - off])
-            folded = lo
+            ds, dz = _fold(fk[:, :, folded - off : lo - off], values[:, :, folded - off : lo - off])
+            s, z, folded = s + ds, z + dz, lo
         qs, ks = slice(start - p, stop - p), slice(lo - off, stop - off)
         chunk = _chunk(cfg, q[:, :, qs], fq[:, :, qs], keys[:, :, ks], values[:, :, ks], fk[:, :, lo - off :], s, z, start, lo)
         outs.append(chunk[-2] / np.maximum(chunk[-1], EPS))
-        if chunks is not None:
-            chunks.append((s, z, *chunk))
     tail = _window_start(end, w, cfg.window_mode)
     if tail > folded:
-        s, z = _fold(s, z, fk[:, :, folded - off : tail - off], values[:, :, folded - off : tail - off])
+        ds, dz = _fold(fk[:, :, folded - off : tail - off], values[:, :, folded - off : tail - off])
+        s, z = s + ds, z + dz
     return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)), s, z
 
 
-def _hybrid_walk_grads(cfg: HybridArrays, g, q, fq, k, v, fk, chunks, qkv: bool):
-    """Gradients of the y of _hybrid_walk from a fresh state (p = off = 0)
-    for the upstream g [b, h, l, d]: (dq, dk, dv, dfq, dfk, dgamma [h]).
-    Without qkv, dq, dk and dv are left incomplete, for a caller needing none.
+def _blocks(x, nc: int, w: int, lead: int = 0):
+    """x [b, h, l, e] as blocks [b, h, lead + nc, w, e]: a view when l = nc w
+    and lead = 0, else a copy, zero-padded by lead blocks before x and by
+    nc w - l rows after it."""
+    b, h, l, e = x.shape
+    if not lead and l == nc * w:
+        return x.reshape(b, h, nc, w, e)
+    out = np.zeros((b, h, lead + nc, w, e), dtype=x.dtype)
+    out.reshape(b, h, -1, e)[:, :, lead * w : lead * w + l] = x
+    return out
 
-    The chunks run in reverse, carrying the gradient of the kv-state they read
-    (ds, dz) back to the keys folded into it, as the chunkwise backward of GLA
-    does (Yang et al. 2023). Each chunk's scores, weights, num and den are the
-    ones the forward kept in chunks (O(l w) bytes per layer, the order of the
-    q, k, v on the tape), not recomputed as FlashAttention does (Dao et al.
-    2022) to save memory at long lengths."""
-    w, l = cfg.window_size, q.shape[2]
-    scale = 1.0 / float(np.sqrt(q.shape[3]))
-    dq, dk, dv, dfq, dfk = (np.zeros_like(a) for a in (q, k, v, fq, fk))
-    dgamma = np.zeros(q.shape[1], dtype=q.dtype)
-    ds, dz = np.zeros_like(chunks[0][0]), np.zeros_like(chunks[0][1])
-    los = [_window_start(start + 1, w, cfg.window_mode) for start in range(0, l, w)]
-    for c in reversed(range(len(los))):
-        start, stop, lo = c * w, min(l, c * w + w), los[c]
-        # the keys folded in before chunk c + 1 get the state gradient of every later chunk
-        nxt = los[c + 1] if c + 1 < len(los) else lo
-        if nxt > lo:
-            dfk[:, :, lo:nxt] += v[:, :, lo:nxt] @ ds.swapaxes(-1, -2) + dz[:, :, None]
-            dv[:, :, lo:nxt] += fk[:, :, lo:nxt] @ ds
-        s, z, scores, ex, weights, lin, num, den = chunks[c]
-        qc, fqc, kc, vc = q[:, :, start:stop], fq[:, :, start:stop], k[:, :, lo:stop], v[:, :, lo:stop]
+
+def _unblock(x, l: int):
+    """The first l rows of blocks x [b, h, n, w, e], as [b, h, l, e]."""
+    return x.reshape(*x.shape[:2], -1, x.shape[-1])[:, :, :l]
+
+
+def _hybrid_chunkwise(cfg: HybridArrays, q, fq, k, v, fk):
+    """The hybrid forward from a fresh state over every chunk at once, the
+    chunkwise-parallel training form of GLA (Yang et al. 2023): q, k, v
+    [b, h, l, d] and their feature maps fq, fk [b, h, l, f] as nc = ceil(l / w)
+    blocks of w rows, zero-padded to nc w. Returns (y, backward, stats):
+    backward(g, qkv) gives (dq, dk, dv, dfq, dfk, dgamma [h]), and dq, dk, dv
+    are None unless qkv; stats are one chunk's share of the arrays kept.
+
+    Chunk c's queries attend to a key block through the window cap: its own
+    chunk in terraced mode; in standard mode the previous chunk and its own,
+    2w keys read as an overlapping view of the keys after one zero block
+    (chunk 0's previous block is that pad, capped at MASK_VALUE), whose
+    previous-chunk keys that left a query's window enter through the linear
+    cap. The kv-state S, Z of chunk c sums the folds phi(k)^T v of the chunks
+    lag = 1 (terraced) or 2 (standard) and more before it, a running sum over
+    the chunk axis (T._running_sum); the last lag chunks are folded by no one
+    and not computed. A padded key follows every real query, so the causal
+    cap weights it 0, and it lies in a chunk no fold reads.
+
+    A sequence within one window is one chunk of l rows, the window all of
+    it, in both modes. In terraced mode each chunk runs _chunk's operations
+    on the same operands, and the kv-state and every gradient that crosses
+    chunks are summed chunk by chunk in the serving walk's order, so when w
+    divides l, y is bit-identical to the walk's. A padded last chunk differs
+    from the walk by rounding, and so does standard mode, whose folds are
+    w-aligned groups where the walk's start one key later. The backward
+    reuses the forward's arrays, O(l w) bytes per layer, not recomputed as
+    FlashAttention does (Dao et al. 2022)."""
+    b, h, l, d = q.shape
+    w = min(cfg.window_size, l)
+    nc = -(-l // w)
+    standard, lag = (True, 2) if cfg.window_mode == "standard" and nc > 1 else (False, 1)
+    _, lin, win_cap, lin_cap = _mask_table(2 * cfg.window_size, cfg.window_size, cfg.window_mode, q.dtype)
+    gamma = cfg.gamma[:, None]
+    scale = 1.0 / math.sqrt(d)
+    qb, fqb = _blocks(q, nc, w), _blocks(fq, nc, w)
+    if standard:  # one zero block in front: a key block is the previous block and its own
+        kp, vp, fkp = (_blocks(x, nc, w, 1) for x in (k, v, fk))
+        kb, vb = (np.lib.stride_tricks.as_strided(x, (b, h, nc, 2 * w, d), x.strides, writeable=False) for x in (kp, vp))
+        vo, fko = vp[:, :, 1:], fkp[:, :, 1:]
+    else:
+        kb, vb, fko = (_blocks(x, nc, w) for x in (k, v, fk))
+        vo = vb
+    n = nc - lag  # the chunks whose folds a later chunk reads
+
+    scores = qb @ kb.swapaxes(-1, -2)
+    scores *= scale
+    np.minimum(scores, win_cap[w : 2 * w] if standard else win_cap[:w, :w], out=scores)
+    if standard:
+        np.minimum(scores[:, :, 0, :, :w], MASK_VALUE, out=scores[:, :, 0, :, :w])
+    ex = scores - np.fmax.reduce(scores, axis=-1, keepdims=True)  # scores stay: the backward takes their argmax
+    np.exp(ex, out=ex)
+    weights = gamma * ex
+    if standard:
+        prod = fqb @ fkp[:, :, :-1].swapaxes(-1, -2)
+        weights[..., :w] += np.minimum(prod, lin_cap[w : 2 * w, :w], out=prod)
+    # the kv-state s | z of every chunk, [nc, b, h, f, d + 1]: chunk-major, so
+    # that the running sum adds contiguous slices
+    state = np.zeros((nc, b, h, fk.shape[-1], d + 1), dtype=q.dtype)
+    fold = state[lag:].transpose(1, 2, 0, 3, 4)
+    fold[..., :d], fold[..., d] = _fold(fko[:, :, :n], vo[:, :, :n])
+    T._running_sum(state, 0, in_place=True)
+    s, z = state[..., :d].transpose(1, 2, 0, 3, 4), state[..., d].transpose(1, 2, 0, 3)
+    num = weights @ vb
+    num += fqb @ s
+    den = np.add.reduce(weights, axis=-1, keepdims=True)
+    den += fqb @ z[..., None]
+    y = _unblock(num / np.maximum(den, EPS), l)
+    stats = {  # one chunk's share: scores, ex, weights, num, den and its y (num's size)
+        "peak_chunk_bytes": (scores.nbytes + ex.nbytes + weights.nbytes + 2 * num.nbytes + den.nbytes) // nc,
+        "state_bytes": state.nbytes // nc,
+        "chunks": nc,
+    }
+
+    def onto_chunks(x):  # a standard key block's gradient onto its two chunks
+        out = x[..., w:, :].copy()
+        out[:, :, :-1] += x[:, :, 1:, :w]
+        return out
+
+    def backward(g, qkv: bool):
         floor = np.maximum(den, EPS)
-        dnum = g[:, :, start:stop] / floor
+        dnum = _blocks(g, nc, w) / floor
         dden = np.where(den < EPS, 0.0, -(dnum * num).sum(axis=-1, keepdims=True) / floor)
-
-        dweights = dnum @ vc.swapaxes(-1, -2) + dden
-        dfq[:, :, start:stop] += dnum @ s.swapaxes(-1, -2) + dden * z[:, :, None]
-        ds += fqc.swapaxes(-1, -2) @ dnum
-        dz += (dden * fqc).sum(axis=2)
-        if lin is not None:
-            hi = lo + lin.shape[1]
-            dlin = np.where(lin, dweights[..., : hi - lo], 0.0)
-            dfq[:, :, start:stop] += dlin @ fk[:, :, lo:hi]
-            dfk[:, :, lo:hi] += dlin.swapaxes(-1, -2) @ fqc
+        dweights = dnum @ vb.swapaxes(-1, -2)
+        dweights += dden
+        dfq = dnum @ s.swapaxes(-1, -2)
+        dfq += dden * z[:, :, :, None]
+        # chunk c's fold reaches the state of every chunk from c + lag on: its
+        # gradient is a running sum of theirs from the last chunk back
+        dstate = np.empty((n, b, h, fk.shape[-1], d + 1), dtype=q.dtype)
+        dfold = dstate.transpose(1, 2, 0, 3, 4)
+        dfold[..., :d] = fqb[:, :, lag:].swapaxes(-1, -2) @ dnum[:, :, lag:]
+        dfold[..., d] = (dden[:, :, lag:] * fqb[:, :, lag:]).sum(axis=3)
+        T._running_sum(dstate[::-1], 0, in_place=True)
+        ds, dz = dfold[..., :d], dfold[..., d]
+        dfk = np.zeros_like(fko)
+        dfk[:, :, :n] = vo[:, :, :n] @ ds.swapaxes(-1, -2) + dz[:, :, :, None]
+        if standard:
+            dlin = np.where(lin[w : 2 * w, :w], dweights[:, :, 1:, :, :w], 0.0)
+            dfq[:, :, 1:] += dlin @ fko[:, :, :-1]
+            dfk[:, :, :-1] += dlin.swapaxes(-1, -2) @ fqb[:, :, 1:]
         # the window term gamma exp(scores - row max). Only the window term
         # is shifted, so the output depends on the max, and its gradient goes
         # to the row's first argmax, as T.max routes it.
         dex = dweights * ex
-        dgamma += dex.sum(axis=(0, 2, 3))
+        dgamma = np.cumsum(dex.sum(axis=(0, 3, 4))[:, ::-1], axis=1)[:, -1]  # chunk sums, last first: the walk's order
+        dq = dk = dv = None
         if qkv:
-            dv[:, :, lo:stop] += weights.swapaxes(-1, -2) @ dnum
-            dscores = cfg.gamma * dex
+            dscores = gamma * dex
             rows = dscores.reshape(-1, dscores.shape[-1])
             rows[np.arange(len(rows)), scores.argmax(axis=-1).ravel()] -= rows.sum(axis=1)
-            dq[:, :, start:stop] += scale * (dscores @ kc)
-            dk[:, :, lo:stop] += scale * (dscores.swapaxes(-1, -2) @ qc)
-    return dq, dk, dv, dfq, dfk, dgamma
+            dk, dv = scale * (dscores.swapaxes(-1, -2) @ qb), weights.swapaxes(-1, -2) @ dnum
+            if standard:
+                dk, dv = onto_chunks(dk), onto_chunks(dv)
+            dv[:, :, :n] += fko[:, :, :n] @ ds
+            dq, dk, dv = _unblock(scale * (dscores @ kb), l), _unblock(dk, l), _unblock(dv, l)
+        return dq, dk, dv, _unblock(dfq, l), _unblock(dfk, l), dgamma
+
+    return y, backward, stats
 
 
 def _hybrid_op(q: Tensor, k: Tensor, v: Tensor, fq: Tensor, fk: Tensor, cfg: HybridAttnConfig, stats=None) -> Tensor:
     """The hybrid layer as one tape node over q, k, v, their feature maps fq,
-    fk and cfg.gamma_raw: forward, _hybrid_walk from a fresh state, keeping
-    its chunks; backward, _hybrid_walk_grads over them."""
-    arrays, chunks = cfg.arrays(), []
-    b, h, _, d = q.shape
-    s, z = np.zeros((b, h, fq.shape[-1], d), dtype=q.dtype), np.zeros((b, h, fq.shape[-1]), dtype=q.dtype)
-    y, s, z = _hybrid_walk(arrays, s, z, q.data, fq.data, k.data, v.data, fk.data, 0, 0, chunks)
-    if stats is not None:  # a chunk's scratch: scores, ex, weights, num, den and its y (num's size)
-        peak = max(sc.nbytes + ex.nbytes + wt.nbytes + 2 * num.nbytes + den.nbytes for _, _, sc, ex, wt, _, num, den in chunks)
-        stats.update(peak_chunk_bytes=peak, state_bytes=s.nbytes + z.nbytes, chunks=len(chunks))
+    fk and cfg.gamma_raw, forward and backward by _hybrid_chunkwise."""
+    arrays = cfg.arrays()
+    y, backward, kernel_stats = _hybrid_chunkwise(arrays, q.data, fq.data, k.data, v.data, fk.data)
+    if stats is not None:
+        stats.update(kernel_stats)
 
     def grads(g):  # stage 1 needs no dq, dk, dv
-        qkv = q.requires_grad or k.requires_grad or v.requires_grad
-        *rest, dgamma = _hybrid_walk_grads(arrays, g, q.data, fq.data, k.data, v.data, fk.data, chunks, qkv)
+        *rest, dgamma = backward(g, q.requires_grad or k.requires_grad or v.requires_grad)
         return (*rest, dgamma * arrays.gamma[:, 0, 0] * (1.0 - arrays.gamma[:, 0, 0]))
 
     return T.fused(y, (q, k, v, fq, fk, cfg.gamma_raw), grads, "hybrid_attention")
@@ -572,9 +653,11 @@ def hybrid_attention_prefill(
 ):
     """Hybrid attention over a full prompt, both window modes, post-RoPE q, k:
     the feature maps, as Tensor ops, then _hybrid_op. with_stats also returns
-    the peak scratch of one chunk in bytes (it grows with w, not with the
-    sequence), the kv-state's bytes and the chunk count. _hybrid_naive is the
-    masked O(l^2) oracle it must agree with."""
+    a stats dict: peak_chunk_bytes, one chunk's share of the scratch the
+    kernel keeps (it grows with w, not with the sequence; the kernel holds
+    all nc chunks, O(l w) bytes), state_bytes, one chunk's kv-state, and
+    chunks, nc. _hybrid_naive is the masked O(l^2) oracle it must agree
+    with."""
     _check_qkv(q, k, v)
     stats = {} if with_stats else None
     y = _hybrid_op(q, k, v, feature_map_apply(cfg.phi_q, q), feature_map_apply(cfg.phi_k, k), cfg, stats)

@@ -303,10 +303,6 @@ class Model:
             t.requires_grad = flag
             t.grad = np.zeros_like(t.data) if flag else None
 
-    def zero_grad(self) -> None:
-        for t in self.parameters().values():
-            t.zero_grad()
-
     # -- forward paths --------------------------------------------------------
 
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
@@ -413,16 +409,6 @@ def _assemble(cfg: ModelConfig, take, hybrid: HybridSpec | None = None, lora: di
     if lora is not None:
         _attach_lora(model, lora["rank"], lora["alpha"], tuple(lora["targets"]), take)
     return model
-
-
-def clone_model(model: Model) -> Model:
-    """Independent copy: the same structure, copies of the data."""
-    src = model.parameters()
-    new = _assemble(model.config, lambda name, shape: src[name].data.copy(), model.hybrid_spec, model.lora_meta)
-    for name, t in new.parameters().items():
-        t.requires_grad = src[name].requires_grad
-        t.grad = np.zeros_like(t.data) if t.requires_grad else None
-    return new
 
 
 def expected_parameter_count(cfg: ModelConfig) -> int:

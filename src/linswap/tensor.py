@@ -491,13 +491,13 @@ def reduce_max(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(np.asarray(out, dtype=a.dtype), (a,), (rule,), "max")
 
 
-def _running_sum(x: np.ndarray, ax: int) -> np.ndarray:
-    """np.cumsum(x, axis=ax), summed in the same order. Along any axis but the
-    last, numpy accumulates one element at a time; adding whole slices in
-    sequence is several times faster."""
+def _running_sum(x: np.ndarray, ax: int, in_place: bool = False) -> np.ndarray:
+    """np.cumsum(x, axis=ax), summed in the same order, in x itself when
+    in_place. Along any axis but the last, numpy accumulates one element at a
+    time; adding whole slices in sequence is several times faster."""
     if ax == x.ndim - 1:
-        return np.cumsum(x, axis=ax)
-    out = x.copy()
+        return np.cumsum(x, axis=ax, out=x if in_place else None)
+    out = x if in_place else x.copy()
     view = np.moveaxis(out, ax, 0)
     for i in range(1, len(view)):
         np.add(view[i - 1], view[i], out=view[i])

@@ -6,12 +6,14 @@ two-route check rather than a tautology. The *_composite functions are the
 other kind of oracle: the fused Tensor ops (rope, softmax attention,
 rms_norm, cross_entropy) written out as chains of elementary Tensor ops,
 whose gradients the tape derives op by op. hybrid_op_packed sets the hybrid
-op up for the finite-difference suites.
+op up for the finite-difference suites. clone_model and zero_grad are the
+model helpers only the tests use.
 """
 
 import numpy as np
 
 from linswap import attention as A
+from linswap import model as M
 from linswap import tensor as T
 
 EPS = 1e-6
@@ -148,16 +150,18 @@ def cross_entropy_composite(logits, targets):
     return -(logp * T.Tensor(onehot, dtype=logits.dtype)).sum(-1).mean()
 
 
-HYBRID_PACKED = (1, 2, 7, 2)  # b, h, l, d of hybrid_op_packed, window 2
+HYBRID_PACKED = (1, 2, 7, 2)  # b, h, l, d of hybrid_op_packed, window 2: the last chunk is padded
 HYBRID_PACKED_SIZE = 5 * int(np.prod(HYBRID_PACKED)) + HYBRID_PACKED[1]
+HYBRID_ALIGNED = (2, 1, 6, 2)  # three whole chunks, b > 1
+HYBRID_ALIGNED_SIZE = 5 * int(np.prod(HYBRID_ALIGNED)) + HYBRID_ALIGNED[1]
 
 
-def hybrid_op_packed(t, mode):
+def hybrid_op_packed(t, mode, shape=HYBRID_PACKED):
     """The hybrid op as a scalar function of one float64 Tensor t that packs
-    q, k, v, the feature-map outputs and gamma_raw [h]: the feature maps are
-    exp of their slices, so they stay positive, and the output is summed
-    against a fixed probe."""
-    b, h, l, d = HYBRID_PACKED
+    q, k, v, the feature-map outputs and gamma_raw [h] of the given b, h, l, d
+    shape: the feature maps are exp of their slices, so they stay positive,
+    and the output is summed against a fixed probe."""
+    b, h, l, d = shape
     n = b * h * l * d
     q, k, v, fq, fk = (t[i * n : (i + 1) * n].reshape(b, h, l, d) for i in range(5))
     cfg = A.make_hybrid_config(2, mode, "t2r", h, d, dtype=np.float64)
@@ -165,3 +169,20 @@ def hybrid_op_packed(t, mode):
     y = A._hybrid_op(q, k, v, T.exp(fq), T.exp(fk), cfg)
     probe = np.random.default_rng(n).normal(size=y.shape)
     return (y * T.Tensor(probe, dtype=np.float64)).sum()
+
+
+def clone_model(model):
+    """Independent copy of a model: the same structure, copies of the data,
+    the same trainable flags and zeroed gradients."""
+    src = model.parameters()
+    new = M._assemble(model.config, lambda name, shape: src[name].data.copy(), model.hybrid_spec, model.lora_meta)
+    for name, t in new.parameters().items():
+        t.requires_grad = src[name].requires_grad
+        t.grad = np.zeros_like(t.data) if t.requires_grad else None
+    return new
+
+
+def zero_grad(model):
+    """Zero (or clear) the gradient of every parameter of a model."""
+    for t in model.parameters().values():
+        t.zero_grad()

@@ -14,7 +14,6 @@ from linswap.model import (
     HybridSpec,
     ModelConfig,
     build_model,
-    clone_model,
     convert_model,
     lora_attach,
 )
@@ -298,7 +297,7 @@ def test_criterion_06_frozen_and_lora_contracts():
     # stage 1: backprop the transfer loss, check the gradient support exactly
     trainer = AttentionTransfer()
     loss, _ = trainer.transfer_loss(model, inputs)
-    model.zero_grad()
+    oracles.zero_grad(model)
     T.backpropagate(loss)
     feature_names = set(feature_map_parameters(model))
     for n, t in model.parameters().items():
@@ -316,7 +315,7 @@ def test_criterion_06_frozen_and_lora_contracts():
     from linswap.model import freeze_feature_maps
 
     freeze_feature_maps(model)
-    model.zero_grad()
+    oracles.zero_grad(model)
     loss2 = next_token_loss(model.forward(inputs), targets)
     T.backpropagate(loss2)
     for n, t in model.parameters().items():
@@ -340,7 +339,7 @@ def test_criterion_07_block_decoupling():
     params = feature_map_parameters(model)
 
     def grads(block_size):
-        model.zero_grad()
+        oracles.zero_grad(model)
         loss, _ = AttentionTransfer(block_size=block_size).transfer_loss(model, inputs)
         T.backpropagate(loss)
         return {n: t.grad.copy() for n, t in params.items()}
@@ -371,8 +370,8 @@ def test_criterion_08_two_stage_orderings():
         pretrain_base(base, train, steps=300, lr=3e-3, seed=seed)
 
         spec = HybridSpec(window_size=8, window_mode="terraced", feature_kind="t2r")
-        with_transfer = convert_model(clone_model(base), spec, seed=seed)
-        without = convert_model(clone_model(base), spec, seed=seed)
+        with_transfer = convert_model(oracles.clone_model(base), spec, seed=seed)
+        without = convert_model(oracles.clone_model(base), spec, seed=seed)
 
         AttentionTransfer(lr=1e-2, steps=100, seq_len=64, seed=seed).fit(with_transfer, train)
         ppl0_with = eval_next_token_loss(with_transfer, evalc)

@@ -1,8 +1,13 @@
 """RoPE, feature maps, softmax attention, and the three linear-attention forms,
-checked against the analytic cases and the float64 loop oracles."""
+checked against the analytic cases, the float64 loop oracles and, for the
+three forms, each other at drawn shapes."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linswap import attention as A
 from linswap import tensor as T
@@ -245,6 +250,36 @@ def test_linear_attention_three_forms_agree(kind):
         )
     assert state.nbytes == size0  # constant-memory contract
     np.testing.assert_allclose(stream, y_par.data, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b=st.integers(1, 2),
+    h=st.integers(1, 4),
+    l=st.integers(1, 96),
+    half_d=st.integers(1, 16),
+    kind=st.sampled_from(["t2r", "hedgehog"]),
+    seed=st.integers(0, 2**16),
+)
+def test_linear_attention_forms_agree_pairwise(b, h, l, half_d, kind, seed):
+    # criterion 1 as a property: at any shape and seed, in float32, each of
+    # the weight form, the kv-state form and the recurrent step agrees with
+    # the other two within 1e-5 max-abs
+    g, d = rng(seed), 2 * half_d
+    pq = A.init_feature_map(kind, h, d, None, g)
+    pk = A.init_feature_map(kind, h, d, None, g)
+    q, k, v = (Tensor(g.normal(size=(b, h, l, d)).astype(np.float32)) for _ in range(3))
+    state = A.LinearAttentionState(b, h, pq.output_dim, d)
+    forms = {
+        "parallel": A.linear_attention_parallel(q, k, v, pq, pk).data,
+        "state": A.linear_attention_state(q, k, v, pq, pk).data,
+        "recurrent": np.stack(
+            [A.linear_attention_recurrent_step(state, q.data[:, :, n], k.data[:, :, n], v.data[:, :, n], pq, pk) for n in range(l)],
+            axis=2,
+        ),
+    }
+    for (a, ya), (c, yc) in itertools.combinations(forms.items(), 2):
+        assert np.abs(ya - yc).max() <= 1e-5, (a, c)
 
 
 def test_recurrent_first_step_returns_value():

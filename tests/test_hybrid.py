@@ -146,20 +146,79 @@ def test_chunked_single_chunk_is_softmax():
 @pytest.mark.parametrize("mode", A.WINDOW_MODES)
 @pytest.mark.parametrize("l", [3, 8, 13])
 def test_training_walk_folds_only_keys_that_left_the_window(mode, l, monkeypatch):
-    # the training op reads no kv-state after its last chunk: its walk folds
-    # the keys before _window_start(l), the ones a decode state holds in its
-    # kv-state (test_decode_state_matches_spec_partition), and no more
-    folded = []
+    # the training kernel folds whole chunks of keys in one _fold call, and
+    # only the chunks whose fold a later chunk's kv-state reads: the keys
+    # before the w-aligned start of the last chunk's key block, the first l
+    # keys in order and never a padded one. In terraced mode those are the
+    # keys before _window_start(l), the ones a decode state holds in its
+    # kv-state (test_decode_state_matches_spec_partition); in standard mode
+    # the last query reaches the rest of those, 1 to w keys, through the
+    # linear term over the previous chunk
+    w, folded = 4, []
     fold = A._fold
 
-    def counted(s, z, fk, v):
-        folded.append(fk.shape[2])
-        return fold(s, z, fk, v)
+    def counted(fk, v):
+        folded.append(fk)
+        return fold(fk, v)
 
     monkeypatch.setattr(A, "_fold", counted)
+    cfg = make_cfg(w, mode, seed=5)
     q, k, v = rand_qkv(1, 2, l, 8, 6)
-    A.hybrid_attention_prefill(q, k, v, make_cfg(4, mode, seed=5))
-    assert sum(folded) == A._window_start(l, 4, mode)
+    A.hybrid_attention_prefill(q, k, v, cfg)
+    (fk,) = folded
+    keys = fk.reshape(1, 2, -1, fk.shape[-1])
+    n = keys.shape[2]
+    last = (l - 1) // w * w  # the last chunk's first query
+    assert n == A._window_start(last + 1, w, mode) // w * w
+    assert np.array_equal(keys, A.feature_map_apply(cfg.phi_k, k).data[:, :, :n])
+    if mode == "terraced" or l <= w:
+        assert n == A._window_start(l, w, mode)
+    else:
+        assert 0 < A._window_start(l, w, mode) - n <= w
+
+
+@pytest.mark.parametrize("kind", ["t2r", "hedgehog"])
+@pytest.mark.parametrize("mode", A.WINDOW_MODES)
+@pytest.mark.parametrize("rel", ["1", "w-1", "w", "w+1", "2w+3", "5w"])
+def test_chunkwise_kernel_matches_oracle_and_serving_walk(rel, mode, kind, monkeypatch):
+    # the training kernel over every chunk at once, at lengths within one
+    # window, with a padded last chunk and with whole chunks: in float64, y
+    # and the gradients of q, k, v, phi(q), phi(k) and gamma_raw against the
+    # masked oracle, inside criterion 5's bound; in float32, y against the
+    # serving walk (hybrid_decode_step from a fresh state) at criterion 4's
+    # bound, and bit for bit where both take the same chunks: a sequence
+    # within one window, and terraced mode when w divides l
+    w = 4
+    l = {"1": 1, "w-1": w - 1, "w": w, "w+1": w + 1, "2w+3": 2 * w + 3, "5w": 5 * w}[rel]
+    b, h, d = 2, 3, 8
+    cfg = make_cfg(w, mode, kind=kind, heads=h, d=d, seed=60 + l, gamma=0.4)
+    q, k, v = rand_qkv(b, h, l, d, 61 + l)
+    fq, fk = (Tensor(A.feature_map_apply(p, x).data) for p, x in ((cfg.phi_q, q), (cfg.phi_k, k)))
+    probe = rng(62 + l).normal(size=(b, h, l, d))
+    leaves = (q, k, v, fq, fk, cfg.gamma_raw)
+
+    def run(fn):
+        for t in leaves:
+            t.requires_grad, t.grad = True, np.zeros_like(t.data)
+        y = fn()
+        T.backpropagate((y * Tensor(probe)).sum())
+        return y.data, [t.grad.copy() for t in leaves]
+
+    y, grads = run(lambda: A._hybrid_op(q, k, v, fq, fk, cfg))
+    monkeypatch.setattr(A, "feature_map_apply", lambda p, x: fq if p is cfg.phi_q else fk)
+    y_ref, grads_ref = run(lambda: A._hybrid_naive(q, k, v, cfg)[0])
+    np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
+    for name, g, g_ref in zip(("q", "k", "v", "phi_q", "phi_k", "gamma_raw"), grads, grads_ref):
+        assert np.abs(g - g_ref).max() <= 1e-10 * max(np.abs(g_ref).max(), 1.0), name
+    monkeypatch.undo()
+
+    cfg32 = make_cfg(w, mode, kind=kind, heads=h, d=d, seed=60 + l, gamma=0.4, dtype=np.float32)
+    q32, k32, v32 = (t.data.astype(np.float32) for t in (q, k, v))
+    y32 = A.hybrid_attention_prefill(Tensor(q32), Tensor(k32), Tensor(v32), cfg32).data
+    served = A.hybrid_decode_step(A.HybridDecodeState(b, h, cfg32, d), q32, k32, v32, cfg32.arrays())
+    assert np.abs(y32 - served).max() <= 1e-5
+    if l <= w or (mode == "terraced" and l % w == 0):
+        assert np.array_equal(y32, served)
 
 
 def test_chunked_scratch_scales_with_window_not_seq():

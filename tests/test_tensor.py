@@ -311,6 +311,8 @@ UNARY_CASES = [
     # q, k, v, phi(q), phi(k) and gamma_raw, packed
     ("hybrid_standard", lambda t: oracles.hybrid_op_packed(t, "standard"), (oracles.HYBRID_PACKED_SIZE,)),
     ("hybrid_terraced", lambda t: oracles.hybrid_op_packed(t, "terraced"), (oracles.HYBRID_PACKED_SIZE,)),
+    ("hybrid_standard_aligned", lambda t: oracles.hybrid_op_packed(t, "standard", oracles.HYBRID_ALIGNED), (oracles.HYBRID_ALIGNED_SIZE,)),
+    ("hybrid_terraced_aligned", lambda t: oracles.hybrid_op_packed(t, "terraced", oracles.HYBRID_ALIGNED), (oracles.HYBRID_ALIGNED_SIZE,)),
 ]
 
 

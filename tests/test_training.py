@@ -34,6 +34,8 @@ from linswap.training import (
     synthetic_corpus,
 )
 
+import oracles
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -282,7 +284,7 @@ def test_block_gradients_decouple_and_match_joint():
 
     def grads_for(block_size):
         trainer = AttentionTransfer(block_size=block_size)
-        model.zero_grad()
+        oracles.zero_grad(model)
         loss, _ = trainer.transfer_loss(model, inputs)
         T.backpropagate(loss)
         return {n: t.grad.copy() for n, t in params.items()}
@@ -297,7 +299,7 @@ def test_block_gradients_decouple_and_match_joint():
     # a single block's loss must not touch other blocks' parameters
     records = model.forward_teacher_forced(inputs)
     blocks = blockwise_loss([r["y"] for r in records], [r["y_hat"] for r in records], 2)
-    model.zero_grad()
+    oracles.zero_grad(model)
     T.backpropagate(blocks[0])
     for n, t in params.items():
         layer = int(n.split(".")[1])
@@ -315,13 +317,13 @@ def test_zeroing_later_layer_loss_leaves_earlier_grads():
 
     records = model.forward_teacher_forced(inputs)
     per_layer = blockwise_loss([r["y"] for r in records], [r["y_hat"] for r in records], 1)
-    model.zero_grad()
+    oracles.zero_grad(model)
     T.backpropagate(per_layer[0] + per_layer[1])
     with_both = {n: t.grad.copy() for n, t in params.items() if n.startswith("layers.0")}
 
     records = model.forward_teacher_forced(inputs)
     per_layer = blockwise_loss([r["y"] for r in records], [r["y_hat"] for r in records], 1)
-    model.zero_grad()
+    oracles.zero_grad(model)
     T.backpropagate(per_layer[0])  # layer-1 loss zeroed out
     for n, t in params.items():
         if n.startswith("layers.0"):
