@@ -6,14 +6,13 @@ and the entropy / effective-sequence-length diagnostics.
 All batched operations take [batch, heads, seq, dim] arrays. Softmax
 attention has one forward, softmax_attention_np: the stage-1 teacher and
 SoftmaxSession call it, and softmax_attention runs it as one tape node with
-an analytic backward. The hybrid layer has two numpy forwards over the same
-w-aligned chunks, each chunk attending to its window exactly and to older
-keys through a kv-state: the serving walk, _hybrid_walk, takes the chunks
-one at a time from a kv-state over a cached tail (scratch grows with the
-window, not the sequence), and the training kernel, _hybrid_chunkwise, takes
-every chunk of a fresh sequence at once, with an analytic backward.
+an analytic backward. The hybrid layer has one numpy forward,
+_hybrid_chunkwise, over chunks of w rows, each chunk attending to its window
+exactly and to older keys through a kv-state: it takes every chunk of a
+segment at once, from the kv-state of the keys before a cached tail, with
+an analytic backward.
 
-The three kernels mask with caps, read-only tables cached per shape, mode
+The two kernels mask with caps, read-only tables cached per shape, mode
 and dtype beside the bool masks (_mask_table): +inf where a key is attended
 and MASK_VALUE where it is not, applied by np.minimum in place, which gives
 what np.where gives for every finite and +-inf score at a fraction of the
@@ -21,12 +20,12 @@ cost. They shift each row by np.fmax.reduce, the row max np.maximum.reduce
 gives on a row without a NaN; a row holding a NaN comes out NaN under
 either, so a non-finite result is named at the same layer and op.
 
-Training and Model.forward run the kernel as one tape node,
-hybrid_attention_prefill, which keeps every chunk's scores (O(l w) bytes per
-layer) for its backward; the serving sessions run the walk through
-hybrid_decode_step, which keeps nothing per chunk and advances a
-constant-size state by a segment of any length. _hybrid_naive, the masked
-O(l^2) form, is the oracle of both.
+Training and Model.forward run the kernel from an empty state as one tape
+node, hybrid_attention_prefill, which keeps every chunk's scores (O(l w)
+bytes per layer) for its backward; the serving sessions run it through
+hybrid_decode_step, which advances a constant-size state (the kv-state and a
+w-key cache) by a segment of any length and keeps nothing else between
+segments. _hybrid_naive, the masked O(l^2) form, is its oracle.
 
 The numpy kernels (_phi_np, softmax_attention_np, hybrid_decode_step; rope and
 softmax are T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array
@@ -244,7 +243,8 @@ def softmax_attention_np(q: np.ndarray, keys: np.ndarray, values: np.ndarray):
     softmax_attention, the tape. Scores, mask, shift, exp and normalisation
     run in place in the buffer the weights are returned in. The last S keys
     are masked by _mask_table's causal cap (a single query, which follows
-    every key, takes none) and the shift is np.fmax.reduce, as in _chunk."""
+    every key, takes none) and the shift is np.fmax.reduce, as in
+    _hybrid_chunkwise."""
     s, n = q.shape[2], keys.shape[2]
     a = q @ keys.swapaxes(-1, -2)
     a *= 1.0 / math.sqrt(q.shape[-1])
@@ -357,7 +357,7 @@ class HybridAttnConfig:
 
     def arrays(self) -> HybridArrays:
         gamma = 1.0 / (1.0 + np.exp(-self.gamma_raw.data))
-        return HybridArrays(self.window_size, self.window_mode, gamma[:, None, None], self.phi_q.arrays(), self.phi_k.arrays())
+        return HybridArrays(self.window_size, self.window_mode, gamma[:, None, None, None], self.phi_q.arrays(), self.phi_k.arrays())
 
 
 class HybridArrays(NamedTuple):
@@ -366,7 +366,7 @@ class HybridArrays(NamedTuple):
 
     window_size: int
     window_mode: str
-    gamma: np.ndarray  # sigmoid(gamma_raw) as [heads, 1, 1]
+    gamma: np.ndarray  # sigmoid(gamma_raw) as [heads, 1, 1, 1], over [b, h, chunks, rows, keys]
     phi_q: PhiArrays
     phi_k: PhiArrays
 
@@ -422,224 +422,181 @@ def _window_start(n_seen: int, w: int, mode: str) -> int:
     return max(0, n_seen - w if mode == "standard" else (n_seen - 1) // w * w)
 
 
-def _chunk(cfg: HybridArrays, qc, fqc, kc, vc, fkc, s, z, start: int, lo: int):
-    """Queries qc, fqc at positions [start, stop) against keys kc, vc at
-    [lo, stop), fkc = phi(k) from lo on, and the kv-state s, z of the keys
-    before lo. Returns the window scores (MASK_VALUE off each query's window),
-    ex = exp(scores - row max), the weights (gamma ex, plus in standard mode
-    phi(q) phi(k)^T over the keys [lo, hi) that left a later query's window),
-    that linear mask [stop - start, hi - lo] or None, and y's num and den.
-
-    The masks are _mask_table's caps, sliced and applied by np.minimum in
-    place; a single query takes none, since its window holds every key from
-    lo on. The linear cap is exact too: phi >= 0 for both feature kinds, so
-    min(phi(q) phi(k)^T, 0) is 0. The shift is np.fmax.reduce (see the
-    module docstring)."""
-    size, w, mode = qc.shape[2], cfg.window_size, cfg.window_mode
-    scores = qc @ kc.swapaxes(-1, -2)
-    scores *= 1.0 / math.sqrt(qc.shape[3])
-    lin = None
-    if size > 1:
-        rel, hi = start - lo, _window_start(start + size, w, mode)
-        _, lin, win_cap, lin_cap = _mask_table(2 * w, w, mode, scores.dtype)
-        np.minimum(scores, win_cap[rel : rel + size, : rel + size], out=scores)
-        lin = lin[rel : rel + size, : hi - lo] if hi > lo else None
-    ex = scores - np.fmax.reduce(scores, axis=-1, keepdims=True)  # scores stay: _chunk returns them
-    np.exp(ex, out=ex)
-    weights = cfg.gamma * ex
-    if lin is not None:
-        prod = fqc @ fkc[:, :, : lin.shape[1]].swapaxes(-1, -2)
-        weights[..., : lin.shape[1]] += np.minimum(prod, lin_cap[rel : rel + size, : hi - lo], out=prod)
-    num = weights @ vc + fqc @ s
-    den = np.add.reduce(weights, axis=-1, keepdims=True) + fqc @ z[..., None]
-    return scores, ex, weights, lin, num, den
-
-
 def _fold(fk, v):
     """The kv-state terms phi(k)^T v and sum phi(k) of the keys fk = phi(k),
     v [..., n, ·], summed over n."""
     return fk.swapaxes(-1, -2) @ v, fk.sum(axis=-2)
 
 
-def _hybrid_walk(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: int):
-    """The serving forward: queries q [b, h, S, d] at positions p onwards,
-    with feature maps fq, over keys and values [b, h, end - off, d] at
-    positions off onwards (end = p + S), where the kv-state s [b, h, f, d],
-    z [b, h, f] sums every key before off. fk holds phi(k) of the keys from
-    off on, at least to _window_start(end), the ones that leave the window by
-    the end.
-
-    Chunks end at multiples of w. Before each, the keys outside its first
-    query's window are folded into the kv-state. Returns y [b, h, S, d] and
-    the kv-state with every key before _window_start(end) folded in, which is
-    what a decode state keeps."""
-    w, end = cfg.window_size, p + q.shape[2]
-    folded, outs = off, []
-    for start in [p, *range((p // w + 1) * w, end, w)]:
-        stop = min(end, (start // w + 1) * w)
-        lo = _window_start(start + 1, w, cfg.window_mode)
-        if lo > folded:
-            ds, dz = _fold(fk[:, :, folded - off : lo - off], values[:, :, folded - off : lo - off])
-            s, z, folded = s + ds, z + dz, lo
-        qs, ks = slice(start - p, stop - p), slice(lo - off, stop - off)
-        chunk = _chunk(cfg, q[:, :, qs], fq[:, :, qs], keys[:, :, ks], values[:, :, ks], fk[:, :, lo - off :], s, z, start, lo)
-        outs.append(chunk[-2] / np.maximum(chunk[-1], EPS))
-    tail = _window_start(end, w, cfg.window_mode)
-    if tail > folded:
-        ds, dz = _fold(fk[:, :, folded - off : tail - off], values[:, :, folded - off : tail - off])
-        s, z = s + ds, z + dz
-    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)), s, z
+def _blocks(x, start: int, nb: int, n: int, w: int):
+    """Rows [start + i w, start + i w + n) of x [b, h, ·, e] for i < nb, as a
+    view [b, h, nb, n, e]; the blocks overlap when n > w."""
+    if nb == 1:
+        return x[:, :, None, start : start + n]
+    b, h, _, e = x.shape
+    if n != w:
+        st = x.strides
+        return np.lib.stride_tricks.as_strided(x[:, :, start:], (b, h, nb, n, e), (*st[:2], w * st[2], *st[2:]), writeable=False)
+    return x[:, :, start : start + nb * n].reshape(b, h, nb, n, e)
 
 
-def _blocks(x, nc: int, w: int, lead: int = 0):
-    """x [b, h, l, e] as blocks [b, h, lead + nc, w, e]: a view when l = nc w
-    and lead = 0, else a copy, zero-padded by lead blocks before x and by
-    nc w - l rows after it."""
-    b, h, l, e = x.shape
-    if not lead and l == nc * w:
-        return x.reshape(b, h, nc, w, e)
-    out = np.zeros((b, h, lead + nc, w, e), dtype=x.dtype)
-    out.reshape(b, h, -1, e)[:, :, lead * w : lead * w + l] = x
-    return out
+def _add_blocks(x, start: int, blocks, w: int):
+    """x[:, :, start + i w + r] += blocks[:, :, i, r], blocks of up to 2 w
+    rows: the gradient of _blocks."""
+    nb, n = blocks.shape[2:4]
+    for j in range(0, n, w):
+        part = blocks[:, :, :, j : j + w]
+        view = _blocks(x, start + j, nb, part.shape[3], w)
+        view += part
 
 
-def _unblock(x, l: int):
-    """The first l rows of blocks x [b, h, n, w, e], as [b, h, l, e]."""
-    return x.reshape(*x.shape[:2], -1, x.shape[-1])[:, :, :l]
+def _hybrid_chunkwise(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, off: int):
+    """The hybrid forward, the chunkwise-parallel form of GLA (Yang et al.
+    2023): queries q [b, h, S, d] at positions p onwards, with feature maps
+    fq, over keys and values [b, h, L, d] at positions off onwards (end = p +
+    S = off + L), where the kv-state s [b, h, f, d], z [b, h, f] sums every
+    key before off; s = z = None is the empty state of a fresh sequence. fk
+    holds phi(k) of the keys from off on, at least those that leave the
+    window by the end. Returns (y, s, z, folded, backward, stats): y
+    [b, h, S, d]; the kv-state of every key before position folded, the
+    first key the last chunk reads, which is _window_start(end) in terraced
+    mode and 1 to w keys short of it in standard mode, where the last chunk
+    reads those through its linear term; backward(g, qkv) gives (dq, dk, dv,
+    dfq, dfk, dgamma [h]), dq, dk, dv None unless qkv; and stats(), one
+    chunk's share of the arrays the backward keeps.
 
+    The keys form blocks of w rows from off, and the queries of a block are
+    one chunk. A chunk attends to a key block through the window cap: its
+    own block in terraced mode, where off is w-aligned; in standard mode the
+    previous block and its own (block 0 has only its own), whose keys that
+    left a query's window enter through the linear cap. The kv-state of
+    block c adds to s the folds phi(k)^T v of the blocks lag = 1 (terraced)
+    or 2 (standard) and more before it, a running sum over the block axis
+    (T._running_sum); a call that folds nothing reads s, z as given.
 
-def _hybrid_chunkwise(cfg: HybridArrays, q, fq, k, v, fk):
-    """The hybrid forward from a fresh state over every chunk at once, the
-    chunkwise-parallel training form of GLA (Yang et al. 2023): q, k, v
-    [b, h, l, d] and their feature maps fq, fk [b, h, l, f] as nc = ceil(l / w)
-    blocks of w rows, zero-padded to nc w. Returns (y, backward, stats):
-    backward(g, qkv) gives (dq, dk, dv, dfq, dfk, dgamma [h]), and dq, dk, dv
-    are None unless qkv; stats are one chunk's share of the arrays kept.
-
-    Chunk c's queries attend to a key block through the window cap: its own
-    chunk in terraced mode; in standard mode the previous chunk and its own,
-    2w keys read as an overlapping view of the keys after one zero block
-    (chunk 0's previous block is that pad, capped at MASK_VALUE), whose
-    previous-chunk keys that left a query's window enter through the linear
-    cap. The kv-state S, Z of chunk c sums the folds phi(k)^T v of the chunks
-    lag = 1 (terraced) or 2 (standard) and more before it, a running sum over
-    the chunk axis (T._running_sum); the last lag chunks are folded by no one
-    and not computed. A padded key follows every real query, so the causal
-    cap weights it 0, and it lies in a chunk no fold reads.
-
-    A sequence within one window is one chunk of l rows, the window all of
-    it, in both modes. In terraced mode each chunk runs _chunk's operations
-    on the same operands, and the kv-state and every gradient that crosses
-    chunks are summed chunk by chunk in the serving walk's order, so when w
-    divides l, y is bit-identical to the walk's. A padded last chunk differs
-    from the walk by rounding, and so does standard mode, whose folds are
-    w-aligned groups where the walk's start one key later. The backward
-    reuses the forward's arrays, O(l w) bytes per layer, not recomputed as
-    FlashAttention does (Dao et al. 2022)."""
-    b, h, l, d = q.shape
-    w = min(cfg.window_size, l)
-    nc = -(-l // w)
-    standard, lag = (True, 2) if cfg.window_mode == "standard" and nc > 1 else (False, 1)
-    _, lin, win_cap, lin_cap = _mask_table(2 * cfg.window_size, cfg.window_size, cfg.window_mode, q.dtype)
-    gamma = cfg.gamma[:, None]
+    Chunks of one shape run as one batch of numpy calls: the whole chunks,
+    then a first chunk that starts within its block (or, in standard mode,
+    lies in block 0) and a last one that ends within it, each at its own
+    size. No row or key is padded, since OpenBLAS rounds a row differently
+    at some row counts: a chunk's output does not depend on the chunks
+    batched with it. So serving a sequence from a fresh decode state is the
+    training op's call, bit for bit, and with w dividing the segment length
+    a prefill cut into segments folds and attends as one segment does, bit
+    for bit. The backward reuses the forward's arrays, O(L w) bytes per
+    layer, not recomputed as FlashAttention does (Dao et al. 2022)."""
+    b, h, L, d = keys.shape
+    w, r0 = cfg.window_size, p - off
+    nc = -(-L // w)  # key blocks
+    standard = cfg.window_mode == "standard"
+    lag = 2 if standard else 1
     scale = 1.0 / math.sqrt(d)
-    qb, fqb = _blocks(q, nc, w), _blocks(fq, nc, w)
-    if standard:  # one zero block in front: a key block is the previous block and its own
-        kp, vp, fkp = (_blocks(x, nc, w, 1) for x in (k, v, fk))
-        kb, vb = (np.lib.stride_tricks.as_strided(x, (b, h, nc, 2 * w, d), x.strides, writeable=False) for x in (kp, vp))
-        vo, fko = vp[:, :, 1:], fkp[:, :, 1:]
-    else:
-        kb, vb, fko = (_blocks(x, nc, w) for x in (k, v, fk))
-        vo = vb
-    n = nc - lag  # the chunks whose folds a later chunk reads
+    n_f = max(0, nc - lag)  # the blocks whose fold a chunk reads
+    if n_f or s is None:  # the kv-state s | z of every block, chunk-major for the running sum
+        state = np.zeros((nc, b, h, fk.shape[3], d + 1), dtype=q.dtype)
+        if s is not None:
+            state[0, ..., :d], state[0, ..., d] = s, z
+        fold = state[lag:].transpose(1, 2, 0, 3, 4)
+        fold[..., :d], fold[..., d] = _fold(_blocks(fk, 0, n_f, w, w), _blocks(values, 0, n_f, w, w))
+        T._running_sum(state, 0, in_place=True)
+        S, Z = state[..., :d].transpose(1, 2, 0, 3, 4), state[..., d].transpose(1, 2, 0, 3).copy()
+        s, z = S[:, :, -1], Z[:, :, -1]
+    else:  # nothing to fold: every chunk reads s, z
+        S, Z = s[:, :, None], z[:, :, None]
+    a1 = min(L, max(-(-r0 // w), lag - 1) * w)  # the end of a first chunk that starts within its block, or of standard block 0
+    a2 = max(a1, L // w * w)  # the start of a last chunk that ends within its block
+    ys, chunks = [], []
+    for a, e in ((r0, a1), (a1, a2), (a2, L)):
+        if e <= a:
+            continue
+        c, m = a // w, min(w, e - a)  # the first chunk's block, its rows
+        nb, lo = (e - a) // m, max(0, (c - lag + 1) * w)  # the chunks, the first key row
+        rel = a - lo
+        n = rel + m  # keys per chunk
+        qg, fqg = _blocks(q, a - r0, nb, m, m), _blocks(fq, a - r0, nb, m, m)
+        kg, vg = _blocks(keys, lo, nb, n, w), _blocks(values, lo, nb, n, w)
+        scores = qg @ kg.swapaxes(-1, -2)
+        scores *= scale
+        if m > 1 or n > w:  # a single query's window holds every key of its own block
+            _, lin, win_cap, lin_cap = _mask_table(2 * w, w, cfg.window_mode, q.dtype)
+            np.minimum(scores, win_cap[rel : rel + m, :n], out=scores)
+        ex = scores - np.fmax.reduce(scores, axis=-1, keepdims=True)  # scores stay: the backward takes their argmax
+        np.exp(ex, out=ex)
+        weights = cfg.gamma * ex
+        fkl = _blocks(fk, lo, nb, n - w, w) if n > w else None  # standard: the previous block's phi(k)
+        if fkl is not None:  # phi >= 0 for both feature kinds, so the linear cap's 0 is exact
+            prod = fqg @ fkl.swapaxes(-1, -2)
+            weights[..., : n - w] += np.minimum(prod, lin_cap[rel : rel + m, : n - w], out=prod)
+        Sc, Zc = (S, Z) if S.shape[2] == 1 else (S[:, :, c : c + nb], Z[:, :, c : c + nb])
+        num = weights @ vg
+        num += fqg @ Sc
+        den = np.add.reduce(weights, axis=-1, keepdims=True)
+        den += fqg @ Zc[..., None]
+        ys.append((num / np.maximum(den, EPS)).reshape(b, h, -1, d))
+        chunks.append((a, c, m, nb, lo, rel, n, qg, fqg, kg, vg, fkl, Sc, Zc, scores, ex, weights, num, den))
 
-    scores = qb @ kb.swapaxes(-1, -2)
-    scores *= scale
-    np.minimum(scores, win_cap[w : 2 * w] if standard else win_cap[:w, :w], out=scores)
-    if standard:
-        np.minimum(scores[:, :, 0, :, :w], MASK_VALUE, out=scores[:, :, 0, :, :w])
-    ex = scores - np.fmax.reduce(scores, axis=-1, keepdims=True)  # scores stay: the backward takes their argmax
-    np.exp(ex, out=ex)
-    weights = gamma * ex
-    if standard:
-        prod = fqb @ fkp[:, :, :-1].swapaxes(-1, -2)
-        weights[..., :w] += np.minimum(prod, lin_cap[w : 2 * w, :w], out=prod)
-    # the kv-state s | z of every chunk, [nc, b, h, f, d + 1]: chunk-major, so
-    # that the running sum adds contiguous slices
-    state = np.zeros((nc, b, h, fk.shape[-1], d + 1), dtype=q.dtype)
-    fold = state[lag:].transpose(1, 2, 0, 3, 4)
-    fold[..., :d], fold[..., d] = _fold(fko[:, :, :n], vo[:, :, :n])
-    T._running_sum(state, 0, in_place=True)
-    s, z = state[..., :d].transpose(1, 2, 0, 3, 4), state[..., d].transpose(1, 2, 0, 3)
-    num = weights @ vb
-    num += fqb @ s
-    den = np.add.reduce(weights, axis=-1, keepdims=True)
-    den += fqb @ z[..., None]
-    y = _unblock(num / np.maximum(den, EPS), l)
-    stats = {  # one chunk's share: scores, ex, weights, num, den and its y (num's size)
-        "peak_chunk_bytes": (scores.nbytes + ex.nbytes + weights.nbytes + 2 * num.nbytes + den.nbytes) // nc,
-        "state_bytes": state.nbytes // nc,
-        "chunks": nc,
-    }
-
-    def onto_chunks(x):  # a standard key block's gradient onto its two chunks
-        out = x[..., w:, :].copy()
-        out[:, :, :-1] += x[:, :, 1:, :w]
-        return out
+    def stats():  # the largest chunk's scores, ex, weights, num, den and its y (num's size)
+        peak = max((sum(x.nbytes for x in ch[-5:]) + ch[-2].nbytes) // ch[3] for ch in chunks)
+        return {"peak_chunk_bytes": peak, "state_bytes": b * h * fk.shape[3] * (d + 1) * q.itemsize, "chunks": sum(ch[3] for ch in chunks)}
 
     def backward(g, qkv: bool):
-        floor = np.maximum(den, EPS)
-        dnum = _blocks(g, nc, w) / floor
-        dden = np.where(den < EPS, 0.0, -(dnum * num).sum(axis=-1, keepdims=True) / floor)
-        dweights = dnum @ vb.swapaxes(-1, -2)
-        dweights += dden
-        dfq = dnum @ s.swapaxes(-1, -2)
-        dfq += dden * z[:, :, :, None]
-        # chunk c's fold reaches the state of every chunk from c + lag on: its
-        # gradient is a running sum of theirs from the last chunk back
-        dstate = np.empty((n, b, h, fk.shape[-1], d + 1), dtype=q.dtype)
-        dfold = dstate.transpose(1, 2, 0, 3, 4)
-        dfold[..., :d] = fqb[:, :, lag:].swapaxes(-1, -2) @ dnum[:, :, lag:]
-        dfold[..., d] = (dden[:, :, lag:] * fqb[:, :, lag:]).sum(axis=3)
-        T._running_sum(dstate[::-1], 0, in_place=True)
-        ds, dz = dfold[..., :d], dfold[..., d]
-        dfk = np.zeros_like(fko)
-        dfk[:, :, :n] = vo[:, :, :n] @ ds.swapaxes(-1, -2) + dz[:, :, :, None]
-        if standard:
-            dlin = np.where(lin[w : 2 * w, :w], dweights[:, :, 1:, :, :w], 0.0)
-            dfq[:, :, 1:] += dlin @ fko[:, :, :-1]
-            dfk[:, :, :-1] += dlin.swapaxes(-1, -2) @ fqb[:, :, 1:]
-        # the window term gamma exp(scores - row max). Only the window term
-        # is shifted, so the output depends on the max, and its gradient goes
-        # to the row's first argmax, as T.max routes it.
-        dex = dweights * ex
-        dgamma = np.cumsum(dex.sum(axis=(0, 3, 4))[:, ::-1], axis=1)[:, -1]  # chunk sums, last first: the walk's order
-        dq = dk = dv = None
-        if qkv:
-            dscores = gamma * dex
-            rows = dscores.reshape(-1, dscores.shape[-1])
-            rows[np.arange(len(rows)), scores.argmax(axis=-1).ravel()] -= rows.sum(axis=1)
-            dk, dv = scale * (dscores.swapaxes(-1, -2) @ qb), weights.swapaxes(-1, -2) @ dnum
-            if standard:
-                dk, dv = onto_chunks(dk), onto_chunks(dv)
-            dv[:, :, :n] += fko[:, :, :n] @ ds
-            dq, dk, dv = _unblock(scale * (dscores @ kb), l), _unblock(dk, l), _unblock(dv, l)
-        return dq, dk, dv, _unblock(dfq, l), _unblock(dfk, l), dgamma
+        dq, dfq = np.empty(q.shape, q.dtype) if qkv else None, np.empty(fq.shape, fq.dtype)
+        dk, dv, dfk = (np.zeros(x.shape, x.dtype) if qkv or x is fk else None for x in (keys, values, fk))
+        dstate = np.zeros((n_f, b, h, fk.shape[3], d + 1), dtype=q.dtype)
+        dgammas = []
+        for a, c, m, nb, lo, rel, n, qg, fqg, kg, vg, fkl, Sc, Zc, scores, ex, weights, num, den in chunks:
+            floor = np.maximum(den, EPS)
+            dnum = _blocks(g, a - r0, nb, m, m) / floor
+            dden = np.where(den < EPS, 0.0, -(dnum * num).sum(axis=-1, keepdims=True) / floor)
+            dweights = dnum @ vg.swapaxes(-1, -2)
+            dweights += dden
+            dfqg = np.matmul(dnum, Sc.swapaxes(-1, -2), out=_blocks(dfq, a - r0, nb, m, m))
+            dfqg += dden * Zc[:, :, :, None]
+            k0 = max(0, lag - c)  # the first chunk that reads a fold
+            if n_f and k0 < nb:
+                dfold = dstate[c + k0 - lag : c + nb - lag].transpose(1, 2, 0, 3, 4)
+                dfold[..., :d] = fqg[:, :, k0:].swapaxes(-1, -2) @ dnum[:, :, k0:]
+                dfold[..., d] = (dden[:, :, k0:] * fqg[:, :, k0:]).sum(axis=3)
+            if fkl is not None:
+                dlin = np.where(lin[rel : rel + m, : n - w], dweights[..., : n - w], 0.0)
+                dfqg += dlin @ fkl
+                _add_blocks(dfk, lo, dlin.swapaxes(-1, -2) @ fqg, w)
+            # the window term gamma exp(scores - row max). Only the window term
+            # is shifted, so the output depends on the max, and its gradient goes
+            # to the row's first argmax, as T.max routes it.
+            dex = dweights * ex
+            dgammas.append(dex.sum(axis=(0, 3, 4)))
+            if qkv:
+                dscores = cfg.gamma * dex
+                flat = dscores.reshape(-1, n)
+                flat[np.arange(len(flat)), scores.argmax(axis=-1).ravel()] -= flat.sum(axis=1)
+                _add_blocks(dk, lo, scale * (dscores.swapaxes(-1, -2) @ qg), w)
+                _add_blocks(dv, lo, weights.swapaxes(-1, -2) @ dnum, w)
+                dqg = np.matmul(dscores, kg, out=_blocks(dq, a - r0, nb, m, m))
+                dqg *= scale
+        if n_f:  # fold i reaches the state of every block from i + lag on: a running sum of theirs from the last back
+            T._running_sum(dstate[::-1], 0, in_place=True)
+            ds, dz = dstate[..., :d].transpose(1, 2, 0, 3, 4), dstate[..., d].transpose(1, 2, 0, 3)
+            _add_blocks(dfk, 0, _blocks(values, 0, n_f, w, w) @ ds.swapaxes(-1, -2) + dz[:, :, :, None], w)
+            if qkv:
+                _add_blocks(dv, 0, _blocks(fk, 0, n_f, w, w) @ ds, w)
+        dgamma = np.cumsum(np.concatenate(dgammas, axis=1)[:, ::-1], axis=1)[:, -1]  # chunk sums, added from the last chunk back
+        return dq, dk, dv, dfq, dfk, dgamma
 
-    return y, backward, stats
+    y = ys[0] if len(ys) == 1 else np.concatenate(ys, axis=2)
+    return y, s, z, off + n_f * w, backward, stats
 
 
 def _hybrid_op(q: Tensor, k: Tensor, v: Tensor, fq: Tensor, fk: Tensor, cfg: HybridAttnConfig, stats=None) -> Tensor:
     """The hybrid layer as one tape node over q, k, v, their feature maps fq,
     fk and cfg.gamma_raw, forward and backward by _hybrid_chunkwise."""
     arrays = cfg.arrays()
-    y, backward, kernel_stats = _hybrid_chunkwise(arrays, q.data, fq.data, k.data, v.data, fk.data)
+    y, _, _, _, backward, kernel_stats = _hybrid_chunkwise(arrays, None, None, q.data, fq.data, k.data, v.data, fk.data, 0, 0)
     if stats is not None:
-        stats.update(kernel_stats)
+        stats.update(kernel_stats())
 
     def grads(g):  # stage 1 needs no dq, dk, dv
         *rest, dgamma = backward(g, q.requires_grad or k.requires_grad or v.requires_grad)
-        return (*rest, dgamma * arrays.gamma[:, 0, 0] * (1.0 - arrays.gamma[:, 0, 0]))
+        return (*rest, dgamma * arrays.gamma.ravel() * (1.0 - arrays.gamma.ravel()))
 
     return T.fused(y, (q, k, v, fq, fk, cfg.gamma_raw), grads, "hybrid_attention")
 
@@ -653,10 +610,10 @@ def hybrid_attention_prefill(
 ):
     """Hybrid attention over a full prompt, both window modes, post-RoPE q, k:
     the feature maps, as Tensor ops, then _hybrid_op. with_stats also returns
-    a stats dict: peak_chunk_bytes, one chunk's share of the scratch the
-    kernel keeps (it grows with w, not with the sequence; the kernel holds
-    all nc chunks, O(l w) bytes), state_bytes, one chunk's kv-state, and
-    chunks, nc. _hybrid_naive is the masked O(l^2) oracle it must agree
+    a stats dict: peak_chunk_bytes, the largest chunk's share of the
+    scratch the kernel keeps (it grows with w, not with the sequence; the
+    kernel holds all nc chunks, O(l w) bytes), state_bytes, one chunk's
+    kv-state, and chunks, nc. _hybrid_naive is the masked O(l^2) oracle it must agree
     with."""
     _check_qkv(q, k, v)
     stats = {} if with_stats else None
@@ -766,12 +723,14 @@ def hybrid_decode_step(
 ) -> np.ndarray:
     """Hybrid attention over the next S >= 1 tokens, post-RoPE q, k, v
     [b, h, S, d] at positions state.position onwards: returns y [b, h, S, d]
-    and advances the state, by _hybrid_walk over the cached tail plus the
-    segment. phi(k) is computed once, for the keys that leave the window by
-    the segment's end, so a decode token computes it only for those. The
-    state ends folded to _window_start(end) with the tail in the fixed-size
-    cache. A segment that fits in the cache beside the tail evicts nothing,
-    so it is written into the cache and attends over a view of it."""
+    and advances the state, by _hybrid_chunkwise over the cached tail plus
+    the segment. phi(k) is computed once, for the keys that leave the window
+    by the segment's end, so a decode token computes it only for those. The
+    state ends folded to _window_start(end), with the tail in the fixed-size
+    cache: in standard mode the kernel's last chunk reads up to w of those
+    keys through its linear term, and they are folded here. A segment that
+    fits in the cache beside the tail evicts nothing, so it is written into
+    the cache and attends over a view of it."""
     b, h, f, d = state.s.shape
     if not q.shape == k.shape == v.shape or q.ndim != 4 or q.shape[:2] != (b, h) or q.shape[3] != d or not q.shape[2]:
         raise StateDimMismatch(f"segment shapes {q.shape} {k.shape} {v.shape} vs state {state.s.shape}")
@@ -793,7 +752,11 @@ def hybrid_decode_step(
 
     tail = _window_start(end, cfg.window_size, cfg.window_mode)
     fk = _phi_np(cfg.phi_k, keys[:, :, : tail - off]) if tail > off else np.empty((b, h, 0, f), dtype=q.dtype)
-    y, state.s, state.z = _hybrid_walk(cfg, state.s, state.z, q, _phi_np(cfg.phi_q, q), keys, values, fk, p, off)
+    y, s, z, folded, *_ = _hybrid_chunkwise(cfg, state.s, state.z, q, _phi_np(cfg.phi_q, q), keys, values, fk, p, off)
+    if tail > folded:  # standard mode: the keys the last chunk reads through its linear term
+        ds, dz = _fold(fk[:, :, folded - off :], values[:, :, folded - off : tail - off])
+        s, z = s + ds, z + dz
+    state.s, state.z = s, z
     # the window never moves past keys[:, :, 0] while the segment fits beside
     # the tail, so an in-place segment is already where the cache keeps it
     if not in_place:

@@ -719,10 +719,9 @@ class _Session:
 class HybridSession(_Session):
     """Per-layer recurrent decode states for a converted model. Prefill and
     step are the same advance through attention.hybrid_decode_step; prefill
-    starts it from fresh states. With w dividing PREFILL_SEGMENT, a terraced
-    prefill folds the same key groups as the prompt in one segment, bit for
-    bit; a standard one folds the keys that leave the window at a segment's
-    end in other groups, which moves logits by float rounding."""
+    starts it from fresh states. With w dividing PREFILL_SEGMENT, a prefill
+    folds the same key groups and attends with the same chunks as the
+    prompt in one segment, bit for bit, in both window modes."""
 
     # the shared methods, bound here too for benchmarks/spans.py to wrap
     prefill = _Session.prefill

@@ -498,7 +498,7 @@ def _running_sum(x: np.ndarray, ax: int, in_place: bool = False) -> np.ndarray:
     if ax == x.ndim - 1:
         return np.cumsum(x, axis=ax, out=x if in_place else None)
     out = x if in_place else x.copy()
-    view = np.moveaxis(out, ax, 0)
+    view = np.moveaxis(out, ax, 0) if ax else out
     for i in range(1, len(view)):
         np.add(view[i - 1], view[i], out=view[i])
     return out

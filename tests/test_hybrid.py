@@ -181,13 +181,12 @@ def test_training_walk_folds_only_keys_that_left_the_window(mode, l, monkeypatch
 @pytest.mark.parametrize("mode", A.WINDOW_MODES)
 @pytest.mark.parametrize("rel", ["1", "w-1", "w", "w+1", "2w+3", "5w"])
 def test_chunkwise_kernel_matches_oracle_and_serving_walk(rel, mode, kind, monkeypatch):
-    # the training kernel over every chunk at once, at lengths within one
-    # window, with a padded last chunk and with whole chunks: in float64, y
-    # and the gradients of q, k, v, phi(q), phi(k) and gamma_raw against the
-    # masked oracle, inside criterion 5's bound; in float32, y against the
-    # serving walk (hybrid_decode_step from a fresh state) at criterion 4's
-    # bound, and bit for bit where both take the same chunks: a sequence
-    # within one window, and terraced mode when w divides l
+    # the kernel over every chunk at once, at lengths within one window,
+    # with a last chunk that ends within its block and with whole chunks: in
+    # float64, y and the gradients of q, k, v, phi(q), phi(k) and gamma_raw
+    # against the masked oracle, inside criterion 5's bound; in float32,
+    # serving the sequence from a fresh decode state (hybrid_decode_step) is
+    # the same kernel call, so its y is the training op's bit for bit
     w = 4
     l = {"1": 1, "w-1": w - 1, "w": w, "w+1": w + 1, "2w+3": 2 * w + 3, "5w": 5 * w}[rel]
     b, h, d = 2, 3, 8
@@ -216,9 +215,7 @@ def test_chunkwise_kernel_matches_oracle_and_serving_walk(rel, mode, kind, monke
     q32, k32, v32 = (t.data.astype(np.float32) for t in (q, k, v))
     y32 = A.hybrid_attention_prefill(Tensor(q32), Tensor(k32), Tensor(v32), cfg32).data
     served = A.hybrid_decode_step(A.HybridDecodeState(b, h, cfg32, d), q32, k32, v32, cfg32.arrays())
-    assert np.abs(y32 - served).max() <= 1e-5
-    if l <= w or (mode == "terraced" and l % w == 0):
-        assert np.array_equal(y32, served)
+    assert np.array_equal(y32, served)
 
 
 def test_chunked_scratch_scales_with_window_not_seq():
@@ -240,7 +237,7 @@ def test_chunked_scratch_scales_with_window_not_seq():
 def test_kernel_is_one_tape_node_above_its_inputs(mode):
     # at every length the kernel's output is one node whose parents are q, k,
     # v, the two feature-map outputs and gamma_raw, so the tape holds the same
-    # number of nodes however many chunks the walk takes
+    # number of nodes however many chunks the kernel takes
     w = 4
     totals = set()
     for l in (1, w, w + 1, 4 * w + 3):
@@ -337,29 +334,24 @@ def test_decode_state_matches_spec_partition():
 @pytest.mark.parametrize("mode", A.WINDOW_MODES)
 @pytest.mark.parametrize("w", [1, 2, 3, 5, 8])
 def test_chunk_masks_follow_the_oracle_window_rule(w, mode):
-    # _chunk slices its masks from one cached table. For every chunk a walk
-    # can make (each start < 4w, each size up to the next multiple of w), with
-    # zero q and k every key in a query's window scores 0 and every other key
-    # MASK_VALUE, so the scores show the window mask; the linear mask must be
-    # the keys before each query's window, up to the last query's window
-    cfg = A.HybridArrays(w, mode, np.ones((1, 1, 1)), None, None)
-    s, z = np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1))
-    for start in range(4 * w):
-        lo = oracles.window_lo(start, w, mode)
-        for size in range(1, (start // w + 1) * w - start + 1):
-            n, j = np.arange(start, start + size)[:, None], np.arange(lo, start + size)[None, :]
-            first = np.array([[oracles.window_lo(i, w, mode)] for i in range(start, start + size)])
-            q, k = np.zeros((1, 1, size, 1)), np.zeros((1, 1, j.shape[1], 1))
-            reads = A._mask_table.cache_info()
-            scores, _, _, lin, _, _ = A._chunk(cfg, q, q, k, k, k, s, z, start, lo)
-            case = (start, size)
-            assert ((scores[0, 0] != T.MASK_VALUE) == ((j >= first) & (j <= n))).all(), case
-            if lin is None:
-                assert not (j < first).any(), case
-            else:
-                assert lin.shape == (size, first.max() - lo) and (lin == (j < first)[:, : lin.shape[1]]).all(), case
-            if size == 1:  # a single query's window holds every key: no mask read, none applied
-                assert lin is None and A._mask_table.cache_info()[:2] == reads[:2], case
+    # the kernel slices its chunk masks from one cached table and anchors
+    # its blocks at the first cached key. From a state advanced to every
+    # position p < 4w, a segment of every length up to 2w + 1 reaches every
+    # offset of a first chunk within its block, a first block that holds
+    # only cached keys, and a last chunk that ends within its block: each
+    # segment's output must be the masked oracle's rows, in float64
+    cfg = make_cfg(w, mode, seed=70 + w)
+    q, k, v = rand_qkv(1, 2, 6 * w, 8, 71 + w)
+    ref = A._hybrid_naive(q, k, v, cfg)[0].data
+    arrays = cfg.arrays()
+    for p in range(4 * w):
+        for n in range(1, 2 * w + 2):
+            state = A.HybridDecodeState(1, 2, cfg, 8, dtype=np.float64)
+            if p:
+                A.hybrid_decode_step(state, q.data[:, :, :p], k.data[:, :, :p], v.data[:, :, :p], arrays)
+            seg = slice(p, p + n)
+            y = A.hybrid_decode_step(state, q.data[:, :, seg], k.data[:, :, seg], v.data[:, :, seg], arrays, position=p)
+            np.testing.assert_allclose(y, ref[:, :, seg], rtol=0, atol=1e-12, err_msg=f"p={p} n={n}")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

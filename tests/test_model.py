@@ -794,9 +794,8 @@ def _state_pairs(a, b):
 def test_segmented_prefill_matches_one_segment(mode, kind):
     # prefill runs the prompt in PREFILL_SEGMENT-token segments; the same
     # prompt as one segment (_advance with fresh=True) is its oracle. w
-    # divides the segment, so terraced mode folds the same key groups either
-    # way and is bit-identical; standard mode folds them in other groups at
-    # segment ends, within criterion 4's bound
+    # divides the segment, so either way the kernel folds the same key
+    # blocks and runs the same chunks, in both modes: bit-identical
     w, seg = 8, M.PREFILL_SEGMENT
     model = with_nonzero_lora(convert_model(small_model(), HybridSpec(window_size=w, window_mode=mode, feature_kind=kind)))
     ids = np.random.default_rng(11).integers(0, 258, size=(2, 2 * seg + 3 * w + 3))
@@ -808,10 +807,7 @@ def test_segmented_prefill_matches_one_segment(mode, kind):
         assert (a.filled, a.position) == (b.filled, b.position)
         pairs |= {f"layers.{i} {name}": pair for name, pair in _state_pairs(a, b).items()}
     for name, (x, y) in pairs.items():
-        if mode == "terraced":
-            assert x.tobytes() == y.tobytes(), name
-        else:
-            assert np.abs(x - y).max() <= 1e-5 * max(1.0, np.abs(y).max()), name
+        assert x.tobytes() == y.tobytes(), name
 
 
 def test_segmented_prefill_peak_memory_is_flat_in_prompt_length():

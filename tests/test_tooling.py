@@ -3,13 +3,12 @@
 ``benchmarks/run.py``, so both are checked here, with the benchmark files
 loaded read-only. The serving sessions are pinned to the names the tracer
 attributes their attention time to, a decode token reads only cached rope and
-mask tables, a stage-1 step and a softmax-baseline token build no mask, no
-training step takes the per-chunk serving walk, every bundled config is built
-into the classes it configures, a stage-2 loss records rope, RMS
-normalisation and the loss as one tape node each and the qkv projection over
-one concat, and every tensor op records its node through the one node
-constructor. On glibc, importing the tape module keeps a
-training step's freed heap mapped, so a steady-state stage-2 step takes
+mask tables, a stage-1 step and a softmax-baseline token build no mask,
+every bundled config is built into the classes it configures, a stage-2
+loss records rope, RMS normalisation and the loss as one tape node each and
+the qkv projection over one concat, and every tensor op records its node
+through the one node constructor. On glibc, importing the tape module keeps
+a training step's freed heap mapped, so a steady-state stage-2 step takes
 almost no page faults, unless the environment sets glibc's own thresholds."""
 
 import ast
@@ -86,8 +85,10 @@ def test_workloads_reference_only_defined_attributes():
 def test_sessions_serve_every_layer_through_the_segment_step(monkeypatch):
     # the span tracer attributes serving time through these two names: both
     # prefill and step must advance each layer by one hybrid_decode_step call
-    # and never reach the Tensor prefill kernel
-    calls = {"decode_step": 0, "heads_hybrid": 0}
+    # and never reach the Tensor prefill kernel. That call runs the one hybrid
+    # forward, _hybrid_chunkwise, once: per layer, once per prefill segment
+    # (two here) and once per step
+    calls = {"decode_step": 0, "heads_hybrid": 0, "chunkwise": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -98,14 +99,15 @@ def test_sessions_serve_every_layer_through_the_segment_step(monkeypatch):
 
     monkeypatch.setattr(attention, "hybrid_decode_step", counted("decode_step", attention.hybrid_decode_step))
     monkeypatch.setattr(M.AttentionLayer, "heads_hybrid", counted("heads_hybrid", M.AttentionLayer.heads_hybrid))
+    monkeypatch.setattr(attention, "_hybrid_chunkwise", counted("chunkwise", attention._hybrid_chunkwise))
     cfg = M.ModelConfig(n_layers=3, n_heads=2, head_dim=8, seed=5)
     model = M.convert_model(M.build_model(cfg), M.HybridSpec(window_size=4, window_mode="standard", feature_kind="t2r"))
     session = M.HybridSession(model, 2)
-    ids = np.random.default_rng(5).integers(0, 258, size=(2, 11))
+    ids = np.random.default_rng(5).integers(0, 258, size=(2, M.PREFILL_SEGMENT + 11))
     session.prefill(ids)
-    assert calls == {"decode_step": cfg.n_layers, "heads_hybrid": 0}
+    assert calls == {"decode_step": 2 * cfg.n_layers, "heads_hybrid": 0, "chunkwise": 2 * cfg.n_layers}
     session.step(ids[:, 0])
-    assert calls == {"decode_step": 2 * cfg.n_layers, "heads_hybrid": 0}
+    assert calls == {"decode_step": 3 * cfg.n_layers, "heads_hybrid": 0, "chunkwise": 3 * cfg.n_layers}
 
 
 @pytest.mark.parametrize("mode", ["terraced", "standard"])
@@ -159,29 +161,6 @@ def test_stage1_and_softmax_steps_build_no_mask(monkeypatch):
         tok = session.step(tok).argmax(-1)
     assert attention._mask_table.cache_info()[:2] == reads[:2]
     assert not calls
-
-
-def test_training_steps_take_no_per_chunk_walk(monkeypatch):
-    # the training op runs every chunk at once (_hybrid_chunkwise): a stage-1
-    # step of either window mode and a stage-2 step call neither the serving
-    # walk nor its per-chunk kernel, so training cannot fall back to the
-    # per-chunk loop unnoticed. A serving prefill, which does walk, shows the
-    # wrappers catch a call
-    calls = []
-    for name in ("_chunk", "_hybrid_walk"):
-        wrapped = getattr(attention, name)
-        monkeypatch.setattr(attention, name, lambda *a, _f=wrapped, _n=name: calls.append(_n) or _f(*a))
-    cfg = M.ModelConfig(n_layers=2, n_heads=2, head_dim=16, max_seq_len=512, seed=3)
-    inputs, targets = sample_batch(synthetic_corpus(3000, seed=3), 4, 32, np.random.default_rng(3))
-    for mode in ("terraced", "standard"):
-        model = M.convert_model(M.build_model(cfg), M.HybridSpec(8, mode, "t2r"))
-        AttentionTransfer().step(model, inputs, AdamW(feature_map_parameters(model), lr=1e-2))
-        M.freeze_feature_maps(model)
-        M.lora_attach(model, rank=4, alpha=8.0, seed=3)
-        LoraAdjust().step(model, inputs, targets, AdamW(M.adapter_parameters(model), lr=1e-3))
-        assert not calls, mode
-    M.HybridSession(model, 1).prefill(inputs[:1])
-    assert calls
 
 
 def test_bundled_configs_build_every_section():
