@@ -14,7 +14,6 @@ from .attention import (
     HybridDecodeState,
     LinearAttentionState,
     attention_entropy,
-    effective_sequence_length,
     feature_map_apply,
     hybrid_attention_prefill,
     hybrid_decode_step,
@@ -50,7 +49,6 @@ from .training import (
     blockwise_loss,
     hedgehog_weight_xent_loss,
     layerwise_diagnostics,
-    mse_attention_loss,
     next_token_loss,
     pretrain_base,
     synthetic_corpus,

@@ -797,14 +797,6 @@ def esl_per_query(weights) -> np.ndarray:
     return (wts * lookback).sum(axis=-1)
 
 
-def effective_sequence_length(weights, i: int) -> np.ndarray:
-    """ESL of query index i (1-based; i=1 attends only to itself, so 0)."""
-    esl = esl_per_query(weights)
-    if not 1 <= i <= esl.shape[-1]:
-        raise ShapeMismatch(f"query index {i} outside [1, {esl.shape[-1]}]")
-    return esl[..., i - 1]
-
-
 def sample_esl(per_layer_weights: list) -> float:
     """Sample-level ESL: per-head sum over queries, averaged over heads, layers, batch."""
     per_layer = []

@@ -606,6 +606,9 @@ class _Engine:
     replace rather than write into. So a session serves the weights as they
     were when it was built: build a new one after an update.
 
+    The residual stream is one [b * n, D] array: each dense product is one
+    2-D matmul over every row of the batch (steps says what that trades).
+
     Norm, rope and softmax run the Tensor ops' numpy kernels (T.*_np). The
     loop checks the embedding, the residual stream after each sublayer and
     the logits finite: NaN and Inf propagate through the matmuls, adds, norms
@@ -642,18 +645,34 @@ class _Engine:
         the rotary heads [b, h, n, d] and returns the heads output; the loop
         yields after each attention residual, then the last id's logits
         [b, vocab]. A caller that stops after the last layer's attention (the
-        stage-1 teacher) never runs the last MLP, final norm or head."""
+        stage-1 teacher) never runs the last MLP, final norm or head.
+
+        The residual stream is one [b * n, D] array, so each dense product
+        (wqkv, wo, gate, up, down) is one 2-D matmul over all b * n rows, not
+        b stacked n-row products: a b8 decode token makes one 8-row BLAS call
+        per product where it made eight one-row calls. The final norm and the
+        head read each sequence's last row, x[n - 1 :: n]. q, k, v still reach
+        attend as [b, h, n, d] heads.
+
+        The trade: BLAS picks its kernel by shape, so a row's rounding can
+        depend on the row count of its product. At b1 the row counts are the
+        per-sequence ones, and so are the bits. At b > 1 a decode row rounds
+        as part of a b-row product, and may differ from the same row served
+        at b1 by float32 rounding, within criterion 4's 1e-5 (about 4e-6 at
+        b8 on the benchmark's wide shape). In OpenBLAS 0.3.31, products of
+        32 rows or more round each row alike at any row count, so a b8 l64
+        stage-1 teacher keeps the bits of its per-sequence products."""
         c = self.config
         b, n = ids.shape
         h, d = c.n_heads, c.head_dim
         cos, sin = _rope_at(position, n, d, c.rope_base, self.embed.dtype)
-        x = T.finite(self.embed[ids], "embed embedding")
+        x = T.finite(self.embed[ids.reshape(-1)], "embed embedding")
         for i, layer in enumerate(self.layers):
             u = T.rms_norm_np(x, layer.norm1, RMS_EPS)
             qkv = (u @ layer.wqkv).reshape(b, n, 3, h, d).transpose(2, 0, 3, 1, 4)
             qk = T.rope_np(qkv[:2], cos, sin)
             y = attend(i, qk[0], qk[1], qkv[2])
-            o = y.transpose(0, 2, 1, 3).reshape(b, n, h * d) @ layer.wo
+            o = y.transpose(0, 2, 1, 3).reshape(b * n, h * d) @ layer.wo
             x = x + o
             if not np.isfinite(x).all():
                 _first_non_finite(
@@ -670,7 +689,7 @@ class _Engine:
                 _first_non_finite(
                     i, ("norm2", u), ("mlp.gate", g), ("mlp.up", up), ("mlp.swiglu", act), ("mlp.down", down), ("mlp.residual", x)
                 )
-        last = T.finite(T.rms_norm_np(x[:, -1], self.final_gain, RMS_EPS), "final_norm norm")
+        last = T.finite(T.rms_norm_np(x[n - 1 :: n], self.final_gain, RMS_EPS), "final_norm norm")
         yield T.finite(last @ self.head, "head logits")
 
 
@@ -735,7 +754,7 @@ class HybridSession(_Session):
     def _reset(self, batch: int) -> None:
         cfg = self.model.config
         self.states = [
-            HybridDecodeState(batch, cfg.n_heads, blk.attn.hybrid_cfg, cfg.head_dim)
+            HybridDecodeState(batch, cfg.n_heads, blk.attn.hybrid_cfg, cfg.head_dim, self.engine.embed.dtype)
             for blk in self.model.blocks
         ]
         self.position = 0
@@ -763,7 +782,7 @@ class SoftmaxSession(_Session):
 
     def _reset(self, batch: int) -> None:
         cfg = self.model.config
-        empty = np.zeros((2, batch, cfg.n_heads, 0, cfg.head_dim), dtype=np.float32)
+        empty = np.zeros((2, batch, cfg.n_heads, 0, cfg.head_dim), dtype=self.engine.embed.dtype)
         self.kv = [empty] * len(self.model.blocks)
         self.position = 0
 
@@ -781,7 +800,9 @@ class SoftmaxSession(_Session):
     @classmethod
     def projected_bytes(cls, config: ModelConfig, batch: int, prompt_len: int, gen_len: int) -> int:
         """Bytes of the buffers after a prompt_len prefill and gen_len steps,
-        without allocating them."""
+        without allocating them, at 4 bytes an element: the float32 models
+        that build_model and bench make (a session holds its buffers in the
+        model's dtype)."""
         capacity = 0
         for start in range(0, prompt_len, PREFILL_SEGMENT):  # prefill's segments
             capacity = cls._capacity(capacity, min(start + PREFILL_SEGMENT, prompt_len))

@@ -56,12 +56,6 @@ def per_layer_mse(y, y_hat) -> Tensor:
     return (diff * diff).mean(axis=(0, 2, 3)).sum()
 
 
-def mse_attention_loss(ys: list, y_hats: list) -> Tensor:
-    """(1 / (M H)) sum over layers and heads of per-head output MSE: the
-    block-wise loss of one block of all M layers."""
-    return blockwise_loss(ys, y_hats, len(ys))[0]
-
-
 def blockwise_loss(ys: list, y_hats: list, block_size: int) -> list[Tensor]:
     """Per-block transfer losses: (1 / (b H)) sums over each b-layer block."""
     _check_paired(ys, y_hats)

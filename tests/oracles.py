@@ -7,7 +7,9 @@ other kind of oracle: the fused Tensor ops (rope, softmax attention,
 rms_norm, cross_entropy) written out as chains of elementary Tensor ops,
 whose gradients the tape derives op by op. hybrid_op_packed sets the hybrid
 op up for the finite-difference suites. clone_model and zero_grad are the
-model helpers only the tests use.
+model helpers only the tests use; effective_sequence_length (criterion 12's
+per-index ESL) and mse_attention_loss (the all-layer output MSE) are the
+attention and training helpers only the tests use.
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ import numpy as np
 from linswap import attention as A
 from linswap import model as M
 from linswap import tensor as T
+from linswap import training as tr
+from linswap.errors import ShapeMismatch
 
 EPS = 1e-6
 
@@ -186,3 +190,18 @@ def zero_grad(model):
     """Zero (or clear) the gradient of every parameter of a model."""
     for t in model.parameters().values():
         t.zero_grad()
+
+
+def effective_sequence_length(weights, i):
+    """ESL of query index i (1-based; i=1 attends only to itself, so 0): the
+    package's per-query ESL read at one index, for criterion 12."""
+    esl = A.esl_per_query(weights)
+    if not 1 <= i <= esl.shape[-1]:
+        raise ShapeMismatch(f"query index {i} outside [1, {esl.shape[-1]}]")
+    return esl[..., i - 1]
+
+
+def mse_attention_loss(ys, y_hats):
+    """(1 / (M H)) sum over layers and heads of per-head output MSE: the
+    block-wise loss of one block of all M layers."""
+    return tr.blockwise_loss(ys, y_hats, len(ys))[0]

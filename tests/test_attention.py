@@ -332,9 +332,9 @@ def test_esl_analytic_values():
     w = np.zeros((l, l))
     for i in range(l):
         w[i, : i + 1] = 1.0 / (i + 1)
-    assert A.effective_sequence_length(w, 1) == 0.0
+    assert oracles.effective_sequence_length(w, 1) == 0.0
     for i in range(1, l + 1):
-        np.testing.assert_allclose(A.effective_sequence_length(w, i), (i - 1) / 2, atol=1e-9)
+        np.testing.assert_allclose(oracles.effective_sequence_length(w, i), (i - 1) / 2, atol=1e-9)
 
 
 def test_esl_matches_direct_sum():
@@ -346,11 +346,11 @@ def test_esl_matches_direct_sum():
         w[i, : i + 1] = 1.0 / (i + 1)
     w[4, :5] = row
     expect = sum((4 - j) * row[j] for j in range(5))
-    np.testing.assert_allclose(A.effective_sequence_length(w, 5), expect, atol=1e-9)
+    np.testing.assert_allclose(oracles.effective_sequence_length(w, 5), expect, atol=1e-9)
 
 
 @pytest.mark.parametrize("i", [0, 5])
 def test_esl_query_index_outside_sequence_rejected(i):
     w = np.tril(np.ones((4, 4))) / np.arange(1, 5)[:, None]
     with pytest.raises(LinswapError):
-        A.effective_sequence_length(w, i)
+        oracles.effective_sequence_length(w, i)

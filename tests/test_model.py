@@ -722,6 +722,46 @@ def test_softmax_session_matches_forward():
         assert np.abs(session.step(ids[:, t]) - ref[:, t]).max() <= 1e-5, f"position {t}"
 
 
+@pytest.mark.parametrize("mode", ["standard", "terraced", None])
+def test_session_row_matches_the_row_served_alone(mode):
+    # the engine multiplies all b rows of a product at once, so a row of a
+    # b4 batch rounds as part of a 4-row product; through a prefill and steps
+    # that cross w boundaries, it stays within criterion 4's 1e-5 of the same
+    # row served at b1. Mode None is the softmax session
+    w, prompt_len = 4, 6
+    n_new = 2 * w + 3
+    model = small_model()
+    if mode is not None:
+        convert_model(model, HybridSpec(window_size=w, window_mode=mode, feature_kind="hedgehog"))
+    model = with_nonzero_lora(model)
+    cls = SoftmaxSession if mode is None else HybridSession
+    ids = np.random.default_rng(9).integers(0, 258, size=(4, prompt_len + n_new))
+    batch = cls(model, 4)
+    rows = [cls(model, 1) for _ in range(4)]
+    got = [batch.prefill(ids[:, :prompt_len])]
+    alone = [np.concatenate([s.prefill(ids[r : r + 1, :prompt_len]) for r, s in enumerate(rows)])]
+    for n in range(prompt_len, ids.shape[1]):
+        got.append(batch.step(ids[:, n]))
+        alone.append(np.concatenate([s.step(ids[r : r + 1, n]) for r, s in enumerate(rows)]))
+    for n, (x, y) in enumerate(zip(got, alone)):
+        assert np.abs(x - y).max() <= 1e-5, f"position {prompt_len - 1 + n}"
+
+
+def test_softmax_session_holds_the_model_dtype():
+    # a float64 model's KV buffers are float64, and its steps then agree with
+    # the float64 Tensor forward far below criterion 4's float32 bound
+    model = small_model()
+    for t in model.parameters().values():
+        t.data = t.data.astype(np.float64)
+    ids = np.random.default_rng(1).integers(0, 258, size=(2, 10))
+    ref = model.forward(ids).data
+    session = SoftmaxSession(model, 2)
+    assert np.abs(session.prefill(ids[:, :4]) - ref[:, 3]).max() <= 1e-12
+    for t in range(4, ids.shape[1]):
+        assert np.abs(session.step(ids[:, t]) - ref[:, t]).max() <= 1e-12, f"position {t}"
+    assert all(kv.dtype == np.float64 for kv in session.kv)
+
+
 def test_engine_swiglu_is_mlp_forward_bitwise():
     # the engine's in-place SwiGLU against Mlp.forward on the same weights
     mlp = small_model().blocks[1].mlp

@@ -7,13 +7,16 @@ mask tables, a stage-1 step and a softmax-baseline token build no mask,
 every bundled config is built into the classes it configures, a stage-2
 loss records rope, RMS normalisation and the loss as one tape node each and
 the qkv projection over one concat, and every tensor op records its node
-through the one node constructor. On glibc, importing the tape module keeps
-a training step's freed heap mapped, so a steady-state stage-2 step takes
-almost no page faults, unless the environment sets glibc's own thresholds."""
+through the one node constructor. Every committed BENCH_*.json at the
+repository root parses and holds the fields a performance claim is read
+from. On glibc, importing the tape module keeps a training step's freed heap
+mapped, so a steady-state stage-2 step takes almost no page faults, unless
+the environment sets glibc's own thresholds."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import platform
 import subprocess
@@ -45,6 +48,22 @@ def _load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+BENCH_FIELDS = ("label", "command", "note", "host", "summary", "runs")
+
+
+def test_committed_bench_files_hold_their_claim_fields():
+    # a performance claim is read from a committed BENCH_<label>.json: the
+    # command and note say how it was measured, the host block where, the
+    # summary what it found, and the runs what it found it from
+    files = sorted(BENCH.parent.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        record = json.loads(path.read_text())
+        missing = [field for field in BENCH_FIELDS if field not in record]
+        assert not missing, f"{path.name} lacks {missing}"
+        assert record["label"] and record["runs"], path.name
 
 
 def test_span_targets_are_defined_on_their_owners():

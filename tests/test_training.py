@@ -27,7 +27,6 @@ from linswap.training import (
     feature_map_parameters,
     hedgehog_weight_xent_loss,
     layerwise_diagnostics,
-    mse_attention_loss,
     next_token_loss,
     pretrain_base,
     sample_batch,
@@ -50,9 +49,9 @@ def tiny_model(seed=0, kind="hedgehog", w=4, mode="standard", layers=2):
 
 def test_mse_loss_trivials():
     y = [Tensor(rng(1).normal(size=(2, 2, 5, 4)), dtype=np.float64) for _ in range(2)]
-    assert mse_attention_loss(y, [Tensor(t.data.copy(), dtype=np.float64) for t in y]).item() == 0.0
+    assert oracles.mse_attention_loss(y, [Tensor(t.data.copy(), dtype=np.float64) for t in y]).item() == 0.0
     shifted = [Tensor(t.data + 0.5, dtype=np.float64) for t in y]
-    np.testing.assert_allclose(mse_attention_loss(y, shifted).item(), 0.25, atol=1e-12)
+    np.testing.assert_allclose(oracles.mse_attention_loss(y, shifted).item(), 0.25, atol=1e-12)
 
 
 def test_mse_loss_matches_direct_sum():
@@ -62,7 +61,7 @@ def test_mse_loss_matches_direct_sum():
     direct = np.mean(
         [np.mean((yh[:, h] - y[:, h]) ** 2) for y, yh in zip(ys, yhs) for h in range(3)]
     )
-    got = mse_attention_loss([Tensor(y, dtype=np.float64) for y in ys], [Tensor(y, dtype=np.float64) for y in yhs])
+    got = oracles.mse_attention_loss([Tensor(y, dtype=np.float64) for y in ys], [Tensor(y, dtype=np.float64) for y in yhs])
     np.testing.assert_allclose(got.item(), direct, atol=1e-9)
 
 
@@ -70,7 +69,7 @@ def test_blockwise_reductions():
     g = rng(3)
     ys = [Tensor(g.normal(size=(1, 2, 4, 4)), dtype=np.float64) for _ in range(2)]
     yhs = [Tensor(g.normal(size=(1, 2, 4, 4)), dtype=np.float64) for _ in range(2)]
-    joint = mse_attention_loss(ys, yhs).item()
+    joint = oracles.mse_attention_loss(ys, yhs).item()
     # b = M: the single block loss is exactly the joint value
     (single,) = blockwise_loss(ys, yhs, 2)
     np.testing.assert_allclose(single.item(), joint, atol=1e-12)
