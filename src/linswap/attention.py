@@ -721,23 +721,28 @@ def hybrid_decode_step(
     cfg: HybridArrays,
     position: int | None = None,
 ) -> np.ndarray:
-    """Hybrid attention over the next S >= 1 tokens, post-RoPE q, k, v
-    [b, h, S, d] at positions state.position onwards: returns y [b, h, S, d]
-    and advances the state, by _hybrid_chunkwise over the cached tail plus
-    the segment. phi(k) is computed once, for the keys that leave the window
-    by the segment's end, so a decode token computes it only for those. The
-    state ends folded to _window_start(end), with the tail in the fixed-size
-    cache: in standard mode the kernel's last chunk reads up to w of those
-    keys through its linear term, and they are folded here. A segment that
-    fits in the cache beside the tail evicts nothing, so it is written into
-    the cache and attends over a view of it."""
+    """Hybrid attention over the next S >= 1 tokens, post-RoPE k, v
+    [b, h, S, d] at positions state.position onwards, with queries q
+    [b, h, S_q, d], 1 <= S_q <= S, at the last S_q of those positions:
+    returns y [b, h, S_q, d] and advances the state over all S keys, by
+    _hybrid_chunkwise over the cached tail plus the segment. A caller that
+    reads only the segment's last outputs passes only their queries; the
+    state and cache it leaves do not depend on S_q. phi(k) is computed once,
+    for the keys that leave the window by the segment's end, so a decode
+    token computes it only for those. The state ends folded to
+    _window_start(end), with the tail in the fixed-size cache: in standard
+    mode the kernel's last chunk reads up to w of those keys through its
+    linear term, and they are folded here. A segment that fits in the cache
+    beside the tail evicts nothing, so it is written into the cache and
+    attends over a view of it."""
     b, h, f, d = state.s.shape
-    if not q.shape == k.shape == v.shape or q.ndim != 4 or q.shape[:2] != (b, h) or q.shape[3] != d or not q.shape[2]:
+    fits = k.shape == v.shape and q.ndim == k.ndim == 4 and q.shape[:2] == k.shape[:2] == (b, h) and q.shape[3] == k.shape[3] == d
+    if not fits or not 0 < q.shape[2] <= k.shape[2]:
         raise StateDimMismatch(f"segment shapes {q.shape} {k.shape} {v.shape} vs state {state.s.shape}")
     if position is not None and position != state.position:
         raise OutOfOrderToken(f"expected position {state.position}, got {position}")
     p, filled = state.position, state.filled
-    end = p + q.shape[2]
+    end = p + k.shape[2]
     off = p - filled  # position of keys[:, :, 0]
     in_place = end - off <= cfg.window_size
     if in_place:
@@ -752,7 +757,7 @@ def hybrid_decode_step(
 
     tail = _window_start(end, cfg.window_size, cfg.window_mode)
     fk = _phi_np(cfg.phi_k, keys[:, :, : tail - off]) if tail > off else np.empty((b, h, 0, f), dtype=q.dtype)
-    y, s, z, folded, *_ = _hybrid_chunkwise(cfg, state.s, state.z, q, _phi_np(cfg.phi_q, q), keys, values, fk, p, off)
+    y, s, z, folded, *_ = _hybrid_chunkwise(cfg, state.s, state.z, q, _phi_np(cfg.phi_q, q), keys, values, fk, end - q.shape[2], off)
     if tail > folded:  # standard mode: the keys the last chunk reads through its linear term
         ds, dz = _fold(fk[:, :, folded - off :], values[:, :, folded - off : tail - off])
         s, z = s + ds, z + dz

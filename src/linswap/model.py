@@ -647,6 +647,13 @@ class _Engine:
         [b, vocab]. A caller that stops after the last layer's attention (the
         stage-1 teacher) never runs the last MLP, final norm or head.
 
+        attend may answer fewer queries than it was given: an output of
+        m < n rows [b, h, m, d] holds each sequence's last m positions, and
+        from there on the stream keeps only those rows, so wo, the residual,
+        norm2, the MLP and every later layer run on b * m rows. A session
+        asks this of its last layer (_Session), whose other rows nothing
+        reads.
+
         The residual stream is one [b * n, D] array, so each dense product
         (wqkv, wo, gate, up, down) is one 2-D matmul over all b * n rows, not
         b stacked n-row products: a b8 decode token makes one 8-row BLAS call
@@ -672,6 +679,10 @@ class _Engine:
             qkv = (u @ layer.wqkv).reshape(b, n, 3, h, d).transpose(2, 0, 3, 1, 4)
             qk = T.rope_np(qkv[:2], cos, sin)
             y = attend(i, qk[0], qk[1], qkv[2])
+            if y.shape[2] < n:  # attend answered only each sequence's last queries: carry only their rows
+                m = y.shape[2]
+                x = x.reshape(b, n, -1)[:, n - m :].reshape(b * m, -1)
+                cos, sin, n = cos[n - m :], sin[n - m :], m
             o = y.transpose(0, 2, 1, 3).reshape(b * n, h * d) @ layer.wo
             x = x + o
             if not np.isfinite(x).all():
@@ -704,7 +715,15 @@ class _Session:
     PREFILL_SEGMENT tokens, each carrying the position and the state of the
     one before, so its working set is one segment's activations whatever the
     prompt's length; _advance(ids, fresh=True) is the same prompt as one
-    segment."""
+    segment.
+
+    Only the last id's logits leave a session, and a later segment or step
+    reads a layer only through the keys and values its state keeps. So the
+    last layer attends with each sequence's last query alone (_read), and
+    the engine runs that layer's wo, MLP and the final norm on one row per
+    sequence; every key still enters the state. The states match a
+    full-row prefill bit for bit; the prefill's logits differ by float32
+    rounding, since one-row products round apart from n-row ones."""
 
     def __init__(self, model: Model, batch: int):
         self.model = model
@@ -730,9 +749,13 @@ class _Session:
             self._reset(self.batch)
         elif ids.shape[0] != self.batch:
             raise ShapeMismatch(f"{ids.shape[0]} token rows for a session of batch {self.batch}")
-        *_, logits = self.engine.steps(ids, self.position, self._attend)
+        *_, logits = self.engine.steps(ids, self.position, self._read)
         self.position += ids.shape[1]
         return logits
+
+    def _read(self, i, q, k, v) -> np.ndarray:
+        """_attend, with the last layer's queries cut to each sequence's last."""
+        return self._attend(i, q[:, :, -1:] if i == len(self.engine.layers) - 1 else q, k, v)
 
 
 class HybridSession(_Session):

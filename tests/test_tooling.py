@@ -2,8 +2,9 @@
 ``owner.__dict__[attr]``; a refactor that moves or renames one of them breaks
 ``benchmarks/run.py``, so both are checked here, with the benchmark files
 loaded read-only. The serving sessions are pinned to the names the tracer
-attributes their attention time to, a decode token reads only cached rope and
-mask tables, a stage-1 step and a softmax-baseline token build no mask,
+attributes their attention time to, their last layer attends with one query
+per sequence and leaves the states a full-row prefill leaves, a decode token
+reads only cached rope and mask tables, a stage-1 step and a softmax-baseline token build no mask,
 every bundled config is built into the classes it configures, a stage-2
 loss records rope, RMS normalisation and the loss as one tape node each and
 the qkv projection over one concat, and every tensor op records its node
@@ -127,6 +128,65 @@ def test_sessions_serve_every_layer_through_the_segment_step(monkeypatch):
     assert calls == {"decode_step": 2 * cfg.n_layers, "heads_hybrid": 0, "chunkwise": 2 * cfg.n_layers}
     session.step(ids[:, 0])
     assert calls == {"decode_step": 3 * cfg.n_layers, "heads_hybrid": 0, "chunkwise": 3 * cfg.n_layers}
+
+
+def _session(kind: str, cfg: M.ModelConfig, batch: int):
+    model = M.build_model(cfg)
+    if kind == "softmax":
+        return M.SoftmaxSession(model, batch)
+    return M.HybridSession(M.convert_model(model, M.HybridSpec(window_size=4, window_mode=kind, feature_kind="t2r")), batch)
+
+
+def _served_state(session) -> list:
+    """A session's state after its last advance, as bytes and ints."""
+    if isinstance(session, M.SoftmaxSession):
+        return [session.position] + [kv[:, :, :, : session.position].tobytes() for kv in session.kv]
+    return [session.position] + [
+        (st.s.tobytes(), st.z.tobytes(), st.k_cache.tobytes(), st.v_cache.tobytes(), st.filled, st.position) for st in session.states
+    ]
+
+
+@pytest.mark.parametrize("kind", ["terraced", "standard", "softmax"])
+def test_sessions_attend_the_last_layer_with_one_query_per_sequence(kind, monkeypatch):
+    # only the last id's logits leave a session: its last layer attends with
+    # each sequence's last query, over every key of the segment, and the
+    # other layers with every query, in each prefill segment and each step
+    cfg = M.ModelConfig(n_layers=3, n_heads=2, head_dim=8, seed=5)
+    session = _session(kind, cfg, 2)
+    rows = []
+    attend = type(session)._attend
+
+    def recorded(self, i, q, k, v):
+        assert q.shape[:2] == k.shape[:2] == (2, cfg.n_heads)
+        rows.append((i, q.shape[2], k.shape[2]))
+        return attend(self, i, q, k, v)
+
+    monkeypatch.setattr(type(session), "_attend", recorded)
+    ids = np.random.default_rng(5).integers(0, 258, size=(2, M.PREFILL_SEGMENT + 11))
+    session.prefill(ids)
+    last = cfg.n_layers - 1
+    assert rows == [(i, 1 if i == last else n, n) for n in (M.PREFILL_SEGMENT, 11) for i in range(cfg.n_layers)]
+    rows.clear()
+    session.step(ids[:, 0])
+    assert rows == [(i, 1, 1) for i in range(cfg.n_layers)]
+
+
+@pytest.mark.parametrize("kind", ["terraced", "standard", "softmax"])
+def test_pruned_prefill_serves_as_a_full_row_prefill(kind):
+    # against a session whose attend gets every query row: the states after
+    # the prefill and the logits of the next 8 steps are the same bits; only
+    # the prefill's logits round apart, since the last layer's products run
+    # on one row per sequence
+    cfg = M.ModelConfig(n_layers=2, n_heads=2, head_dim=8, seed=9)
+    pruned, full = _session(kind, cfg, 3), _session(kind, cfg, 3)
+    full._read = full._attend
+    ids = np.random.default_rng(9).integers(0, 258, size=(3, M.PREFILL_SEGMENT + 37 + 8))
+    prompt = ids[:, : M.PREFILL_SEGMENT + 37]
+    assert np.abs(pruned.prefill(prompt) - full.prefill(prompt)).max() <= 1e-5
+    assert _served_state(pruned) == _served_state(full)
+    for n in range(prompt.shape[1], ids.shape[1]):
+        assert pruned.step(ids[:, n]).tobytes() == full.step(ids[:, n]).tobytes(), f"position {n}"
+        assert _served_state(pruned) == _served_state(full)
 
 
 @pytest.mark.parametrize("mode", ["terraced", "standard"])
