@@ -25,7 +25,8 @@ node, hybrid_attention_prefill, which keeps every chunk's scores (O(l w)
 bytes per layer) for its backward; the serving sessions run it through
 hybrid_decode_step, which advances a constant-size state (the kv-state and a
 w-key cache) by a segment of any length and keeps nothing else between
-segments. _hybrid_naive, the masked O(l^2) form, is its oracle.
+segments. hybrid_attention_weights, the masked O(l^2) weights, is its
+oracle: those weights times v are the layer's output.
 
 The numpy kernels (_phi_np, softmax_attention_np, hybrid_decode_step; rope and
 softmax are T.rope_np and T.softmax_np, the Tensor ops' own) read plain-array
@@ -62,10 +63,6 @@ from .tensor import MASK_VALUE, Tensor
 # so the window term's gamma factor cancels exactly when the linear sum is
 # empty (the collapse-to-softmax contract holds to float precision).
 EPS = 1e-6
-
-
-def _floor_den(den: Tensor) -> Tensor:
-    return T.masked_fill(den, den.data < EPS, EPS)
 
 
 # --------------------------------------------------------------------------
@@ -294,10 +291,6 @@ class LinearAttentionState:
     def __init__(self, batch: int, heads: int, feature_out_dim: int, head_dim: int, dtype=np.float32):
         self.s = np.zeros((batch, heads, feature_out_dim, head_dim), dtype=dtype)
         self.z = np.zeros((batch, heads, feature_out_dim), dtype=dtype)
-
-    @property
-    def nbytes(self) -> int:
-        return self.s.nbytes + self.z.nbytes
 
 
 def linear_attention_recurrent_step(
@@ -536,7 +529,7 @@ def _hybrid_chunkwise(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, 
 
     def stats():  # the largest chunk's scores, ex, weights, num, den and its y (num's size)
         peak = max((sum(x.nbytes for x in ch[-5:]) + ch[-2].nbytes) // ch[3] for ch in chunks)
-        return {"peak_chunk_bytes": peak, "state_bytes": b * h * fk.shape[3] * (d + 1) * q.itemsize, "chunks": sum(ch[3] for ch in chunks)}
+        return {"peak_chunk_bytes": peak, "state_bytes": b * h * fk.shape[3] * (d + 1) * q.itemsize}
 
     def backward(g, qkv: bool):
         dq, dfq = np.empty(q.shape, q.dtype) if qkv else None, np.empty(fq.shape, fq.dtype)
@@ -612,17 +605,20 @@ def hybrid_attention_prefill(
     the feature maps, as Tensor ops, then _hybrid_op. with_stats also returns
     a stats dict: peak_chunk_bytes, the largest chunk's share of the
     scratch the kernel keeps (it grows with w, not with the sequence; the
-    kernel holds all nc chunks, O(l w) bytes), state_bytes, one chunk's
-    kv-state, and chunks, nc. _hybrid_naive is the masked O(l^2) oracle it must agree
-    with."""
+    kernel holds all nc chunks, O(l w) bytes), and state_bytes, one chunk's
+    kv-state. hybrid_attention_weights is the masked O(l^2) oracle it must
+    agree with: its weights times v."""
     _check_qkv(q, k, v)
     stats = {} if with_stats else None
     y = _hybrid_op(q, k, v, feature_map_apply(cfg.phi_q, q), feature_map_apply(cfg.phi_k, k), cfg, stats)
     return (y, stats) if with_stats else y
 
 
-def _hybrid_naive(q, k, v, cfg):
-    """Reference path: full masked score matrices, both modes; returns (y, weights)."""
+def hybrid_attention_weights(q, k, v, cfg) -> Tensor:
+    """The hybrid layer's row-stochastic weights [b, h, l, l], both modes, from
+    full masked score matrices (memory-heavy; the weight losses and the
+    oracle of hybrid_attention_prefill read them); v is checked, not read."""
+    _check_qkv(q, k, v)
     b, h, l, d = q.shape
     scale = 1.0 / np.sqrt(d)
     gamma = T.sigmoid(cfg.gamma_raw).reshape(1, h, 1, 1)
@@ -637,16 +633,8 @@ def _hybrid_naive(q, k, v, cfg):
     fk = feature_map_apply(cfg.phi_k, k)
     lin = T.masked_fill(T.matmul(fq, T.swapaxes(fk, -1, -2)), ~lin_mask, 0.0)
 
-    den = _floor_den(ew.sum(-1, keepdims=True) + lin.sum(-1, keepdims=True))
-    weights = (ew + lin) / den
-    y = T.matmul(weights, v)
-    return y, weights
-
-
-def hybrid_attention_weights(q, k, v, cfg) -> Tensor:
-    """Materialized row-stochastic hybrid weights [b, h, l, l] (memory-heavy; opt-in)."""
-    _, weights = _hybrid_naive(q, k, v, cfg)
-    return weights
+    den = ew.sum(-1, keepdims=True) + lin.sum(-1, keepdims=True)
+    return (ew + lin) / T.masked_fill(den, den.data < EPS, EPS)
 
 
 def terraced_prefill_chunked(
@@ -699,10 +687,6 @@ class HybridDecodeState:
         without allocating it."""
         s, z, cache = (math.prod(shape) * np.dtype(dtype).itemsize for shape in cls._shapes(batch, heads, cfg, head_dim))
         return s + z, 2 * cache
-
-    @property
-    def nbytes(self) -> int:
-        return self.s.nbytes + self.z.nbytes + self.k_cache.nbytes + self.v_cache.nbytes
 
     @property
     def state_bytes(self) -> int:

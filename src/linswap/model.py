@@ -43,6 +43,7 @@ from .attention import (
 from .errors import (
     AdaptersMissing,
     AlreadyConverted,
+    BadConfig,
     DuplicateAdapter,
     InvalidConfig,
     NotConverted,
@@ -292,9 +293,6 @@ class Model:
         params["head.weight"] = self.head
         return params
 
-    def trainable_parameters(self) -> dict[str, Tensor]:
-        return {n: t for n, t in self.parameters().items() if t.requires_grad}
-
     def parameter_count(self) -> int:
         return sum(t.size for t in self.parameters().values())
 
@@ -506,19 +504,24 @@ def adapter_parameters(model: Model) -> dict[str, Tensor]:
 # --------------------------------------------------------------------------
 
 
-def tokenize(text: bytes) -> np.ndarray:
-    """Byte ids 0-255 wrapped in BOS=256 / EOS=257, as uint32."""
+def tokenize(text: str | bytes) -> np.ndarray:
+    """Byte ids 0-255 wrapped in BOS=256 / EOS=257, as uint32; text is a str
+    (taken as UTF-8) or bytes-like, and BadConfig otherwise."""
     if isinstance(text, str):
         text = text.encode("utf-8")
+    if not isinstance(text, (bytes, bytearray, memoryview)):
+        raise BadConfig(f"tokenize takes str or bytes-like text, got {type(text).__name__}")
     return np.concatenate(
         [[BOS_ID], np.frombuffer(bytes(text), dtype=np.uint8).astype(np.uint32), [EOS_ID]]
     ).astype(np.uint32)
 
 
 def detokenize(ids) -> bytes:
+    """The bytes of ids, BOS and EOS dropped; UnknownId unless every id is an
+    integer in [0, 258)."""
     ids = np.asarray(ids)
-    if ids.size and int(ids.max(initial=0)) >= 258:
-        raise UnknownId(f"id {int(ids.max())} outside vocabulary")
+    if ids.size and (ids.dtype.kind not in "iu" or int(ids.min()) < 0 or int(ids.max()) >= 258):
+        raise UnknownId(f"detokenize takes integer ids in [0, 258), got a {ids.dtype} array")
     keep = ids[(ids != BOS_ID) & (ids != EOS_ID)]
     return keep.astype(np.uint8).tobytes()
 
@@ -851,6 +854,8 @@ def generate_greedy(model: Model, prompt_ids: np.ndarray, n_new: int, max_len: i
     if prompt_ids.ndim == 1:
         prompt_ids = prompt_ids[None, :]
     prompt_ids = _check_ids(prompt_ids, model.config.vocab_size).astype(np.int64)
+    if not n_new >= 0:
+        raise BadConfig(f"n_new must be >= 0, got {n_new}")
     cap = max_len if max_len is not None else model.config.max_seq_len
     if prompt_ids.shape[1] + n_new > cap:
         raise PromptTooLong(f"prompt {prompt_ids.shape[1]} + {n_new} new tokens exceeds cap {cap}")

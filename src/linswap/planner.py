@@ -100,4 +100,3 @@ def format_bytes(n: int) -> str:
         if value < 1000.0 or unit == units[-1]:
             return f"{value:.1f} {unit}"
         value /= 1000.0
-    return f"{n} B"

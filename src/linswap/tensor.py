@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    BadConfig,
     DetachedLoss,
     EmptyReduction,
     NonDeterministicF,
@@ -227,10 +228,8 @@ class Tensor:
         return reduce_max(self, axis, keepdims)
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -623,15 +622,16 @@ def rms_norm(x, gain, eps: float) -> Tensor:
     if gain.shape != x.shape[-1:]:
         raise ShapeMismatch(f"rms_norm: gain {gain.shape} vs x {x.shape}")
 
+    r = _rms_scale(x.data, eps)  # [..., 1], the one array the rules keep beyond x and gain
+
     def dx(g):
-        r = _rms_scale(x.data, eps)
         u, gu = x.data * r, g * gain.data
         return r * (gu - u * ((gu * u).sum(-1, keepdims=True) / x.shape[-1]))
 
     def dgain(g):
-        return _unbroadcast(g * (x.data * _rms_scale(x.data, eps)), gain.shape)
+        return _unbroadcast(g * (x.data * r), gain.shape)
 
-    return _node(rms_norm_np(x.data, gain.data, eps), (x, gain), (dx, dgain), "rms_norm")
+    return _node(x.data * r * gain.data, (x, gain), (dx, dgain), "rms_norm")
 
 
 def cross_entropy(logits, targets: np.ndarray) -> Tensor:
@@ -712,7 +712,7 @@ def finite_difference_check(
     f must be a deterministic Tensor -> scalar map; the check runs in float64.
     """
     if not 1e-5 <= h <= 1e-3:
-        raise ValueError(f"h={h} outside [1e-5, 1e-3]")
+        raise BadConfig(f"h={h} outside [1e-5, 1e-3]")
     x0 = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
 
     probe = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)

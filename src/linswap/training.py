@@ -109,7 +109,7 @@ class AdamW:
     parameter at which the sum of squares turned non-finite (the first one
     with a NaN/Inf gradient)."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, clip_norm: float | None = 1.0):
+    def __init__(self, params: dict[str, Tensor], lr: float, clip_norm: float = 1.0):
         self.params = dict(params)
         self.lr = float(lr)
         self.clip_norm = clip_norm
@@ -131,7 +131,7 @@ class AdamW:
         norm = float(np.sqrt(total))
         if first is not None:  # before any gradient, moment or parameter changes
             raise DivergedLoss(f"gradient norm {norm} (first at {first})")
-        if self.clip_norm is not None and norm > self.clip_norm:
+        if norm > self.clip_norm:
             scale = self.clip_norm / (norm + 1e-12)
             for t in self.params.values():
                 if t.grad is not None:
@@ -204,7 +204,9 @@ def synthetic_corpus(n_tokens: int, seed: int = 0) -> np.ndarray:
 
 
 def sample_batch(corpus: np.ndarray, batch_size: int, seq_len: int, rng: np.random.Generator):
-    """Random crops of seq_len + 1 tokens -> (inputs [b, l], targets [b, l])."""
+    """Random crops of seq_len + 1 tokens -> (inputs [b, l], targets [b, l]);
+    BadConfig unless batch_size and seq_len are > 0 and the corpus holds a crop."""
+    check_fields(locals(), ("batch_size", "seq_len"))
     if corpus.size < seq_len + 1:
         raise BadConfig(f"corpus of {corpus.size} tokens cannot yield seq_len {seq_len}")
     starts = rng.integers(0, corpus.size - seq_len, size=batch_size)

@@ -5,8 +5,9 @@ numpy arrays and never call the library's vectorized paths, so agreement is a
 two-route check rather than a tautology. The *_composite functions are the
 other kind of oracle: the fused Tensor ops (rope, softmax attention,
 rms_norm, cross_entropy) written out as chains of elementary Tensor ops,
-whose gradients the tape derives op by op. hybrid_op_packed sets the hybrid
-op up for the finite-difference suites. clone_model and zero_grad are the
+whose gradients the tape derives op by op; hybrid_naive is the hybrid
+layer's masked O(l^2) form. hybrid_op_packed sets the hybrid op up for the
+finite-difference suites. clone_model and zero_grad are the
 model helpers only the tests use; effective_sequence_length (criterion 12's
 per-index ESL) and mse_attention_loss (the all-layer output MSE) are the
 attention and training helpers only the tests use.
@@ -152,6 +153,12 @@ def cross_entropy_composite(logits, targets):
     logp = shifted - T.log(T.exp(shifted).sum(-1, keepdims=True))
     onehot = np.eye(logits.shape[-1])[np.asarray(targets)]
     return -(logp * T.Tensor(onehot, dtype=logits.dtype)).sum(-1).mean()
+
+
+def hybrid_naive(q, k, v, cfg):
+    """The hybrid layer's output as Tensor ops: its masked O(l^2) weights
+    (A.hybrid_attention_weights) times v."""
+    return T.matmul(A.hybrid_attention_weights(q, k, v, cfg), v)
 
 
 HYBRID_PACKED = (1, 2, 7, 2)  # b, h, l, d of hybrid_op_packed, window 2: the last chunk is padded

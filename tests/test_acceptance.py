@@ -119,7 +119,7 @@ def test_criterion_03_chunked_terraced_equivalence():
             g = rng(3000 + w + seq)
             cfg = A.make_hybrid_config(w, "terraced", "hedgehog", 2, 8, rng=g)
             q, k, v = (Tensor(g.normal(size=(1, 2, seq, 8)).astype(np.float32)) for _ in range(3))
-            ref = A._hybrid_naive(q, k, v, cfg)[0]
+            ref = oracles.hybrid_naive(q, k, v, cfg)
             out = A.terraced_prefill_chunked(q, k, v, cfg)
             worst = max(worst, np.abs(out.data - ref.data).max())
     assert worst <= 1e-5

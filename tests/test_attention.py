@@ -242,13 +242,13 @@ def test_linear_attention_three_forms_agree(kind):
     np.testing.assert_allclose(y_state.data, y_par.data, atol=1e-9)
 
     state = A.LinearAttentionState(1, 2, pq.output_dim, 8, dtype=np.float64)
-    size0 = state.nbytes
+    size0 = state.s.nbytes + state.z.nbytes
     stream = np.zeros_like(v.data)
     for n in range(16):
         stream[:, :, n] = A.linear_attention_recurrent_step(
             state, q.data[:, :, n], k.data[:, :, n], v.data[:, :, n], pq, pk
         )
-    assert state.nbytes == size0  # constant-memory contract
+    assert state.s.nbytes + state.z.nbytes == size0  # constant-memory contract
     np.testing.assert_allclose(stream, y_par.data, atol=1e-9)
 
 
@@ -300,13 +300,13 @@ def test_recurrent_state_dim_mismatch():
 def test_recurrent_state_size_constant_over_1000_steps():
     pq, pk = _fmaps("t2r", 1, 4, 51)
     state = A.LinearAttentionState(1, 1, pq.output_dim, 4, dtype=np.float64)
-    size0 = state.nbytes
+    size0 = state.s.nbytes + state.z.nbytes
     g = rng(52)
     for _ in range(1000):
         A.linear_attention_recurrent_step(
             state, g.normal(size=(1, 1, 4)), g.normal(size=(1, 1, 4)), g.normal(size=(1, 1, 4)), pq, pk
         )
-    assert state.nbytes == size0
+    assert state.s.nbytes + state.z.nbytes == size0
 
 
 # --- diagnostics -----------------------------------------------------------------

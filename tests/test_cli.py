@@ -359,6 +359,8 @@ def test_exit_codes(workdir, capsys, tmp_path):
     assert main(["adjust", "--config", str(steps0), "--checkpoint", converted, "--out", str(out)]) == 2
     assert "BadConfig:" in capsys.readouterr().err
     assert not (out / "adjust.lolc").exists()
+    assert main(["generate", "--checkpoint", converted, "--prompt", "AB", "--n", "-3"]) == 2
+    assert "BadConfig:" in capsys.readouterr().err
 
     # MissingCheckpoint -> 3
     assert main(["adjust", "--config", str(workdir / "tiny.ini"), "--checkpoint", "/nonexistent.lolc", "--out", str(tmp_path)]) == 3

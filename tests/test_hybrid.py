@@ -129,7 +129,7 @@ def test_chunked_equals_naive_terraced(w, rel):
     for mode in A.WINDOW_MODES:
         cfg = make_cfg(w, mode, seed=13 + w)
         q, k, v = rand_qkv(2, 2, seq, 8, 14 + seq)
-        ref = A._hybrid_naive(q, k, v, cfg)[0]
+        ref = oracles.hybrid_naive(q, k, v, cfg)
         out = A.hybrid_attention_prefill(q, k, v, cfg)
         np.testing.assert_allclose(out.data, ref.data, atol=1e-6, err_msg=mode)
 
@@ -205,7 +205,7 @@ def test_chunkwise_kernel_matches_oracle_and_serving_walk(rel, mode, kind, monke
 
     y, grads = run(lambda: A._hybrid_op(q, k, v, fq, fk, cfg))
     monkeypatch.setattr(A, "feature_map_apply", lambda p, x: fq if p is cfg.phi_q else fk)
-    y_ref, grads_ref = run(lambda: A._hybrid_naive(q, k, v, cfg)[0])
+    y_ref, grads_ref = run(lambda: oracles.hybrid_naive(q, k, v, cfg))
     np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
     for name, g, g_ref in zip(("q", "k", "v", "phi_q", "phi_k", "gamma_raw"), grads, grads_ref):
         assert np.abs(g - g_ref).max() <= 1e-10 * max(np.abs(g_ref).max(), 1.0), name
@@ -299,7 +299,7 @@ def test_decode_state_bytes_constant_past_window(mode):
     sizes = []
     for n in range(3 * w):
         A.hybrid_decode_step(state, g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), g.normal(size=(1, 2, 1, 8)), cfg.arrays())
-        sizes.append(state.nbytes)
+        sizes.append(state.state_bytes + state.cache_bytes)
     assert len(set(sizes)) == 1  # fixed allocation from the start
 
 
@@ -358,7 +358,7 @@ def test_chunk_masks_follow_the_oracle_window_rule(w, mode):
     # segment's output must be the masked oracle's rows, in float64
     cfg = make_cfg(w, mode, seed=70 + w)
     q, k, v = rand_qkv(1, 2, 6 * w, 8, 71 + w)
-    ref = A._hybrid_naive(q, k, v, cfg)[0].data
+    ref = oracles.hybrid_naive(q, k, v, cfg).data
     arrays = cfg.arrays()
     for p in range(4 * w):
         for n in range(1, 2 * w + 2):
@@ -453,7 +453,7 @@ def test_kernel_matches_oracle_outputs_and_gradients(case):
     q, k, v = rand_qkv(b, h, l, d, case["seed"] + 1)
     probe = rng(case["seed"] + 2).normal(size=(b, h, l, d))
     y, grads = kernel_and_grads(A.hybrid_attention_prefill, q, k, v, cfg, probe)
-    y_ref, grads_ref = kernel_and_grads(lambda *a: A._hybrid_naive(*a)[0], q, k, v, cfg, probe)
+    y_ref, grads_ref = kernel_and_grads(oracles.hybrid_naive, q, k, v, cfg, probe)
     np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
     for g, g_ref in zip(grads, grads_ref):
         # relative to the largest entry; gamma's gradient is 0 in exact
@@ -469,7 +469,7 @@ def test_kernel_parameter_gradients_do_not_need_qkv_gradients(mode):
     q, k, v = rand_qkv(2, 2, 11, 8, 43)
     probe = rng(44).normal(size=(2, 2, 11, 8))
     grads = []
-    for fn in (A.hybrid_attention_prefill, lambda *a: A._hybrid_naive(*a)[0]):
+    for fn in (A.hybrid_attention_prefill, oracles.hybrid_naive):
         for t in cfg.parameters():
             t.grad = np.zeros_like(t.data)
         T.backpropagate((fn(q, k, v, cfg) * Tensor(probe)).sum())
@@ -487,7 +487,7 @@ def test_segment_steps_match_oracle_and_session_matches_fresh_prefill(case):
     # any split of the sequence into segments reproduces the masked oracle
     cfg = make_cfg(w, mode, kind=kind, heads=h, d=d, seed=case["seed"], gamma=case["gamma"])
     q, k, v = rand_qkv(b, h, l, d, case["seed"] + 1)
-    ref = A._hybrid_naive(q, k, v, cfg)[0].data
+    ref = oracles.hybrid_naive(q, k, v, cfg).data
     state = A.HybridDecodeState(b, h, cfg, d, dtype=np.float64)
     outs = [
         A.hybrid_decode_step(state, q.data[:, :, lo:hi], k.data[:, :, lo:hi], v.data[:, :, lo:hi], cfg.arrays(), position=lo)

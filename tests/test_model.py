@@ -28,6 +28,7 @@ from linswap.checkpoint import (
 )
 from linswap.errors import (
     AlreadyConverted,
+    BadConfig,
     CorruptPayload,
     DuplicateAdapter,
     InvalidConfig,
@@ -109,14 +110,14 @@ def test_invalid_configs_rejected():
 
 def test_convert_trainable_set_is_exactly_feature_maps():
     model = convert_model(small_model(), SPEC)
-    names = sorted(model.trainable_parameters())
+    names = sorted(n for n, t in model.parameters().items() if t.requires_grad)
     expect = sorted(
         f"layers.{i}.attn.{n}" for i in range(2) for n in ("gamma_raw", "phi_q.weight", "phi_k.weight")
     )
     assert names == expect  # hedgehog has no bias
 
     model2 = convert_model(small_model(), HybridSpec(window_size=4, window_mode="standard", feature_kind="t2r"))
-    names2 = sorted(model2.trainable_parameters())
+    names2 = sorted(n for n, t in model2.parameters().items() if t.requires_grad)
     expect2 = sorted(
         f"layers.{i}.attn.{n}"
         for i in range(2)
@@ -182,7 +183,7 @@ def test_feature_map_trainable_count_matches_formula():
     cfg = ModelConfig(n_layers=2, n_heads=2, head_dim=16, seed=0)
     model = build_model(cfg)
     convert_model(model, HybridSpec(window_size=4, window_mode="standard", feature_kind="hedgehog", feature_dim=8))
-    count = sum(t.size for n, t in model.trainable_parameters().items() if "phi_" in n)
+    count = sum(t.size for n, t in model.parameters().items() if t.requires_grad and "phi_" in n)
     assert count == 2 * 2 * 2 * (16 * 8)
 
 
@@ -277,6 +278,19 @@ def test_tokenize_roundtrip_random_bytes():
 def test_detokenize_unknown_id():
     with pytest.raises(UnknownId):
         detokenize(np.array([65, 400]))
+
+
+@pytest.mark.parametrize("ids", [[-1, 65], [65.7], [65.0]], ids=["negative", "fraction", "float"])
+def test_detokenize_refuses_negative_and_non_integer_ids(ids):
+    with pytest.raises(UnknownId):
+        detokenize(np.array(ids))
+
+
+@pytest.mark.parametrize("text", [5, [300], None], ids=["int", "list", "none"])
+def test_tokenize_takes_only_text_or_bytes(text):
+    # an int would be bytes(n), n zero bytes: an allocation the caller sized
+    with pytest.raises(BadConfig):
+        tokenize(text)
 
 
 # --- checkpoints -----------------------------------------------------------------
@@ -469,13 +483,19 @@ def edited_tiny_headers(draw):
 @given(header=edited_tiny_headers())
 def test_mutated_checkpoint_header_loads_or_raises_a_linswap_error(tmp_path, header):
     # the CRC is re-sealed, so each edit gets past it to the header's
-    # decoding, the settings classes' own checks and the payload reads
+    # decoding, the settings classes' own checks and the payload reads;
+    # no edit may make the loader allocate past the fixed cases' bound
     path = str(tmp_path / "fuzz.lolc")
     open(path, "wb").write(_sealed(_tiny_checkpoint()[0], header))
+    tracemalloc.start()
     try:
         load_checkpoint(path)
     except LinswapError:
         pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"loader peaked at {peak} bytes"
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -556,6 +576,12 @@ def test_generate_zero_new_tokens_echoes_prompt():
     prompt = tokenize("AB")[:-1]  # drop EOS
     out = generate_greedy(model, prompt, 0)
     np.testing.assert_array_equal(out[0], prompt)
+
+
+def test_generate_rejects_negative_n_new():
+    model = convert_model(small_model(), SPEC)
+    with pytest.raises(BadConfig):
+        generate_greedy(model, tokenize("AB")[:-1], -3)
 
 
 def test_generate_prompt_too_long():

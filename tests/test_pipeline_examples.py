@@ -29,6 +29,8 @@ from linswap.training import (
     synthetic_corpus,
 )
 
+import oracles
+
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "tiny.ini")
 
@@ -91,7 +93,7 @@ def test_generation_identical_with_naive_prefill():
     prompt = np.concatenate([[256], (np.arange(13) % 26) + 65])
 
     def naive_heads(self, q, k, v):
-        return A._hybrid_naive(q, k, v, self.hybrid_cfg)[0]
+        return oracles.hybrid_naive(q, k, v, self.hybrid_cfg)
 
     for mode in A.WINDOW_MODES:
         model = convert_model(
@@ -117,7 +119,7 @@ def test_trainable_fractions_at_wide_desk_config():
     cfg = ModelConfig(n_layers=2, n_heads=4, head_dim=64, seed=61)
     model = convert_model(build_model(cfg), HybridSpec(window_size=64, window_mode="terraced", feature_kind="hedgehog"), seed=61)
     total = model.parameter_count()
-    fmap = sum(t.size for n, t in model.trainable_parameters().items())
+    fmap = sum(t.size for t in model.parameters().values() if t.requires_grad)
     lora_attach(model, rank=8, alpha=16.0, seed=61)
     lora = sum(t.size for n, t in model.parameters().items() if n.endswith(("lora_a", "lora_b")))
     total = model.parameter_count() - lora  # base + feature maps

@@ -11,6 +11,7 @@ from linswap import tensor as T
 
 import oracles
 from linswap.errors import (
+    BadConfig,
     DetachedLoss,
     EmptyReduction,
     NonFiniteResult,
@@ -276,6 +277,12 @@ def test_fd_polynomial():
     assert err <= 1e-6
 
 
+@pytest.mark.parametrize("h", [1.0, 1e-6])
+def test_fd_rejects_a_step_outside_its_range(h):
+    with pytest.raises(BadConfig):
+        T.finite_difference_check(lambda t: (t * t).sum(), np.array([1.0, 2.0]), h=h)
+
+
 def test_fd_softmax_sum_of_squares():
     x = rng(7).normal(size=(3, 5))
     err = T.finite_difference_check(lambda t: (T.softmax(t) * T.softmax(t)).sum(), x)
@@ -425,6 +432,22 @@ def test_fused_op_survives_a_second_backward(name, op, composite, inputs):
     T.backpropagate(loss)
     for got, want in zip(leaves, first):
         np.testing.assert_array_equal(got.grad, 2 * want)
+
+
+def test_rms_norm_takes_its_scale_once(monkeypatch):
+    # the forward's scale serves both gradient rules
+    calls = []
+
+    def counted(x, eps):
+        calls.append(x.shape)
+        return scale(x, eps)
+
+    scale = T._rms_scale
+    monkeypatch.setattr(T, "_rms_scale", counted)
+    x = T.Tensor(_X * 0.1, requires_grad=True, dtype=np.float64)
+    gain = T.Tensor(rng(34).normal(size=8), requires_grad=True, dtype=np.float64)
+    T.backpropagate(T.rms_norm(x, gain, 1e-6).sum())
+    assert len(calls) == 1 and x.grad is not None and gain.grad is not None
 
 
 def test_cross_entropy_stays_finite_over_a_wide_logit_spread():

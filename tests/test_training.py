@@ -178,6 +178,12 @@ def test_sample_batch_reaches_the_last_crop():
     np.testing.assert_array_equal(targets, np.tile(corpus[1:], (3, 1)))
 
 
+@pytest.mark.parametrize("batch_size,seq_len", [(-1, 4), (0, 4), (2, 0), (2, -3)])
+def test_sample_batch_rejects_non_positive_sizes(batch_size, seq_len):
+    with pytest.raises(BadConfig):
+        sample_batch(np.arange(64), batch_size, seq_len, rng(5))
+
+
 def test_adamw_deterministic_bitwise():
     def run():
         g = rng(11)
