@@ -7,10 +7,11 @@ Model.forward and the stage-1 student run on the autograd Tensor path.
 Generation and the frozen stage-1 teacher run on a numpy engine built from
 the model: the norm gains, MLP weights and head as arrays, and sigmoid(gamma)
 cached. Both paths project alike: a LoRA adapter is merged into its base
-weight by one float32 expression (_lora_merged), on the tape at every forward
-and in the engine once, and q, k, v come from one matmul over the fused
-wq|wk|wv. A session builds its engine once, so it serves the weights as they
-were when it was built.
+weight by one float32 expression (Projection.merged), on the tape at every
+forward and in the engine once, and q, k, v come from one matmul over the
+fused wq|wk|wv. Sessions share one engine per set of parameter arrays
+(_Engine.of), and a session keeps the engine it was handed, so it serves the
+weights as they were when it was built.
 
 Parameter count closed form (asserted in tests):
 
@@ -22,6 +23,7 @@ with D = n_heads * head_dim and Dh = round(mlp_hidden_mult * D).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -147,13 +149,6 @@ class LoraAdapter:
     alpha: float
 
 
-def _lora_merged(w, a, b, scale):
-    """W + scale * A^T B^T (Hu et al. 2021), in W's dtype, with operators that
-    Tensor and ndarray both have: the tape records it on the parameters and the
-    engine computes it on their arrays, bit for bit the same weight."""
-    return w + (b @ a).swapaxes(0, 1) * scale
-
-
 class Projection:
     """x @ W, with an attached LoRA adapter merged into W first."""
 
@@ -163,9 +158,11 @@ class Projection:
         self.adapter: LoraAdapter | None = None
 
     def merged(self) -> Tensor:
-        """The weight the projection applies: W, or W + (alpha/r) A^T B^T."""
+        """The weight the projection applies: W, or W + (alpha/r) A^T B^T
+        (Hu et al. 2021) in W's dtype. The tape records it at every forward;
+        the engine takes it once per parameter state, under no_grad."""
         ad = self.adapter
-        return self.weight if ad is None else _lora_merged(self.weight, ad.a, ad.b, ad.alpha / ad.rank)
+        return self.weight if ad is None else self.weight + (ad.b @ ad.a).swapaxes(0, 1) * (ad.alpha / ad.rank)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.merged())
@@ -248,6 +245,12 @@ def _check_ids(ids, vocab: int) -> np.ndarray:
     return ids
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """BadConfig unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise BadConfig(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class Model:
     def __init__(self, config: ModelConfig, embed: Tensor, blocks: list[Block], final_norm: RMSNorm, head: Tensor):
         self.config = config
@@ -257,6 +260,7 @@ class Model:
         self.head = head
         self.hybrid_spec: HybridSpec | None = None
         self.lora_meta: dict | None = None  # {"rank", "alpha", "targets"}
+        self._engine: tuple[tuple, _Engine] | None = None  # (parameter arrays, their engine): _Engine.of
 
     # -- parameter registry ------------------------------------------------
 
@@ -542,12 +546,6 @@ class _EngineLayer(NamedTuple):
     hybrid: HybridArrays | None
 
 
-def _merged(proj: Projection) -> np.ndarray:
-    """Projection.merged() on the parameter arrays, off the tape."""
-    ad = proj.adapter
-    return proj.weight.data if ad is None else _lora_merged(proj.weight.data, ad.a.data, ad.b.data, ad.alpha / ad.rank)
-
-
 def _first_non_finite(i: int, *named: tuple[str, np.ndarray]) -> None:
     """Raise NonFiniteResult for the first non-finite of layer i's (op,
     array) pairs, given in compute order."""
@@ -600,14 +598,20 @@ class _Engine:
     """The plain numpy arrays a session serves, taken from the model once, and
     the one numpy block loop over them, for the sessions and the stage-1
     teacher. LoRA is merged into its base projection by the expression the
-    tape trains through (_lora_merged), wq|wk|wv is one [D, 3D] matrix as in
-    project_qkv, and a hybrid layer's window factor sigmoid(gamma_raw) is
-    computed once (HybridArrays).
+    tape trains through (Projection.merged, under no_grad), wq|wk|wv is one
+    [D, 3D] matrix as in project_qkv, and a hybrid layer's window factor
+    sigmoid(gamma_raw) is computed once (HybridArrays).
 
     Merged and fused matrices are the engine's own arrays; the others are the
     parameter arrays themselves, which the optimizer and load_checkpoint
-    replace rather than write into. So a session serves the weights as they
-    were when it was built: build a new one after an update.
+    replace rather than write into. Sessions take the engine from of(model),
+    which builds one per set of parameter arrays and keeps the last on the
+    model: an optimizer step, a load, lora_attach, convert_model or a cast
+    replaces or adds an array, and the next session gets a new engine, while
+    a session built before keeps serving the weights it was built from. A
+    parameter written in place is not seen: replace it instead. The stage-1
+    teacher builds its own engine each step, since each step replaces phi and
+    gamma and a kept engine would only hold the last step's arrays alive.
 
     The residual stream is one [b * n, D] array: each dense product is one
     2-D matmul over every row of the batch (steps says what that trades).
@@ -626,21 +630,33 @@ class _Engine:
     def __init__(self, model: Model):
         self.config = model.config
         self.embed = model.embed.data
-        self.layers = [
-            _EngineLayer(
-                blk.norm1.gain.data,
-                np.concatenate([_merged(blk.attn.wq), _merged(blk.attn.wk), _merged(blk.attn.wv)], axis=1),
-                _merged(blk.attn.wo),
-                blk.norm2.gain.data,
-                blk.mlp.gate.weight.data,
-                blk.mlp.up.weight.data,
-                blk.mlp.down.weight.data,
-                None if blk.attn.hybrid_cfg is None else blk.attn.hybrid_cfg.arrays(),
-            )
-            for blk in model.blocks
-        ]
+        with T.no_grad():
+            self.layers = [
+                _EngineLayer(
+                    blk.norm1.gain.data,
+                    np.concatenate([blk.attn.wq.merged().data, blk.attn.wk.merged().data, blk.attn.wv.merged().data], axis=1),
+                    blk.attn.wo.merged().data,
+                    blk.norm2.gain.data,
+                    blk.mlp.gate.weight.data,
+                    blk.mlp.up.weight.data,
+                    blk.mlp.down.weight.data,
+                    None if blk.attn.hybrid_cfg is None else blk.attn.hybrid_cfg.arrays(),
+                )
+                for blk in model.blocks
+            ]
         self.final_gain = model.final_norm.gain.data
         self.head = model.head.data
+
+    @classmethod
+    def of(cls, model: Model) -> _Engine:
+        """The model's engine for its parameter arrays as they are: the one
+        built last while each array is the very one (is) it was built from,
+        else a new one, kept on the model in its place."""
+        arrays = tuple(t.data for t in model.parameters().values())
+        built = model._engine
+        if built is None or len(built[0]) != len(arrays) or not all(map(operator.is_, built[0], arrays)):
+            built = model._engine = (arrays, cls(model))
+        return built[1]
 
     def steps(self, ids: np.ndarray, position: int, attend):
         """The block loop over ids [b, n] (checked by the caller) at positions
@@ -710,9 +726,11 @@ class _Engine:
 class _Session:
     """Shared by the decode sessions: prefill and step check the token ids
     (the sessions' input boundary) once per call, before any state moves;
-    _advance runs the steps of the serving engine, built once with the
-    session, over checked ids to the end with the session's _attend: the
-    logits of the last one. fresh=True first resets the session's state.
+    _advance runs the steps of the serving engine, the model's engine for its
+    parameters as they were when the session was built (_Engine.of), over
+    checked ids to the end with the session's _attend: the logits of the
+    last one. fresh=True first resets the session's state. BadConfig unless
+    batch is an integer >= 1, before any engine or state is built.
 
     prefill advances fresh state over the prompt in segments of
     PREFILL_SEGMENT tokens, each carrying the position and the state of the
@@ -729,8 +747,9 @@ class _Session:
     rounding, since one-row products round apart from n-row ones."""
 
     def __init__(self, model: Model, batch: int):
+        _check_count("batch", batch, 1)
         self.model = model
-        self.engine = _Engine(model)
+        self.engine = _Engine.of(model)
         self.batch = batch
         self._reset(batch)
 
@@ -849,13 +868,13 @@ class SoftmaxSession(_Session):
 
 
 def generate_greedy(model: Model, prompt_ids: np.ndarray, n_new: int, max_len: int | None = None) -> np.ndarray:
-    """Greedy decoding: a session prefill of the prompt, then one step per token."""
+    """Greedy decoding: a session prefill of the prompt, then one step per
+    token. BadConfig unless n_new is an integer >= 0."""
     prompt_ids = np.asarray(prompt_ids)
     if prompt_ids.ndim == 1:
         prompt_ids = prompt_ids[None, :]
     prompt_ids = _check_ids(prompt_ids, model.config.vocab_size).astype(np.int64)
-    if not n_new >= 0:
-        raise BadConfig(f"n_new must be >= 0, got {n_new}")
+    _check_count("n_new", n_new, 0)
     cap = max_len if max_len is not None else model.config.max_seq_len
     if prompt_ids.shape[1] + n_new > cap:
         raise PromptTooLong(f"prompt {prompt_ids.shape[1]} + {n_new} new tokens exceeds cap {cap}")

@@ -58,6 +58,7 @@ from linswap.model import (
     tokenize,
 )
 from linswap.tensor import Tensor
+from linswap.training import AdamW, AttentionTransfer, feature_map_parameters
 from linswap.validation import check_token_array
 
 import oracles
@@ -317,7 +318,7 @@ def test_checkpoint_load_draws_no_random_weights(tmp_path, monkeypatch):
     # t2r biases and adapters alike, with their trainable flags
     model = lora_attach(convert_model(small_model(), HybridSpec(4, "terraced", "t2r")), rank=2, seed=5)
     for t in model.parameters().values():
-        t.data = t.data + np.float32(0.5)
+        t.data = t.data * np.float32(1.5)
     path = str(tmp_path / "model.lolc")
     save_checkpoint(model, path)
 
@@ -939,6 +940,78 @@ def test_engine_projections_are_the_tape_merged_weights():
         assert layer.wqkv.tobytes() == wqkv.data.tobytes()
         assert layer.wo.tobytes() == attn.wo.merged().data.tobytes()
         assert np.abs(layer.wo - attn.wo.weight.data).max() > 1e-3  # the adapter is in it
+
+
+def test_sessions_on_one_model_state_share_one_engine(monkeypatch):
+    # the LoRA merges and the qkv fusion run once per state of the
+    # parameters, not once per session; a stage-1 step replaces phi and gamma
+    # every time, so its teacher builds its own engine, exactly one
+    builds = []
+    init = M._Engine.__init__
+    monkeypatch.setattr(M._Engine, "__init__", lambda self, model: builds.append(model) or init(self, model))
+    model = with_nonzero_lora(convert_model(small_model(), SPEC))
+    sessions = [HybridSession(model, 1) for _ in range(4)] + [generate_greedy(model, [[65, 66]], 2)]
+    assert len(builds) == 1
+    assert sessions[0].engine is sessions[1].engine is M._Engine.of(model)
+    model = convert_model(small_model(), SPEC)
+    HybridSession(model, 1)
+    del builds[:]
+    ids = np.random.default_rng(6).integers(0, 258, size=(2, 8))
+    AttentionTransfer().step(model, ids, AdamW(feature_map_parameters(model), lr=1e-2))
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "name", ["layers.0.attn.wq.weight", "layers.1.mlp.up.weight", "layers.1.attn.wv.lora_b", "layers.0.attn.gamma_raw", "layers.1.attn.phi_k.weight"]
+)
+def test_replacing_a_parameter_array_builds_the_next_sessions_engine(name):
+    # a dense weight, a LoRA B, gamma_raw and a feature map, each replaced as
+    # AdamW replaces it: the next session serves the new array, as a session
+    # on an engine built from scratch does, while a session built before
+    # keeps the engine, and so the bits, it was handed
+    model = with_nonzero_lora(convert_model(small_model(), SPEC))
+    ids = np.random.default_rng(7).integers(0, 258, size=(1, 3 * SPEC.window_size + 1))
+    before, stepped = HybridSession(model, 1), HybridSession(model, 1)
+    old = before.prefill(ids[:, :-1])
+    stepped.prefill(ids[:, :-1])
+    old_step = stepped.step(ids[:, -1])
+    t = model.parameters()[name]
+    t.data = t.data * np.float32(1.5)
+    after, fresh = HybridSession(model, 1), HybridSession(model, 1)
+    fresh.engine = M._Engine(model)
+    assert after.engine is not before.engine
+    new = after.prefill(ids[:, :-1])
+    assert new.tobytes() == fresh.prefill(ids[:, :-1]).tobytes()
+    assert np.abs(new - old).max() > 1e-4
+    assert before.step(ids[:, -1]).tobytes() == old_step.tobytes()
+
+
+def test_lora_attach_or_convert_after_a_session_builds_a_new_engine():
+    model = small_model()
+    softmax = SoftmaxSession(model, 1).engine
+    convert_model(model, SPEC)
+    hybrid = HybridSession(model, 1).engine
+    assert hybrid is not softmax and hybrid.layers[0].hybrid is not None
+    lora_attach(model, rank=2)
+    assert HybridSession(model, 1).engine is not hybrid
+
+
+@pytest.mark.parametrize("batch", [-1, 0, 2.5, True, "2"])
+@pytest.mark.parametrize("kind", ["hybrid", "softmax"])
+def test_session_batch_must_be_an_integer_of_at_least_one(kind, batch):
+    # refused before the session builds an engine or allocates a state
+    model = convert_model(small_model(), SPEC) if kind == "hybrid" else small_model()
+    with pytest.raises(BadConfig, match="batch"):
+        (HybridSession if kind == "hybrid" else SoftmaxSession)(model, batch)
+    assert model._engine is None
+
+
+@pytest.mark.parametrize("n_new", [2.5, -0.5, None, "3"])
+def test_generate_n_new_must_be_a_non_negative_integer(n_new):
+    model = convert_model(small_model(), SPEC)
+    with pytest.raises(BadConfig, match="n_new"):
+        generate_greedy(model, tokenize("AB")[:-1], n_new)
+    assert model._engine is None
 
 
 @pytest.mark.parametrize("layer,param,op", [(0, "wq", "attn.qkv"), (1, "down", "mlp.down")])
