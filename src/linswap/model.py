@@ -609,9 +609,12 @@ class _Engine:
     model: an optimizer step, a load, lora_attach, convert_model or a cast
     replaces or adds an array, and the next session gets a new engine, while
     a session built before keeps serving the weights it was built from. A
-    parameter written in place is not seen: replace it instead. The stage-1
-    teacher builds its own engine each step, since each step replaces phi and
-    gamma and a kept engine would only hold the last step's arrays alive.
+    parameter written in place is not seen, and the kept engine then mixes
+    its own copies from before the write with the other arrays as written:
+    replace it instead. The kept key holds the arrays it was built from alive
+    until the next session is built on changed ones. The stage-1 teacher
+    builds its own engine each step, since each step replaces phi and gamma
+    and a kept engine would only hold the last step's arrays alive.
 
     The residual stream is one [b * n, D] array: each dense product is one
     2-D matmul over every row of the batch (steps says what that trades).

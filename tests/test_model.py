@@ -318,7 +318,7 @@ def test_checkpoint_load_draws_no_random_weights(tmp_path, monkeypatch):
     # t2r biases and adapters alike, with their trainable flags
     model = lora_attach(convert_model(small_model(), HybridSpec(4, "terraced", "t2r")), rank=2, seed=5)
     for t in model.parameters().values():
-        t.data = t.data * np.float32(1.5)
+        t.data = t.data + np.float32(0.5)
     path = str(tmp_path / "model.lolc")
     save_checkpoint(model, path)
 
@@ -984,6 +984,30 @@ def test_replacing_a_parameter_array_builds_the_next_sessions_engine(name):
     assert new.tobytes() == fresh.prefill(ids[:, :-1]).tobytes()
     assert np.abs(new - old).max() > 1e-4
     assert before.step(ids[:, -1]).tobytes() == old_step.tobytes()
+
+
+@pytest.mark.parametrize("name", ["layers.0.attn.wq.weight", "layers.1.attn.wv.lora_b"])
+def test_writing_a_parameter_array_in_place_is_not_seen_until_it_is_replaced(name):
+    # the engine is looked up by the identity of the parameter arrays, so a
+    # write into one in place keeps the engine the last session was handed,
+    # whose merged qkv still holds the old bits; replacing the array, as
+    # AdamW and load_checkpoint do, gives the next session a new engine
+    model = with_nonzero_lora(convert_model(small_model(), SPEC))
+    ids = np.random.default_rng(8).integers(0, 258, size=(1, 3 * SPEC.window_size))
+    first = HybridSession(model, 1)
+    old = first.prefill(ids)
+    t = model.parameters()[name]
+    t.data *= np.float32(1.5)
+    stale = HybridSession(model, 1)
+    assert stale.engine is first.engine
+    assert stale.prefill(ids).tobytes() == old.tobytes()
+    t.data = t.data.copy()
+    after, fresh = HybridSession(model, 1), HybridSession(model, 1)
+    fresh.engine = M._Engine(model)
+    assert after.engine is not first.engine
+    new = after.prefill(ids)
+    assert new.tobytes() == fresh.prefill(ids).tobytes()
+    assert np.abs(new - old).max() > 1e-4
 
 
 def test_lora_attach_or_convert_after_a_session_builds_a_new_engine():
