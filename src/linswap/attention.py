@@ -450,13 +450,15 @@ def _hybrid_chunkwise(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, 
     S = off + L), where the kv-state s [b, h, f, d], z [b, h, f] sums every
     key before off; s = z = None is the empty state of a fresh sequence. fk
     holds phi(k) of the keys from off on, at least those that leave the
-    window by the end. Returns (y, s, z, folded, backward, stats): y
-    [b, h, S, d]; the kv-state of every key before position folded, the
-    first key the last chunk reads, which is _window_start(end) in terraced
-    mode and 1 to w keys short of it in standard mode, where the last chunk
-    reads those through its linear term; backward(g, qkv) gives (dq, dk, dv,
-    dfq, dfk, dgamma [h]), dq, dk, dv None unless qkv; and stats(), one
-    chunk's share of the arrays the backward keeps.
+    window by the end; q = fq = None at p = end (S = 0) runs no chunk and
+    gives y = None, the state advance alone. Returns (y, s, z, folded,
+    backward, stats): y [b, h, S, d]; the kv-state of every key before
+    position folded, the first key the last chunk reads, which is
+    _window_start(end) in terraced mode and 1 to w keys short of it in
+    standard mode, where the last chunk reads those through its linear term;
+    backward(g, qkv) gives (dq, dk, dv, dfq, dfk, dgamma [h]), dq, dk, dv
+    None unless qkv; and stats(), one chunk's share of the arrays the
+    backward keeps.
 
     The keys form blocks of w rows from off, and the queries of a block are
     one chunk. A chunk attends to a key block through the window cap: its
@@ -485,7 +487,7 @@ def _hybrid_chunkwise(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, 
     scale = 1.0 / math.sqrt(d)
     n_f = max(0, nc - lag)  # the blocks whose fold a chunk reads
     if n_f or s is None:  # the kv-state s | z of every block, chunk-major for the running sum
-        state = np.zeros((nc, b, h, fk.shape[3], d + 1), dtype=q.dtype)
+        state = np.zeros((nc, b, h, fk.shape[3], d + 1), dtype=keys.dtype)
         if s is not None:
             state[0, ..., :d], state[0, ..., d] = s, z
         fold = state[lag:].transpose(1, 2, 0, 3, 4)
@@ -575,7 +577,7 @@ def _hybrid_chunkwise(cfg: HybridArrays, s, z, q, fq, keys, values, fk, p: int, 
         dgamma = np.cumsum(np.concatenate(dgammas, axis=1)[:, ::-1], axis=1)[:, -1]  # chunk sums, added from the last chunk back
         return dq, dk, dv, dfq, dfk, dgamma
 
-    y = ys[0] if len(ys) == 1 else np.concatenate(ys, axis=2)
+    y = (ys[0] if len(ys) == 1 else np.concatenate(ys, axis=2)) if ys else None
     return y, s, z, off + n_f * w, backward, stats
 
 
@@ -699,19 +701,22 @@ class HybridDecodeState:
 
 def hybrid_decode_step(
     state: HybridDecodeState,
-    q: np.ndarray,
+    q: np.ndarray | None,
     k: np.ndarray,
     v: np.ndarray,
     cfg: HybridArrays,
     position: int | None = None,
-) -> np.ndarray:
+) -> np.ndarray | None:
     """Hybrid attention over the next S >= 1 tokens, post-RoPE k, v
     [b, h, S, d] at positions state.position onwards, with queries q
     [b, h, S_q, d], 1 <= S_q <= S, at the last S_q of those positions:
     returns y [b, h, S_q, d] and advances the state over all S keys, by
     _hybrid_chunkwise over the cached tail plus the segment. A caller that
-    reads only the segment's last outputs passes only their queries; the
-    state and cache it leaves do not depend on S_q. phi(k) is computed once,
+    reads only the segment's last outputs passes only their queries, and
+    one that reads none passes q = None: the state advances and the call
+    returns None, with no phi(q), score or output computed. The state and
+    cache it leaves do not depend on S_q, bit for bit; a q of 0 rows is a
+    StateDimMismatch, as any shape that does not fit. phi(k) is computed once,
     for the keys that leave the window by the segment's end, so a decode
     token computes it only for those. The state ends folded to
     _window_start(end), with the tail in the fixed-size cache: in standard
@@ -720,9 +725,11 @@ def hybrid_decode_step(
     beside the tail evicts nothing, so it is written into the cache and
     attends over a view of it."""
     b, h, f, d = state.s.shape
-    fits = k.shape == v.shape and q.ndim == k.ndim == 4 and q.shape[:2] == k.shape[:2] == (b, h) and q.shape[3] == k.shape[3] == d
-    if not fits or not 0 < q.shape[2] <= k.shape[2]:
-        raise StateDimMismatch(f"segment shapes {q.shape} {k.shape} {v.shape} vs state {state.s.shape}")
+    fits = k.shape == v.shape and k.ndim == 4 and k.shape[:2] == (b, h) and k.shape[3] == d and k.shape[2] > 0
+    if q is not None:
+        fits = fits and q.ndim == 4 and q.shape[:2] == (b, h) and q.shape[3] == d and 0 < q.shape[2] <= k.shape[2]
+    if not fits:
+        raise StateDimMismatch(f"segment shapes {None if q is None else q.shape} {k.shape} {v.shape} vs state {state.s.shape}")
     if position is not None and position != state.position:
         raise OutOfOrderToken(f"expected position {state.position}, got {position}")
     p, filled = state.position, state.filled
@@ -740,8 +747,9 @@ def hybrid_decode_step(
         values = np.concatenate([state.v_cache[:, :, :filled], v], axis=2)
 
     tail = _window_start(end, cfg.window_size, cfg.window_mode)
-    fk = _phi_np(cfg.phi_k, keys[:, :, : tail - off]) if tail > off else np.empty((b, h, 0, f), dtype=q.dtype)
-    y, s, z, folded, *_ = _hybrid_chunkwise(cfg, state.s, state.z, q, _phi_np(cfg.phi_q, q), keys, values, fk, end - q.shape[2], off)
+    fk = _phi_np(cfg.phi_k, keys[:, :, : tail - off]) if tail > off else np.empty((b, h, 0, f), dtype=k.dtype)
+    fq, p_q = (None, end) if q is None else (_phi_np(cfg.phi_q, q), end - q.shape[2])
+    y, s, z, folded, *_ = _hybrid_chunkwise(cfg, state.s, state.z, q, fq, keys, values, fk, p_q, off)
     if tail > folded:  # standard mode: the keys the last chunk reads through its linear term
         ds, dz = _fold(fk[:, :, folded - off :], values[:, :, folded - off : tail - off])
         s, z = s + ds, z + dz

@@ -11,7 +11,10 @@ weight by one float32 expression (Projection.merged), on the tape at every
 forward and in the engine once, and q, k, v come from one matmul over the
 fused wq|wk|wv. Sessions share one engine per set of parameter arrays
 (_Engine.of), and a session keeps the engine it was handed, so it serves the
-weights as they were when it was built.
+weights as they were when it was built. The engine computes only what is
+read: its last layer serves the rows it is asked for (_Engine.steps rows),
+one per sequence in a step and in a prefill's last segment, and none in the
+prefill's other segments, where that layer only advances its state.
 
 Parameter count closed form (asserted in tests):
 
@@ -78,9 +81,10 @@ EOS_ID = 257
 
 @dataclass
 class ModelConfig:
-    """InvalidConfig unless n_layers, n_heads, head_dim, max_seq_len and
-    rope_base are > 0, seed >= 0, vocab_size >= 2, head_dim even, mlp_hidden
-    a finite count >= 1 and the parameter count <= MAX_PARAMETERS."""
+    """InvalidConfig unless the int fields are integers (not bools),
+    n_layers, n_heads, head_dim, max_seq_len and rope_base are > 0, seed >= 0,
+    vocab_size >= 2, head_dim even, mlp_hidden a finite count >= 1 and the
+    parameter count <= MAX_PARAMETERS."""
 
     vocab_size: int = 258
     n_layers: int = 2
@@ -92,7 +96,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(vars(self), ("n_layers", "n_heads", "head_dim", "max_seq_len", "rope_base"), ("seed",), error=InvalidConfig)
+        counts = ("n_layers", "n_heads", "head_dim", "max_seq_len")
+        check_fields(vars(self), (*counts, "rope_base"), ("seed",), error=InvalidConfig, integers=("vocab_size", *counts, "seed"))
         if self.vocab_size < 2:
             raise InvalidConfig("vocab_size must be >= 2")
         if self.head_dim % 2:
@@ -114,8 +119,9 @@ class ModelConfig:
 @dataclass
 class HybridSpec:
     """Static description of the hybrid layers created by convert_model.
-    InvalidConfig unless window_size and a set feature_dim are > 0 and
-    window_mode and feature_kind are one of WINDOW_MODES and FEATURE_KINDS."""
+    InvalidConfig unless window_size and a set feature_dim are integers (not
+    bools) > 0 and window_mode and feature_kind are one of WINDOW_MODES and
+    FEATURE_KINDS."""
 
     window_size: int = 8
     window_mode: str = "terraced"
@@ -125,7 +131,7 @@ class HybridSpec:
 
     def __post_init__(self):
         choices = {"window_mode": attention.WINDOW_MODES, "feature_kind": attention.FEATURE_KINDS}
-        check_fields(vars(self), ("window_size",), choices=choices, error=InvalidConfig)
+        check_fields(vars(self), ("window_size",), choices=choices, error=InvalidConfig, integers=("window_size", "feature_dim"))
         if self.feature_dim is not None:
             check_positive("feature_dim", self.feature_dim, InvalidConfig)
 
@@ -477,7 +483,7 @@ def lora_attach(
 
 def _attach_lora(model: Model, rank: int, alpha: float, targets: tuple[str, ...], take) -> Model:
     """lora_attach with the A and B arrays that take(name, shape) returns."""
-    check_fields(locals(), ("rank",), choices={"targets": LORA_TARGETS}, error=InvalidConfig)
+    check_fields(locals(), ("rank",), choices={"targets": LORA_TARGETS}, error=InvalidConfig, integers=("rank",))
     if not targets:
         raise InvalidConfig("LoRA targets must not be empty")
     for blk in model.blocks:
@@ -661,27 +667,40 @@ class _Engine:
             built = model._engine = (arrays, cls(model))
         return built[1]
 
-    def steps(self, ids: np.ndarray, position: int, attend):
+    def steps(self, ids: np.ndarray, position: int, attend, rows: int | None = None):
         """The block loop over ids [b, n] (checked by the caller) at positions
         position onwards, as a generator. Per layer i, attend(i, q, k, v) gets
-        the rotary heads [b, h, n, d] and returns the heads output; the loop
-        yields after each attention residual, then the last id's logits
-        [b, vocab]. A caller that stops after the last layer's attention (the
-        stage-1 teacher) never runs the last MLP, final norm or head.
+        the rotary heads [b, h, ·, d] and returns the heads output of its
+        queries; the loop yields after each layer's attention, then the
+        logits [b, m, vocab] of the rows the last layer serves. A caller that
+        stops after the last layer's attention (the stage-1 teacher) never
+        runs the last MLP, final norm or head.
 
-        attend may answer fewer queries than it was given: an output of
-        m < n rows [b, h, m, d] holds each sequence's last m positions, and
-        from there on the stream keeps only those rows, so wo, the residual,
-        norm2, the MLP and every later layer run on b * m rows. A session
-        asks this of its last layer (_Session), whose other rows nothing
-        reads.
+        rows is how many of each sequence's last positions the last layer
+        serves; every other layer serves all n:
+        - None: all n, the stage-1 teacher's rows.
+        - 1 <= m <= n: the last m. The layer still projects q | k | v by one
+          product over the fused wqkv, so a query's bits do not depend on
+          m, and ropes only the m queries that are read; attend answers
+          those, and wo, the residual, norm2, the MLP, the final norm and
+          the head run on b * m rows. A session step and the last segment
+          of a prefill serve 1 (_Session).
+        - 0: none, a plain state advance. The layer projects k | v alone,
+          by its columns of wqkv (a view, which OpenBLAS 0.3.31 rounds as
+          the fused product does; the tests pin it), ropes k and calls
+          attend(i, None, k, v); the loop yields once more and ends, with no
+          logits. No q, phi(q), score, wo, MLP, final norm or head is
+          computed. It checks k | v and the rotated k before attend, naming
+          norm1, attn.qkv or attn.rope; a value that turns non-finite
+          inside attend's fold reaches the state and raises at its next
+          read (see the class docstring). The other segments of a prefill
+          do this.
 
         The residual stream is one [b * n, D] array, so each dense product
         (wqkv, wo, gate, up, down) is one 2-D matmul over all b * n rows, not
         b stacked n-row products: a b8 decode token makes one 8-row BLAS call
-        per product where it made eight one-row calls. The final norm and the
-        head read each sequence's last row, x[n - 1 :: n]. q, k, v still reach
-        attend as [b, h, n, d] heads.
+        per product where it made eight one-row calls. q, k, v still reach
+        attend as [b, h, ·, d] heads.
 
         The trade: BLAS picks its kernel by shape, so a row's rounding can
         depend on the row count of its product. At b1 the row counts are the
@@ -694,22 +713,33 @@ class _Engine:
         c = self.config
         b, n = ids.shape
         h, d = c.n_heads, c.head_dim
+        last = len(self.layers) - 1
         cos, sin = _rope_at(position, n, d, c.rope_base, self.embed.dtype)
         x = T.finite(self.embed[ids.reshape(-1)], "embed embedding")
         for i, layer in enumerate(self.layers):
+            m = n if rows is None or i < last else rows  # the query rows the layer serves
             u = T.rms_norm_np(x, layer.norm1, RMS_EPS)
+            if not m:  # a state advance: k | v by their columns of wqkv, no query side
+                qkv = (u @ layer.wqkv[:, h * d :]).reshape(b, n, 2, h, d).transpose(2, 0, 3, 1, 4)
+                q, k = None, T.rope_np(qkv[0], cos, sin)  # rebound, so the layer before's q and qkv are freed
+                if not (np.isfinite(k).all() and np.isfinite(qkv[1]).all()):
+                    _first_non_finite(i, ("norm1", u), ("attn.qkv", qkv), ("attn.rope", k))
+                attend(i, q, k, qkv[1])
+                yield
+                return
             qkv = (u @ layer.wqkv).reshape(b, n, 3, h, d).transpose(2, 0, 3, 1, 4)
-            qk = T.rope_np(qkv[:2], cos, sin)
-            y = attend(i, qk[0], qk[1], qkv[2])
-            if y.shape[2] < n:  # attend answered only each sequence's last queries: carry only their rows
-                m = y.shape[2]
-                x = x.reshape(b, n, -1)[:, n - m :].reshape(b * m, -1)
-                cos, sin, n = cos[n - m :], sin[n - m :], m
+            if m == n:
+                q, k = T.rope_np(qkv[:2], cos, sin)
+            else:  # rope only the queries that are read
+                q, k = T.rope_np(qkv[0, :, :, n - m :], cos[n - m :], sin[n - m :]), T.rope_np(qkv[1], cos, sin)
+                x, n = x.reshape(b, n, -1)[:, n - m :].reshape(b * m, -1), m
+            y = attend(i, q, k, qkv[2])
             o = y.transpose(0, 2, 1, 3).reshape(b * n, h * d) @ layer.wo
             x = x + o
             if not np.isfinite(x).all():
                 _first_non_finite(
-                    i, ("norm1", u), ("attn.qkv", qkv), ("attn.rope", qk), ("attn.heads", y), ("attn.wo", o), ("attn.residual", x)
+                    i, ("norm1", u), ("attn.qkv", qkv), ("attn.rope", q), ("attn.rope", k), ("attn.heads", y), ("attn.wo", o),
+                    ("attn.residual", x),
                 )
             yield
             u = T.rms_norm_np(x, layer.norm2, RMS_EPS)
@@ -722,8 +752,8 @@ class _Engine:
                 _first_non_finite(
                     i, ("norm2", u), ("mlp.gate", g), ("mlp.up", up), ("mlp.swiglu", act), ("mlp.down", down), ("mlp.residual", x)
                 )
-        last = T.finite(T.rms_norm_np(x[n - 1 :: n], self.final_gain, RMS_EPS), "final_norm norm")
-        yield T.finite(last @ self.head, "head logits")
+        out = T.finite(T.rms_norm_np(x, self.final_gain, RMS_EPS), "final_norm norm")
+        yield T.finite(out @ self.head, "head logits").reshape(b, n, -1)
 
 
 class _Session:
@@ -731,9 +761,9 @@ class _Session:
     (the sessions' input boundary) once per call, before any state moves;
     _advance runs the steps of the serving engine, the model's engine for its
     parameters as they were when the session was built (_Engine.of), over
-    checked ids to the end with the session's _attend: the logits of the
-    last one. fresh=True first resets the session's state. BadConfig unless
-    batch is an integer >= 1, before any engine or state is built.
+    checked ids to the end with the session's _attend. fresh=True first
+    resets the session's state. BadConfig unless batch is an integer >= 1,
+    before any engine or state is built.
 
     prefill advances fresh state over the prompt in segments of
     PREFILL_SEGMENT tokens, each carrying the position and the state of the
@@ -742,12 +772,15 @@ class _Session:
     segment.
 
     Only the last id's logits leave a session, and a later segment or step
-    reads a layer only through the keys and values its state keeps. So the
-    last layer attends with each sequence's last query alone (_read), and
-    the engine runs that layer's wo, MLP and the final norm on one row per
-    sequence; every key still enters the state. The states match a
-    full-row prefill bit for bit; the prefill's logits differ by float32
-    rounding, since one-row products round apart from n-row ones."""
+    reads a layer only through the keys and values its state keeps. So a
+    step and a prefill's last segment serve one row per sequence from the
+    last layer (the engine's rows = 1): it attends with each sequence's last
+    query, and its wo, MLP, the final norm and the head run on that row.
+    Every other segment of a prefill serves none (rows = 0): its last layer
+    only advances its state by the segment's keys and values. Every key
+    still enters the state, and the states match a full-row prefill bit for
+    bit; the prefill's logits differ by float32 rounding, since one-row
+    products round apart from n-row ones."""
 
     def __init__(self, model: Model, batch: int):
         _check_count("batch", batch, 1)
@@ -760,35 +793,36 @@ class _Session:
         """Advance fresh state over the prompt ids [b, n], PREFILL_SEGMENT
         tokens at a time -> the last id's logits [b, vocab]."""
         ids = _check_ids(ids, self.engine.config.vocab_size)
-        for start in range(0, ids.shape[1], PREFILL_SEGMENT):
-            logits = self._advance(ids[:, start : start + PREFILL_SEGMENT], fresh=not start)
+        n = ids.shape[1]
+        for start in range(0, n, PREFILL_SEGMENT):
+            logits = self._advance(ids[:, start : start + PREFILL_SEGMENT], fresh=not start, rows=int(start + PREFILL_SEGMENT >= n))
         return logits
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Advance one token; token_ids [b] -> logits [b, vocab]."""
         return self._advance(_check_ids(np.asarray(token_ids)[..., None], self.engine.config.vocab_size))
 
-    def _advance(self, ids: np.ndarray, fresh: bool = False) -> np.ndarray:
+    def _advance(self, ids: np.ndarray, fresh: bool = False, rows: int = 1) -> np.ndarray | None:
+        """The engine over ids, its last layer serving each sequence's last
+        rows positions (a session asks for 0 or 1) -> the last id's logits
+        [b, vocab], or None at rows = 0."""
         if fresh:
             self.batch = ids.shape[0]
             self._reset(self.batch)
         elif ids.shape[0] != self.batch:
             raise ShapeMismatch(f"{ids.shape[0]} token rows for a session of batch {self.batch}")
-        *_, logits = self.engine.steps(ids, self.position, self._read)
+        *_, logits = self.engine.steps(ids, self.position, self._attend, rows)
         self.position += ids.shape[1]
-        return logits
-
-    def _read(self, i, q, k, v) -> np.ndarray:
-        """_attend, with the last layer's queries cut to each sequence's last."""
-        return self._attend(i, q[:, :, -1:] if i == len(self.engine.layers) - 1 else q, k, v)
+        return logits[:, -1] if rows else None
 
 
 class HybridSession(_Session):
     """Per-layer recurrent decode states for a converted model. Prefill and
     step are the same advance through attention.hybrid_decode_step; prefill
-    starts it from fresh states. With w dividing PREFILL_SEGMENT, a prefill
-    folds the same key groups and attends with the same chunks as the
-    prompt in one segment, bit for bit, in both window modes."""
+    starts it from fresh states, and its last layer's call carries no
+    queries in every segment but the last. With w dividing PREFILL_SEGMENT,
+    a prefill folds the same key groups and attends with the same chunks as
+    the prompt in one segment, bit for bit, in both window modes."""
 
     # the shared methods, bound here too for benchmarks/spans.py to wrap
     prefill = _Session.prefill
@@ -826,7 +860,7 @@ class SoftmaxSession(_Session):
     layer keeps its keys and values in one buffer [2, b, h, capacity, d]
     whose capacity doubles when a segment does not fit: a step, and each
     prefill segment, writes its keys after the filled ones and attends over a
-    view of them."""
+    view of them; a call with no queries (q = None) only writes them."""
 
     def _reset(self, batch: int) -> None:
         cfg = self.model.config
@@ -867,17 +901,20 @@ class SoftmaxSession(_Session):
             kv = self.kv[i] = grown
         kv[0, :, :, n:end] = k
         kv[1, :, :, n:end] = v
-        return attention.softmax_attention_np(q, kv[0, :, :, :end], kv[1, :, :, :end])[0]
+        return None if q is None else attention.softmax_attention_np(q, kv[0, :, :, :end], kv[1, :, :, :end])[0]
 
 
 def generate_greedy(model: Model, prompt_ids: np.ndarray, n_new: int, max_len: int | None = None) -> np.ndarray:
     """Greedy decoding: a session prefill of the prompt, then one step per
-    token. BadConfig unless n_new is an integer >= 0."""
+    token. BadConfig unless n_new is an integer >= 0 and a set max_len an
+    integer >= 1."""
     prompt_ids = np.asarray(prompt_ids)
     if prompt_ids.ndim == 1:
         prompt_ids = prompt_ids[None, :]
     prompt_ids = _check_ids(prompt_ids, model.config.vocab_size).astype(np.int64)
     _check_count("n_new", n_new, 0)
+    if max_len is not None:
+        _check_count("max_len", max_len, 1)
     cap = max_len if max_len is not None else model.config.max_seq_len
     if prompt_ids.shape[1] + n_new > cap:
         raise PromptTooLong(f"prompt {prompt_ids.shape[1]} + {n_new} new tokens exceeds cap {cap}")

@@ -588,14 +588,18 @@ def embedding(weight, ids: np.ndarray) -> Tensor:
 def rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate each (2i, 2i+1) pair of x [..., S, d] by the angles of the tables
     cos/sin [S, d/2]. A strided x (the engine's transposed q, k) is copied
-    contiguous first: the same operations then read dense pairs, so the result
-    is the same, bit for bit, in less time."""
-    x = np.ascontiguousarray(x)
-    xe, xo = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = xe * cos - xo * sin
-    out[..., 1::2] = xe * sin + xo * cos
-    return out
+    contiguous first, so the result is laid out as before whatever x's
+    strides, and the dense pairs are read as complex numbers a + bi: the
+    rotation is two complex products, (a + bi) cos and (a + bi) (i sin),
+    added. Each product has one exactly-zero part, so a fused multiply-add
+    rounds it as a plain multiply does, and the sum is a cos - b sin,
+    a sin + b cos rounded as the real formula rounds it
+    (tests/oracles.rope_real): the same values, bit for bit, except the sign
+    of an exactly-zero output, and a +-inf input gives NaN."""
+    xc = np.ascontiguousarray(x).view(np.promote_types(x.dtype, np.complex64))
+    out = xc * cos
+    out += xc * (1j * sin)
+    return out.view(x.dtype)
 
 
 def rope(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:

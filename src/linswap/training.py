@@ -339,8 +339,9 @@ class AttentionTransfer(ParamsMixin):
     Block training folds per-block losses back to the joint normalization
     (factor block_size / n_layers), so per-parameter gradients are identical
     for every block size; teacher forcing already decouples the blocks.
-    BadConfig unless steps, batch_size, seq_len, clip_norm and a set block_size
-    are > 0, lr, w_mse, w_xent, eval_every and seed >= 0 and loss in LOSS_KINDS.
+    BadConfig unless the int fields are integers (not bools), steps,
+    batch_size, seq_len, clip_norm and a set block_size are > 0, lr, w_mse,
+    w_xent, eval_every and seed >= 0 and loss in LOSS_KINDS.
     """
 
     lr: float = 1e-2
@@ -357,7 +358,8 @@ class AttentionTransfer(ParamsMixin):
 
     def __post_init__(self):
         non_negative = ("lr", "w_mse", "w_xent", "eval_every", "seed")
-        check_fields(vars(self), ("steps", "batch_size", "seq_len", "clip_norm"), non_negative, {"loss": LOSS_KINDS})
+        integers = ("steps", "batch_size", "seq_len", "block_size", "eval_every", "seed")
+        check_fields(vars(self), ("steps", "batch_size", "seq_len", "clip_norm"), non_negative, {"loss": LOSS_KINDS}, integers=integers)
         if self.block_size is not None:
             check_positive("block_size", self.block_size)
 
@@ -430,8 +432,9 @@ class LoraAdjust(ParamsMixin):
     """Next-token finetuning of LoRA adapters on the fully swapped model.
 
     Feature maps and gamma are frozen on entry; only adapter matrices train.
-    BadConfig unless steps, batch_size, seq_len, clip_norm and rank are > 0,
-    lr, eval_every and seed >= 0 and each of targets in LORA_TARGETS.
+    BadConfig unless the int fields are integers (not bools), steps,
+    batch_size, seq_len, clip_norm and rank are > 0, lr, eval_every and
+    seed >= 0 and each of targets in LORA_TARGETS.
     """
 
     lr: float = 1e-4
@@ -447,7 +450,8 @@ class LoraAdjust(ParamsMixin):
 
     def __post_init__(self):
         positive = ("steps", "batch_size", "seq_len", "clip_norm", "rank")
-        check_fields(vars(self), positive, ("lr", "eval_every", "seed"), {"targets": LORA_TARGETS})
+        integers = ("steps", "batch_size", "seq_len", "rank", "eval_every", "seed")
+        check_fields(vars(self), positive, ("lr", "eval_every", "seed"), {"targets": LORA_TARGETS}, integers=integers)
 
     def step(self, model: Model, inputs: np.ndarray, targets: np.ndarray, optimizer: AdamW) -> float:
         adapter_parameters(model)  # AdaptersMissing when none attached

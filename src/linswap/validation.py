@@ -35,9 +35,14 @@ def check_positive(name: str, value, error=BadConfig):
     return value
 
 
-def check_fields(values: dict, positive=(), non_negative=(), choices=None, error=BadConfig) -> None:
-    """Named settings (an object's vars, a function's locals()) by rule: > 0,
-    >= 0 (NaN fails both), or each item one of its choices; error names the first."""
+def check_fields(values: dict, positive=(), non_negative=(), choices=None, error=BadConfig, integers=()) -> None:
+    """Named settings (an object's vars, a function's locals()) by rule: an
+    integer and not a bool where set (the fields declared int), > 0, >= 0
+    (NaN fails both), or each item one of its choices; error names the first."""
+    for name in integers:
+        value = values[name]
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+            raise error(f"{name} must be an integer, got {value!r}")
     for name in positive:
         check_positive(name, values[name], error)
     for name in non_negative:

@@ -2,7 +2,8 @@
 
 These transcribe the attention definitions as per-position loops over plain
 numpy arrays and never call the library's vectorized paths, so agreement is a
-two-route check rather than a tautology. The *_composite functions are the
+two-route check rather than a tautology. rope_real is T.rope_np's real
+formula, its byte-equality oracle. The *_composite functions are the
 other kind of oracle: the fused Tensor ops (rope, softmax attention,
 rms_norm, cross_entropy) written out as chains of elementary Tensor ops,
 whose gradients the tape derives op by op; hybrid_naive is the hybrid
@@ -120,6 +121,17 @@ def rope_ref(x, start_pos, base):
             xo = x[..., n, 2 * i + 1]
             out[..., n, 2 * i] = xe * c - xo * s
             out[..., n, 2 * i + 1] = xe * s + xo * c
+    return out
+
+
+def rope_real(x, cos, sin):
+    """T.rope_np's rotation by the real formula on the interleaved pairs,
+    a cos - b sin and a sin + b cos, in numpy: the form it replaced, kept as
+    its byte-equality oracle."""
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    out = np.empty(x.shape, x.dtype)
+    out[..., 0::2] = xe * cos - xo * sin
+    out[..., 1::2] = xe * sin + xo * cos
     return out
 
 

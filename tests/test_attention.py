@@ -70,6 +70,34 @@ def test_serving_rope_matches_reference():
     np.testing.assert_allclose(T.rope_np(x, cos, sin), ref, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rope_kernel_is_the_real_formula_bitwise(dtype):
+    # T.rope_np rotates the pairs as complex numbers; against the real
+    # formula (oracles.rope_real) it gives the same bytes on contiguous and
+    # strided [2, b, h, n, d] views (the engine's q, k), at magnitudes from
+    # 1e-20 to 1e20, for the forward's sin and the backward's -sin. Exact
+    # zeros (sin at position 0, a zero entry of x) give equal values, the
+    # sign of a zero output aside; a +-inf input gives NaN, not +-inf
+    g = np.random.default_rng(21)
+    for trial in range(200):
+        b, h, n, half = (int(v) for v in g.integers(1, (4, 4, 70, 17)))
+        scale = 10.0 ** g.uniform(-20, 20)
+        fused = (g.normal(size=(b, n, 3, h, 2 * half)) * scale).astype(dtype)
+        x = fused.transpose(2, 0, 3, 1, 4)[:2] if trial % 2 else fused[:, :, 0].transpose(0, 2, 1, 3).copy()
+        cos, sin = (t.astype(dtype) for t in A.rope_angles(n, 2 * half, int(g.integers(0, 5000))))
+        for s in (sin, -sin):
+            assert T.rope_np(x, cos, s).tobytes() == oracles.rope_real(x, cos, s).tobytes(), trial
+    x = g.normal(size=(1, 2, 5, 8)).astype(dtype)
+    x[0, 0, :, 2:5] = 0.0
+    x[0, 1, :, 5] = -0.0
+    cos, sin = (t.astype(dtype) for t in A.rope_angles(5, 8, 0))
+    for s in (sin, -sin):
+        assert np.array_equal(T.rope_np(x, cos, s), oracles.rope_real(x, cos, s))
+    x[0, 0, 1, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(T.rope_np(x, cos, sin)[0, 0, 1, :2]).any()
+
+
 def test_rope_odd_dim_rejected():
     with pytest.raises(OddHeadDim):
         T.rope(Tensor(np.zeros((1, 1, 2, 7))), *A.rope_angles(2, 7))

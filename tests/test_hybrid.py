@@ -328,6 +328,26 @@ def test_decode_segment_shapes_rejected():
     assert state.position == state.filled == 3
 
 
+@pytest.mark.parametrize("mode", A.WINDOW_MODES)
+@pytest.mark.parametrize("kind", ["t2r", "hedgehog"])
+@pytest.mark.parametrize("splits", [(2 * 4 + 3, 1, 2, 4 + 1, 1), (1, 2, 3 * 4 + 1, 4)])
+def test_decode_state_advance_without_queries_matches_a_call_with_them(mode, kind, splits):
+    # q = None advances the state as a call with each segment's last query
+    # does, bit for bit, and returns None: over segments that start fresh,
+    # that fit in the cache beside its tail and that follow a cached tail
+    w = 4
+    cfg = make_cfg(w, mode, kind=kind, seed=41, dtype=np.float32)
+    read, advanced = (A.HybridDecodeState(2, 2, cfg, 8, dtype=np.float32) for _ in range(2))
+    g = rng(42)
+    for n in splits:
+        q, k, v = (g.normal(size=(2, 2, n, 8)).astype(np.float32) for _ in range(3))
+        assert A.hybrid_decode_step(read, q[:, :, -1:], k, v, cfg.arrays()).shape == (2, 2, 1, 8)
+        assert A.hybrid_decode_step(advanced, None, k, v, cfg.arrays(), position=advanced.position) is None
+        for name in ("s", "z", "k_cache", "v_cache", "filled", "position"):
+            x, y = getattr(read, name), getattr(advanced, name)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), (n, name)
+
+
 def test_decode_state_matches_spec_partition():
     # after n tokens the kv-state must cover exactly the evicted tokens
     w = 3

@@ -58,7 +58,7 @@ from linswap.model import (
     tokenize,
 )
 from linswap.tensor import Tensor
-from linswap.training import AdamW, AttentionTransfer, feature_map_parameters
+from linswap.training import AdamW, AttentionTransfer, LoraAdjust, feature_map_parameters
 from linswap.validation import check_token_array
 
 import oracles
@@ -105,6 +105,33 @@ def test_invalid_configs_rejected():
         ModelConfig(vocab_size=1)
     with pytest.raises(InvalidConfig):
         ModelConfig(head_dim=7)
+
+
+# a setting declared int given a non-integer (or a bool) is refused with the
+# settings' typed error, as the INI parser refuses it, and not with a raw
+# TypeError at build, convert or forward
+INTEGER_SETTINGS = {
+    "ModelConfig(n_layers=2.5)": (InvalidConfig, lambda: ModelConfig(n_layers=2.5)),
+    "HybridSpec(window_size=2.5)": (InvalidConfig, lambda: HybridSpec(window_size=2.5)),
+    "HybridSpec(feature_dim=2.5)": (InvalidConfig, lambda: HybridSpec(feature_dim=2.5)),
+    "HybridSpec(window_size=True)": (InvalidConfig, lambda: HybridSpec(window_size=True)),
+    "LoraAdjust(rank=2.5)": (BadConfig, lambda: LoraAdjust(rank=2.5)),
+    "lora_attach(rank=2.5)": (InvalidConfig, lambda: lora_attach(convert_model(small_model(), SPEC), rank=2.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(INTEGER_SETTINGS))
+def test_integer_settings_must_be_integers(case):
+    error, make = INTEGER_SETTINGS[case]
+    with pytest.raises(error, match="must be an integer"):
+        make()
+
+
+def test_generate_max_len_must_be_an_integer():
+    model = convert_model(small_model(), SPEC)
+    with pytest.raises(BadConfig, match="max_len"):
+        generate_greedy(model, tokenize("AB")[:-1], 2, max_len="a")
+    assert model._engine is None
 
 
 # --- conversion -------------------------------------------------------------
@@ -1161,6 +1188,36 @@ def test_engine_names_the_first_non_finite_op_at_prefill_and_step(where):
             HybridSession(model, 1).prefill(prompt)
         with pytest.raises(NonFiniteResult, match=match):
             stepped.step(prompt[:, 1])
+
+
+@pytest.mark.parametrize("op", ["attn.qkv", "attn.rope"])
+def test_non_finite_key_of_a_non_final_segment_names_the_last_layer(op, monkeypatch):
+    # a prefill's non-final segment runs its last layer as a state advance,
+    # with no residual for the stream check to read. That layer checks its
+    # k | v and rotated k itself, so a NaN there raises at that segment,
+    # naming the layer and op, before its state takes the segment's keys:
+    # a NaN wk (every key), or one rotated key of the first segment, which
+    # would otherwise fold into the state and surface at the last segment
+    model = convert_model(small_model(), SPEC)
+    last = model.config.n_layers - 1
+    if op == "attn.qkv":
+        _poison(f"layers.{last}.attn.wk.weight", _nan)(model)
+    else:
+        rope, calls = T.rope_np, []
+
+        def poisoned(x, cos, sin):
+            out = rope(x, cos, sin)
+            calls.append(out.shape)
+            if len(calls) == model.config.n_layers:  # the first segment's last layer: its k alone
+                out[..., 100, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(T, "rope_np", poisoned)
+    session = HybridSession(model, 1)
+    ids = np.random.default_rng(13).integers(0, 258, size=(1, M.PREFILL_SEGMENT + 5))
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteResult, match=rf"^layers\.{last} {re.escape(op)} produced NaN/Inf"):
+        session.prefill(ids)
+    assert session.states[last].position == 0
 
 
 @pytest.mark.parametrize("layer", [0, 1])

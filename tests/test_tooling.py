@@ -3,7 +3,8 @@
 ``benchmarks/run.py``, so both are checked here, with the benchmark files
 loaded read-only. The serving sessions are pinned to the names the tracer
 attributes their attention time to, their last layer attends with one query
-per sequence and leaves the states a full-row prefill leaves, a decode token
+per sequence where its output is read and with none elsewhere, and leaves the
+states a full-row prefill leaves, a decode token
 reads only cached rope and mask tables, a stage-1 step and a softmax-baseline token build no mask,
 every bundled config is built into the classes it configures, a stage-2
 loss records rope, RMS normalisation and the loss as one tape node each and
@@ -146,47 +147,111 @@ def _served_state(session) -> list:
     ]
 
 
+def test_softmax_session_writes_keys_without_queries():
+    # _attend with q = None, the state advance of a non-final prefill
+    # segment's last layer, leaves the buffers a call with queries leaves,
+    # through a capacity growth, and returns None
+    cfg = M.ModelConfig(n_layers=2, n_heads=2, head_dim=8, seed=7)
+    read, advanced = _session("softmax", cfg, 2), _session("softmax", cfg, 2)
+    g = np.random.default_rng(7)
+    for n in (3, 300, 1):
+        q, k, v = (g.normal(size=(2, cfg.n_heads, n, cfg.head_dim)).astype(np.float32) for _ in range(3))
+        for i in range(cfg.n_layers):
+            assert read._attend(i, q[:, :, -1:], k, v).shape == (2, cfg.n_heads, 1, cfg.head_dim)
+            assert advanced._attend(i, None, k, v) is None
+        read.position += n
+        advanced.position += n
+        assert [kv.shape for kv in read.kv] == [kv.shape for kv in advanced.kv]
+        assert _served_state(read) == _served_state(advanced)
+
+
 @pytest.mark.parametrize("kind", ["terraced", "standard", "softmax"])
 def test_sessions_attend_the_last_layer_with_one_query_per_sequence(kind, monkeypatch):
     # only the last id's logits leave a session: its last layer attends with
-    # each sequence's last query, over every key of the segment, and the
-    # other layers with every query, in each prefill segment and each step
+    # each sequence's last query, over every key of the segment, in the
+    # final prefill segment and each step, and with no query (a plain state
+    # advance) in every other segment; the other layers attend with every
+    # query throughout
     cfg = M.ModelConfig(n_layers=3, n_heads=2, head_dim=8, seed=5)
     session = _session(kind, cfg, 2)
     rows = []
     attend = type(session)._attend
 
     def recorded(self, i, q, k, v):
-        assert q.shape[:2] == k.shape[:2] == (2, cfg.n_heads)
-        rows.append((i, q.shape[2], k.shape[2]))
+        assert k.shape[:2] == (2, cfg.n_heads) and (q is None or q.shape[:2] == k.shape[:2])
+        rows.append((i, None if q is None else q.shape[2], k.shape[2]))
         return attend(self, i, q, k, v)
 
     monkeypatch.setattr(type(session), "_attend", recorded)
-    ids = np.random.default_rng(5).integers(0, 258, size=(2, M.PREFILL_SEGMENT + 11))
+    seg = M.PREFILL_SEGMENT
+    ids = np.random.default_rng(5).integers(0, 258, size=(2, 2 * seg + 11))
     session.prefill(ids)
     last = cfg.n_layers - 1
-    assert rows == [(i, 1 if i == last else n, n) for n in (M.PREFILL_SEGMENT, 11) for i in range(cfg.n_layers)]
+    served = [(seg, None), (seg, None), (11, 1)]
+    assert rows == [(i, query if i == last else n, n) for n, query in served for i in range(cfg.n_layers)]
     rows.clear()
     session.step(ids[:, 0])
     assert rows == [(i, 1, 1) for i in range(cfg.n_layers)]
 
 
 @pytest.mark.parametrize("kind", ["terraced", "standard", "softmax"])
-def test_pruned_prefill_serves_as_a_full_row_prefill(kind):
-    # against a session whose attend gets every query row: the states after
-    # the prefill and the logits of the next 8 steps are the same bits; only
-    # the prefill's logits round apart, since the last layer's products run
-    # on one row per sequence
+def test_pruned_prefill_serves_as_a_full_row_prefill(kind, monkeypatch):
+    # against a session whose last layer serves every row of every segment:
+    # the states after the prefill and the logits of the next 8 steps are
+    # the same bits, and only the prefill's logits round apart, since the
+    # last layer's products run on one row per sequence. Against a session
+    # whose last layer serves one row in every segment, as it did before
+    # the non-final segments became plain state advances, the prefill's
+    # logits are the same bits too
     cfg = M.ModelConfig(n_layers=2, n_heads=2, head_dim=8, seed=9)
-    pruned, full = _session(kind, cfg, 3), _session(kind, cfg, 3)
-    full._read = full._attend
+    pruned, full, one_row = (_session(kind, cfg, 3) for _ in range(3))
+    advance = type(pruned)._advance
+
+    def serving(session, rows_of):
+        monkeypatch.setattr(session, "_advance", lambda ids, fresh=False, rows=1: advance(session, ids, fresh, rows_of(ids)))
+
+    serving(full, lambda ids: ids.shape[1])
+    serving(one_row, lambda ids: 1)
     ids = np.random.default_rng(9).integers(0, 258, size=(3, M.PREFILL_SEGMENT + 37 + 8))
     prompt = ids[:, : M.PREFILL_SEGMENT + 37]
-    assert np.abs(pruned.prefill(prompt) - full.prefill(prompt)).max() <= 1e-5
-    assert _served_state(pruned) == _served_state(full)
+    got = pruned.prefill(prompt)
+    assert np.abs(got - full.prefill(prompt)).max() <= 1e-5
+    assert got.tobytes() == one_row.prefill(prompt).tobytes()
+    assert _served_state(pruned) == _served_state(full) == _served_state(one_row)
     for n in range(prompt.shape[1], ids.shape[1]):
         assert pruned.step(ids[:, n]).tobytes() == full.step(ids[:, n]).tobytes(), f"position {n}"
         assert _served_state(pruned) == _served_state(full)
+
+
+def test_state_advance_projects_key_value_columns_as_the_fused_product():
+    # a state advance takes k | v from the wqkv[:, D:] view, the fused
+    # product's columns bit for bit in OpenBLAS 0.3.31; that is a property
+    # of the BLAS, not of numpy, so it is pinned here over the model widths
+    # and row counts around its kernel sizes
+    g = np.random.default_rng(17)
+    for D in (8, 16, 32, 64, 128, 256):
+        w = g.normal(size=(D, 3 * D)).astype(np.float32)
+        for n in (1, 2, 3, 7, 8, 31, 32, 33, 64, 100, 255, 256, 257, 539):
+            u = g.normal(size=(n, D)).astype(np.float32)
+            assert (u @ w[:, D:]).tobytes() == (u @ w)[:, D:].tobytes(), (D, n)
+
+
+@pytest.mark.parametrize("kind", ["terraced", "standard", "softmax"])
+@pytest.mark.parametrize("batch", [1, 2])
+def test_engine_serves_the_last_m_rows(kind, batch):
+    # rows = m: the last layer attends with the last m queries and the head
+    # reads those m rows per sequence, the same logits as a pass serving
+    # every row, within criterion 4's bound
+    cfg = M.ModelConfig(n_layers=2, n_heads=2, head_dim=8, seed=13)
+    ids = np.random.default_rng(13).integers(0, 258, size=(batch, 40))
+    outs = {}
+    for rows in (None, 1, 5, 40):
+        session = _session(kind, cfg, batch)
+        *_, outs[rows] = session.engine.steps(ids, 0, session._attend, rows)
+    for m in (1, 5, 40):
+        assert outs[m].shape == (batch, m, cfg.vocab_size)
+        assert np.abs(outs[m] - outs[None][:, -m:]).max() <= 1e-5, m
+    assert outs[40].tobytes() == outs[None].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["terraced", "standard"])
